@@ -143,6 +143,11 @@ def run_analysis(cfg, threads=None):
             raise ConfigError(f"unknown method {cfg.method!r}")
 
     diagnostics["pf"] = pf
+    kde_inputs = {name: {"n_failure_samples": c.n_failure_samples,
+                         "ess": c.ess, "clip_fraction": c.clip_fraction}
+                  for name, c in curves.items() if c.source == "kde"}
+    if kde_inputs:
+        diagnostics["kde_inputs"] = kde_inputs
     method_label = {"mc": "mc-kde", "subset": "subset-kde"}.get(cfg.method,
                                                                 cfg.method)
 

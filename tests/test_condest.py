@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +8,13 @@ import pytest
 from relsens import (conditional_pf_from_failure_samples, crude_mc,
                      default_grid, kde_fit, lognormal_linear_conditional_pf,
                      lognormal_linear_pf, marginal_from_params)
+from relsens import config as config_mod, pipeline
 from relsens.condest import (TRANSFORM_IDENTITY, effective_sample_size,
                              silverman_bandwidth, write_curve_csv)
 from relsens.errors import DegenerateSampleError, DomainError
 from conftest import PF_IND
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def draw_ex1_failures(joint, limit_state, n_f, seed):
@@ -35,6 +40,72 @@ def test_bandwidth_formula():
     q75, q25 = np.percentile(v, [75, 25])
     expect = 1.06 * min(sd, (q75 - q25) / 1.34) * 500 ** (-0.2)
     assert silverman_bandwidth(v) == pytest.approx(expect, rel=1e-12)
+
+
+def test_bandwidth_falls_back_to_sd_when_iqr_is_zero():
+    # tied values (a stuck MCMC chain) make the IQR zero while sd > 0
+    v = np.r_[-np.linspace(1, 2, 20), np.zeros(60), np.linspace(1, 2, 20)]
+    sd = np.std(v, ddof=1)
+    assert sd > 0.9
+    assert silverman_bandwidth(v) == 1.06 * sd * len(v) ** (-0.2)
+
+
+def direct_density(values, h, t):
+    """The kernel sum over every (evaluation point, sample) pair."""
+    d = (np.asarray(t)[:, None] - np.asarray(values)[None, :]) / h
+    with np.errstate(under="ignore"):
+        return np.exp(-0.5 * d * d).sum(axis=1) / (
+            len(values) * h * math.sqrt(2.0 * math.pi))
+
+
+def far_points(values, h):
+    """Points beyond the data where the density is subnormal or zero."""
+    steps = h * np.array([30.0, 37.8, 38.2, 38.5, 39.0, 60.0])
+    return np.r_[values.min() - steps, values.max() + steps]
+
+
+@pytest.mark.parametrize("sample", ["normal", "two-cluster"])
+def test_windowed_kernel_matches_direct_sum(sample):
+    rng = np.random.default_rng(11)
+    if sample == "normal":
+        v = rng.standard_normal(3000)
+    else:
+        v = np.r_[rng.normal(-20.0, 1.0, 1500), rng.normal(20.0, 0.5, 500)]
+    m = marginal_from_params("normal", 0.0, 1.0)
+    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    h = model.bandwidth
+    t = np.r_[np.linspace(v.min() - 3.0, v.max() + 3.0, 1001),
+              far_points(v, h)]
+    got = model.density_transformed(t)
+    ref = direct_density(v, h, t)
+    tiny = np.finfo(float).tiny
+    assert np.any((ref > 0.0) & (ref < tiny))     # subnormal densities
+    assert np.any(ref == 0.0)
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    nz = ref != 0.0
+    assert np.allclose(got[nz], ref[nz], rtol=1e-13, atol=0.0)
+
+
+def test_kde_density_unchanged_by_shuffling():
+    m = marginal_from_params("lognormal", 0.0, 0.5)
+    rng = np.random.default_rng(12)
+    v = np.exp(0.5 * rng.standard_normal(4000) + 1.0)
+    a = kde_fit(v, m)
+    b = kde_fit(rng.permutation(v), m)
+    assert np.array_equal(a.points, b.points)
+    z = np.linspace(-10.0, 12.0, 2001)
+    da, db = a.density_transformed(z), b.density_transformed(z)
+    assert np.array_equal(da == 0.0, db == 0.0)
+    assert np.allclose(da, db, rtol=1e-13, atol=0.0)
+
+
+def test_kde_sorts_points_but_keeps_the_unsorted_bandwidth():
+    m = marginal_from_params("lognormal", 0.0, 0.5)
+    v = np.exp(0.5 * np.random.default_rng(13).standard_normal(5000))
+    model = kde_fit(v, m)
+    z = m.to_standard_normal(v)
+    assert np.array_equal(model.points, np.sort(z))
+    assert model.bandwidth == silverman_bandwidth(z)
 
 
 def test_kde_recovers_normal_density():
@@ -183,6 +254,52 @@ def test_effective_sample_size():
     for k in range(1, 4000):            # strongly autocorrelated chain
         ar[k] = 0.95 * ar[k - 1] + rng.standard_normal()
     assert effective_sample_size(ar) < 600
+
+
+def _pipeline_config(base, overrides):
+    raw = json.loads((ROOT / "configs" / base).read_text())
+    raw.update(overrides)
+    return config_mod.validate_config(raw)
+
+
+def test_kde_curves_do_not_depend_on_threads():
+    cfg = _pipeline_config("example1_safety_dependent.json",
+                           {"method": "mc", "n": 100_000, "seed": 3})
+    one = pipeline.run_analysis(cfg, threads=1)
+    two = pipeline.run_analysis(cfg, threads=2)
+    for name in cfg.names:
+        assert one.curves[name].source == "kde"
+        assert np.array_equal(one.curves[name].pf_values,
+                              two.curves[name].pf_values)
+        assert np.array_equal(one.curves[name].density_conditional,
+                              two.curves[name].density_conditional)
+    assert one.diagnostics["kde_inputs"] == two.diagnostics["kde_inputs"]
+
+
+# pf, normalized EVPPI and pf curves of two seeded KDE runs, recorded with the
+# direct (unwindowed) kernel sum
+PINNED = json.loads((ROOT / "tests" / "data" / "kde_runs_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("run", PINNED, ids=[r["overrides"]["method"]
+                                             for r in PINNED])
+def test_kde_runs_reproduce_pinned_values(run):
+    cfg = _pipeline_config(run["config"], run["overrides"])
+    res = pipeline.run_analysis(cfg)
+    assert res.pf == run["pf"]
+    evppi = {e.name: e.normalized for e in res.safety_report.entries}
+    assert evppi.keys() == run["evppi_normalized"].keys()
+    for name, want in run["evppi_normalized"].items():
+        assert evppi[name] == pytest.approx(want, rel=1e-12, abs=0.0)
+    for name, want in run["pf_curves"].items():
+        got = res.curves[name].pf_values
+        want = np.asarray(want)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    for name, diag in res.diagnostics["kde_inputs"].items():
+        curve = res.curves[name]
+        assert diag == {"n_failure_samples": curve.n_failure_samples,
+                        "ess": curve.ess, "clip_fraction": curve.clip_fraction}
 
 
 def test_curve_csv(tmp_path, ex1_marginals):

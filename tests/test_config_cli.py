@@ -159,6 +159,21 @@ def test_cli_run_deterministic_output(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_cli_run_reports_kde_diagnostics_per_input(tmp_path):
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(_base_config(method="mc", n=50_000, seed=11)))
+    out = tmp_path / "run"
+    assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    per_input = report["diagnostics"]["kde_inputs"]
+    assert list(per_input) == ["R", "S", "XR", "XS"]
+    n_fail = report["diagnostics"]["n_failure_samples"]
+    for diag in per_input.values():
+        assert diag["n_failure_samples"] == n_fail
+        assert 0.0 < diag["ess"] <= n_fail
+        assert 0.0 <= diag["clip_fraction"] <= 1.0
+
+
 def test_cli_run_seed_override_changes_mc(tmp_path):
     base = _base_config(method="mc", n=50_000, seed=11)
     cfg_path = tmp_path / "mc.json"
