@@ -24,9 +24,8 @@ from .form import (FormResult, conditional_pf_u, conditional_pf_x,
                    evppi_form_safety, find_design_point, solve_form,
                    threshold_u, threshold_x)
 from .lsf import LimitState, builtin, evaluate, parse
-from .sample import (McResult, SubsetResult, crude_mc, resample_weighted,
-                     subset_simulation)
-from .special import (bivariate_normal_cdf, erf, erfc, std_normal,
-                      std_normal_cdf, std_normal_inv, std_normal_pdf)
+from .sample import McResult, SubsetResult, crude_mc, subset_simulation
+from .special import (bivariate_normal_cdf, std_normal_cdf, std_normal_inv,
+                      std_normal_pdf)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

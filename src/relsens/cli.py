@@ -103,22 +103,12 @@ def cmd_run(args):
     try:
         result = pipeline.run_analysis(cfg, threads=args.threads)
 
-        table_header = ["input", "absolute", "normalized", "relative"]
-        if cfg.safety is not None and cfg.design is not None:
-            rows = []
-            for es, ed in zip(result.safety_report.entries,
-                              result.design["report"].entries):
-                rows.append([es.name, _fmt(es.absolute), _fmt(es.normalized),
-                             _fmt(es.relative), _fmt(ed.absolute),
-                             _fmt(ed.normalized)])
-            table_header += ["design_absolute", "design_normalized"]
-        elif cfg.safety is not None:
-            rows = _report_rows(result.safety_report)
-        else:
-            rows = [[e.name, _fmt(e.absolute), _fmt(e.normalized), _fmt(e.relative)]
-                    for e in result.design["report"].entries]
+        # validate_config admits exactly one of the safety and design blocks
+        table_report = (result.safety_report if cfg.safety is not None
+                        else result.design["report"])
         table_path = outdir / "evppi_table.csv"
-        _write_csv(table_path, table_header, rows)
+        _write_csv(table_path, ["input", "absolute", "normalized", "relative"],
+                   _report_rows(table_report))
         written.append(table_path)
 
         for name in cfg.names:

@@ -166,8 +166,14 @@ def default_grid(marginal, n=512, p_lo=1e-6, p_hi=None):
     return np.linspace(marginal.inv_cdf(p_lo), marginal.inv_cdf(p_hi), n)
 
 
-def effective_sample_size(values):
-    """Autocorrelation-based ESS; equals n for independent input."""
+def effective_sample_size(values, stride=1):
+    """Autocorrelation-based ESS; equals n for independent input.
+
+    ``values`` may interleave ``stride`` chains step-major (row
+    k * stride + c is step k of chain c), so the autocorrelation is taken
+    at lags that are multiples of ``stride``: up to 200 steps of each
+    chain.
+    """
     v = np.asarray(values, dtype=float)
     n = len(v)
     v = v - v.mean()
@@ -175,7 +181,7 @@ def effective_sample_size(values):
     if var <= 0.0:
         return float(n)
     s = 0.0
-    for lag in range(1, min(n - 1, 200)):
+    for lag in range(stride, min(n - 1, 200 * stride), stride):
         rho = float(v[:-lag] @ v[lag:]) / ((n - lag) * var)
         if rho <= 0.05:
             break
@@ -185,13 +191,16 @@ def effective_sample_size(values):
 
 def conditional_pf_from_failure_samples(marginal, i, failure_values, pf_hat,
                                         grid=None,
-                                        transform=TRANSFORM_STANDARD_NORMAL):
+                                        transform=TRANSFORM_STANDARD_NORMAL,
+                                        n_chains=1):
     """Estimate pf(x_i) on a grid from one input's failure-sample values.
 
     Values are clipped to [0, 1]; the clipped fraction is recorded on the
     curve. Grid points where the prior density underflows are dropped
     with a warning (identity mode only; the transformed fit cannot leak
-    mass outside the support).
+    mass outside the support). ``n_chains`` is the number of MCMC chains
+    interleaved step-major in ``failure_values`` (1 for independent
+    draws); it only sets the lags of the ESS.
     """
     if not 0.0 < pf_hat < 1.0:
         raise DomainError("pf_hat must lie in (0, 1)")
@@ -227,7 +236,7 @@ def conditional_pf_from_failure_samples(marginal, i, failure_values, pf_hat,
         pf_uncond=float(pf_hat), density_prior=prior,
         density_conditional=cond, clip_fraction=clip_fraction,
         n_failure_samples=len(np.asarray(failure_values)),
-        ess=effective_sample_size(failure_values))
+        ess=effective_sample_size(failure_values, stride=n_chains))
 
 
 def curve_from_function(marginal, i, pf_of_x, pf_uncond, grid=None,

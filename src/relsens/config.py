@@ -2,7 +2,9 @@
 
 Inputs are specified by moments (mean and c.o.v., the canonical form) or
 by native parameters. The limit state is a builtin id or expression
-text. The decision block carries a safety case, a design case, or both.
+text. The decision block carries a safety case (design-free limit state)
+or a design case (limit state with the design parameter ``a``), never
+both.
 """
 
 from __future__ import annotations

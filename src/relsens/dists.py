@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import special
 from .errors import (DomainError, FitError, InvalidCorrelationError,
@@ -263,6 +262,8 @@ def fit_params_from_moments(kind, mean, cov):
         scale = mean * cov * math.sqrt(6.0) / math.pi
         return Marginal(GUMBEL, (mean - EULER_GAMMA * scale, scale))
     if kind == WEIBULL:
+        from scipy.optimize import brentq
+
         target = cov * cov
 
         def resid(k):
@@ -328,6 +329,8 @@ def nataf_pair(mi, mj, rho_x):
     if mi.kind == LOGNORMAL and mj.kind == LOGNORMAL:
         di, dj = mi.cov, mj.cov
         return math.log1p(rho_x * di * dj) / (mi.params[1] * mj.params[1])
+    from scipy.optimize import brentq
+
     try:
         return brentq(
             lambda r: _pair_physical_correlation(r, mi, mj) - rho_x,
@@ -338,12 +341,10 @@ def nataf_pair(mi, mj, rho_x):
             f"({mi.kind}, {mj.kind})") from exc
 
 
-def nataf_fit(marginals, r_xx, repair=False):
+def nataf_fit(marginals, r_xx):
     """Copula correlation matrix reproducing the physical correlations.
 
-    With ``repair=True`` an indefinite result is projected to the nearest
-    correlation matrix by eigenvalue clipping (reported via NatafError
-    otherwise).
+    An indefinite result raises NatafError.
     """
     r_xx = validate_correlation(r_xx)
     n = len(marginals)
@@ -356,16 +357,9 @@ def nataf_fit(marginals, r_xx, repair=False):
                                                r_xx[i, j])
     try:
         np.linalg.cholesky(r_z)
-    except np.linalg.LinAlgError:
-        if not repair:
-            raise NatafError(
-                "fitted copula correlation is not positive definite; "
-                "pass repair=True to project onto the nearest valid matrix")
-        vals, vecs = np.linalg.eigh(r_z)
-        vals = np.clip(vals, 1e-10, None)
-        r_z = vecs @ np.diag(vals) @ vecs.T
-        d = np.sqrt(np.diag(r_z))
-        r_z = r_z / np.outer(d, d)
+    except np.linalg.LinAlgError as exc:
+        raise NatafError(
+            "fitted copula correlation is not positive definite") from exc
     return r_z
 
 
@@ -379,7 +373,7 @@ class GaussianCopulaJoint:
     chol_z: np.ndarray = field(repr=False)
 
     @classmethod
-    def fit(cls, marginals, r_xx=None, repair=False):
+    def fit(cls, marginals, r_xx=None):
         marginals = tuple(marginals)
         n = len(marginals)
         if r_xx is None:
@@ -387,7 +381,7 @@ class GaussianCopulaJoint:
             r_z = np.eye(n)
         else:
             r_xx = validate_correlation(r_xx)
-            r_z = nataf_fit(marginals, r_xx, repair=repair)
+            r_z = nataf_fit(marginals, r_xx)
         return cls(marginals, r_xx, r_z, np.linalg.cholesky(r_z))
 
     @property
@@ -427,9 +421,6 @@ class GaussianCopulaJoint:
         """n joint samples; returns (x, u) with matching rows."""
         u = rng.standard_normal((n, self.dim))
         return self.to_physical(u), u
-
-    def marginal_pdf(self, i, x):
-        return self.marginals[i].pdf(x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import lsf as lsf_mod
 from . import special
 from .errors import DomainError, SingularPointError
-
-U_RANGE = 8.5  # integration range in standard normal space
 
 
 @dataclass(frozen=True)
@@ -187,13 +184,13 @@ def _sign_factor(pf, ratio, alpha_i):
     return math.copysign(1.0, s)
 
 
-def evppi_form_safety(beta0, alpha_i, c_f, c_r, method="closed"):
+def evppi_form_safety(beta0, alpha_i, c_f, c_r):
     """Value of learning input i in the accept/replace decision.
 
-    ``closed`` evaluates the bivariate-normal expression; ``quadrature``
-    integrates |c_f pf(u) - c_r| phi(u) over the decision-change domain.
-    Both agree to ~1e-8 relative and are invariant to the sign of
-    alpha_i.
+    The bivariate-normal closed form of the integral of
+    |c_f pf(u) - c_r| phi(u) over the decision-change domain, where
+    pf(u) = Phi((alpha_i u - beta0) / sqrt(1 - alpha_i^2)); invariant to
+    the sign of alpha_i.
     """
     if not c_f > c_r > 0.0:
         raise DomainError("costs must satisfy c_f > c_r > 0")
@@ -202,31 +199,9 @@ def evppi_form_safety(beta0, alpha_i, c_f, c_r, method="closed"):
     ratio = c_r / c_f
     pf = special.std_normal_cdf(-beta0)
     u_t = threshold_u(beta0, alpha_i, ratio)
-
-    if method == "closed":
-        s = _sign_factor(pf, ratio, alpha_i)
-        p2 = special.bivariate_normal_cdf(-beta0, s * u_t, -s * alpha_i)
-        return abs(c_f * p2 - c_r * special.std_normal_cdf(s * u_t))
-
-    if method != "quadrature":
-        raise DomainError(f"unknown method {method!r}")
-
-    prior_do_nothing = pf <= ratio
-    if prior_do_nothing == (alpha_i > 0.0):
-        lo, hi = u_t, U_RANGE
-    else:
-        lo, hi = -U_RANGE, u_t
-    if lo >= hi:
-        return 0.0
-    root = math.sqrt(1.0 - alpha_i * alpha_i)
-
-    def integrand(u):
-        pfu = special.std_normal_cdf((alpha_i * u - beta0) / root)
-        return abs(c_f * pfu - c_r) * special.std_normal_pdf(u)
-
-    value, _ = quad(integrand, lo, hi, epsabs=1e-13 * c_f, epsrel=1e-12,
-                    limit=200)
-    return abs(value)
+    s = _sign_factor(pf, ratio, alpha_i)
+    p2 = special.bivariate_normal_cdf(-beta0, s * u_t, -s * alpha_i)
+    return abs(c_f * p2 - c_r * special.std_normal_cdf(s * u_t))
 
 
 def evppi_form_design(beta0, alpha_i, c_f):

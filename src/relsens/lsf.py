@@ -166,50 +166,6 @@ def parse(text):
     return _Parser(text).parse()
 
 
-# -- printing (minimal parentheses; reparses to an equal AST) -----------------
-
-_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 30, "^": 40}
-
-
-def _prec(node):
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return 100
-
-
-def to_text(node):
-    """Render an AST back to expression text."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = to_text(node.operand)
-        if _prec(node.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(to_text(a) for a in node.args)})"
-    if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        left = to_text(node.left)
-        right = to_text(node.right)
-        if node.op == "^":
-            if _prec(node.left) <= p:
-                left = f"({left})"
-            if _prec(node.right) < p and not isinstance(node.right, Neg):
-                right = f"({right})"
-        else:
-            if _prec(node.left) < p:
-                left = f"({left})"
-            if _prec(node.right) <= p:
-                right = f"({right})"
-        return f"{left} {node.op} {right}"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def variables(node):
     """Set of variable names referenced by an AST."""
     if isinstance(node, Var):
@@ -338,20 +294,8 @@ _BUILTIN_EXPRESSIONS = {
 }
 
 
-def builtin(builtin_id, inner=None):
-    """A built-in LimitState by id.
-
-    ``annex_affine`` wraps an existing limit state as g_d(x, a) = g(x) + a
-    and therefore requires ``inner``.
-    """
-    if builtin_id == "annex_affine":
-        if inner is None:
-            raise EvalError("annex_affine requires an inner limit state")
-        if inner.has_design_param:
-            raise EvalError("inner limit state already has a design parameter")
-        return LimitState("annex_affine",
-                          BinOp("+", inner.ast, Var(DESIGN_SYMBOL)),
-                          inner.input_names, True)
+def builtin(builtin_id):
+    """A built-in LimitState by id."""
     try:
         text, names = _BUILTIN_EXPRESSIONS[builtin_id]
     except KeyError:

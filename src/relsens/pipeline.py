@@ -87,11 +87,12 @@ def _form_curves(cfg, grids, a=None, threads=None):
     return pf, _map_inputs(cfg, one, threads), res
 
 
-def _kde_curves(cfg, grids, pf_hat, failure_samples, threads=None):
+def _kde_curves(cfg, grids, pf_hat, failure_samples, threads=None,
+                n_chains=1):
     def one(i, name):
         return condest.conditional_pf_from_failure_samples(
             cfg.marginals[i], i, failure_samples[:, i], pf_hat,
-            grids[name], transform=cfg.kde_transform)
+            grids[name], transform=cfg.kde_transform, n_chains=n_chains)
 
     return _map_inputs(cfg, one, threads)
 
@@ -138,7 +139,8 @@ def run_analysis(cfg, threads=None):
             diagnostics["levels"] = [list(t) for t in ss.levels]
             diagnostics["n_failure_samples"] = len(ss.last_level_samples)
             diagnostics["samples_correlated"] = True
-            curves = _kde_curves(cfg, grids, pf, ss.last_level_samples, threads)
+            curves = _kde_curves(cfg, grids, pf, ss.last_level_samples, threads,
+                                 n_chains=ss.n_chains)
         else:
             raise ConfigError(f"unknown method {cfg.method!r}")
 
@@ -190,7 +192,7 @@ def _design_analysis(cfg, grids, threads=None):
                                           cfg.seed + j + 1, a=a)
             pf_a = ss.pf_hat
             curves_a = _kde_curves(cfg, grids, pf_a, ss.last_level_samples,
-                                   threads)
+                                   threads, n_chains=ss.n_chains)
         pf_per_design[j] = pf_a
         for name in cfg.names:
             curve_sets[name].append(curves_a[name])

@@ -1,7 +1,6 @@
 """Sampling estimators of the failure probability.
 
-Crude Monte Carlo and subset simulation, plus weighted resampling for
-post-processing importance-sampling output. All randomness flows through
+Crude Monte Carlo and subset simulation. All randomness flows through
 the counter-based Philox generator with an explicit seed; subset
 simulation draws a dedicated substream per level, so runs are exactly
 reproducible in sequential mode.
@@ -9,7 +8,6 @@ reproducible in sequential mode.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +29,6 @@ class McResult:
     ci95: tuple
     failure_samples: np.ndarray = field(repr=False)
     seed: int
-    g_values: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -43,6 +40,7 @@ class SubsetResult:
     seed: int
     n_per_level: int = 0
     accept_rate: float = float("nan")
+    n_chains: int = 1                  # chains interleaved in last_level_samples
 
 
 def crude_mc(joint, limit_state, n, seed, a=None):
@@ -56,7 +54,6 @@ def crude_mc(joint, limit_state, n, seed, a=None):
     rng = make_rng(seed)
     n_fail = 0
     fail_rows = []
-    g_fail = []
     done = 0
     while done < n:
         m = min(MC_BATCH, n - done)
@@ -66,15 +63,13 @@ def crude_mc(joint, limit_state, n, seed, a=None):
         n_fail += int(np.count_nonzero(mask))
         if mask.any():
             fail_rows.append(x[mask])
-            g_fail.append(g[mask])
         done += m
     pf = n_fail / n
     half = 1.96 * np.sqrt(max(pf * (1.0 - pf), 0.0) / n)
     ci = (max(0.0, pf - half), min(1.0, pf + half))
     samples = np.vstack(fail_rows) if fail_rows else np.empty((0, joint.dim))
-    gv = np.concatenate(g_fail) if g_fail else np.empty(0)
     return McResult(pf_hat=pf, n=n, ci95=ci, failure_samples=samples,
-                    seed=seed, g_values=gv)
+                    seed=seed)
 
 
 def _conditional_level(G, seeds_u, seeds_g, threshold, n_out, rng, lam):
@@ -82,7 +77,8 @@ def _conditional_level(G, seeds_u, seeds_g, threshold, n_out, rng, lam):
     n_out samples conditional on {g <= threshold} exist.
 
     Proposal per component: v = sqrt(1-s^2) u + s xi with a common scale
-    factor adapted toward acceptance 0.44.
+    factor adapted toward acceptance 0.44. Rows are stacked step-major:
+    row k * ns + c is step k of the chain grown from seed c.
     """
     ns, d = seeds_u.shape
     steps = int(np.ceil(n_out / ns))
@@ -120,7 +116,8 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
     use component-wise adaptive Gaussian proposals targeting acceptance
     ~0.44. After the failure level is reached one more conditional pass
     is run at threshold 0, so ``last_level_samples`` holds n_per_level
-    (correlated) samples from the failure domain.
+    (correlated) samples from the failure domain, stacked step-major from
+    ``n_chains`` chains: a chain's next state lies n_chains rows later.
     """
     if not 0.0 < p0 < 1.0:
         raise DomainError("p0 must lie in (0, 1)")
@@ -176,29 +173,5 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
     return SubsetResult(pf_hat=pf, levels=tuple(levels),
                         last_level_samples=np.atleast_2d(x_fail),
                         correlated=True, seed=seed,
-                        n_per_level=n_per_level, accept_rate=acc_last)
-
-
-def resample_weighted(samples, weights, m, seed):
-    """Multinomial resample of rows with probability proportional to weight."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    weights = np.asarray(weights, dtype=float)
-    if m < 1:
-        raise DomainError("m must be at least 1")
-    if np.any(weights < 0.0):
-        raise DomainError("weights must be nonnegative")
-    total = weights.sum()
-    if total <= 0.0:
-        raise DomainError("weights must not all be zero")
-    rng = make_rng(seed)
-    idx = rng.choice(len(samples), size=m, replace=True, p=weights / total)
-    return samples[idx]
-
-
-def write_failure_samples_csv(path, input_names, samples):
-    """CSV export: header = input names, one failure sample per row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(input_names)
-        for row in np.atleast_2d(samples):
-            writer.writerow([repr(float(v)) for v in row])
+                        n_per_level=n_per_level, accept_rate=acc_last,
+                        n_chains=ns)

@@ -1,131 +1,27 @@
 """Standard-normal special functions.
 
-Everything here is implemented in-repo (no scipy.special) because the
-closed-form value-of-information expressions are only as accurate as the
-underlying normal CDFs:
+Phi, log Phi and Phi^{-1} are thin wrappers over ``scipy.special``'s
+``ndtr``, ``log_ndtr`` and ``ndtri``. Against 50-digit mpmath, ``ndtr``
+and ``log_ndtr`` are accurate to a few ulp times the condition number
+(about 1 + x^2), ``log_ndtr`` stays accurate far below where Phi itself
+underflows, and ``ndtri`` is within an ulp from p = 1e-300 to
+1 - 1e-16. The wrappers add the conventions the rest of the package
+relies on: a scalar argument gives a Python float, and Phi^{-1} signals
+on p outside (0, 1).
 
-* ``erf``/``erfc``: Cody's rational Chebyshev approximations, relative
-  error below 1e-15 over the full double range.
-* ``std_normal_inv``: Acklam's rational approximation polished with one
-  Halley step, accurate to ~1e-15 relative in the argument.
-* ``bivariate_normal_cdf``: Genz's reformulation of the
-  Drezner-Wesolowsky integral, absolute error below 1e-12 (in practice
-  ~5e-16).
-
-All scalar functions accept array input and broadcast like ufuncs.
+scipy has no bivariate normal CDF to 1e-12, so ``bivariate_normal_cdf``
+is Genz's reformulation of the Drezner-Wesolowsky integral, absolute
+error below 1e-12 (in practice ~5e-16).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError
 
-SQRT2 = np.sqrt(2.0)
 SQRT_TWO_PI = np.sqrt(2.0 * np.pi)
-INV_SQRT_PI = 0.5641895835477562869480795  # 1/sqrt(pi)
-
-# ---------------------------------------------------------------------------
-# erf / erfc (Cody, "Rational Chebyshev approximation for the error
-# function", Math. Comp. 1969; coefficients from the SPECFUN CALERF code)
-# ---------------------------------------------------------------------------
-
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02,
-          3.77485237685302021e02, 3.20937758913846947e03,
-          1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02,
-          1.28261652607737228e03, 2.84423683343917062e03)
-_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00,
-          6.61191906371416295e01, 2.98635138197400131e02,
-          8.81952221241769090e02, 1.71204761263407058e03,
-          2.05107837782607147e03, 1.23033935479799725e03,
-          2.15311535474403846e-8)
-_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02,
-          5.37181101862009858e02, 1.62138957456669019e03,
-          3.29079923573345963e03, 4.36261909014324716e03,
-          3.43936767414372164e03, 1.23033935480374942e03)
-_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
-          1.25781726111229246e-1, 1.60837851487422766e-2,
-          6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERF_Q = (2.56852019228982242e00, 1.87295284992346047e00,
-          5.27905102951428412e-1, 6.05183413124413191e-2,
-          2.33520497626869185e-3)
-
-
-def _erf_small(y):
-    # |x| <= 0.46875, direct rational approximation of erf
-    z = y * y
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return y * (num + _ERF_A[3]) / (den + _ERF_B[3])
-
-
-def _exp_mysq(y):
-    # exp(-y*y) with the split-argument trick to keep full precision
-    ysq = np.trunc(y * 16.0) / 16.0
-    dd = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-dd)
-
-
-def _erfc_mid(y):
-    # 0.46875 < y <= 4
-    num = _ERF_C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _ERF_C[i]) * y
-        den = (den + _ERF_D[i]) * y
-    return _exp_mysq(y) * (num + _ERF_C[7]) / (den + _ERF_D[7])
-
-
-def _erfc_large(y):
-    # y > 4
-    z = 1.0 / (y * y)
-    num = _ERF_P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _ERF_P[i]) * z
-        den = (den + _ERF_Q[i]) * z
-    r = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-    with np.errstate(under="ignore"):
-        return _exp_mysq(y) * (INV_SQRT_PI - r) / y
-
-
-def erfc(x):
-    """Complementary error function, accurate into the deep tail."""
-    x = np.asarray(x, dtype=float)
-    y = np.abs(x)
-    small = y <= 0.46875
-    mid = (y > 0.46875) & (y <= 4.0)
-    large = y > 4.0
-    out = np.empty_like(y)
-    if small.any():
-        out[small] = 1.0 - _erf_small(y[small])
-    if mid.any():
-        out[mid] = _erfc_mid(y[mid])
-    if large.any():
-        out[large] = _erfc_large(y[large])
-    out = np.where(x < 0, 2.0 - out, out)
-    return out if out.ndim else float(out)
-
-
-def erf(x):
-    """Error function."""
-    x = np.asarray(x, dtype=float)
-    y = np.abs(x)
-    out = np.where(y <= 0.46875, _erf_small(x), np.sign(x) * (1.0 - erfc(y)))
-    return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# standard normal pdf / cdf / inverse
-# ---------------------------------------------------------------------------
-
-PdfCdf = namedtuple("PdfCdf", "pdf cdf")
 
 
 def std_normal_pdf(x):
@@ -136,15 +32,8 @@ def std_normal_pdf(x):
 
 
 def std_normal_cdf(x):
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-np.asarray(x) / SQRT2)
-    out = np.asarray(out)
+    out = ndtr(np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
-
-
-def std_normal(x):
-    """Density and distribution function of N(0, 1) at ``x``."""
-    return PdfCdf(std_normal_pdf(x), std_normal_cdf(x))
 
 
 def std_normal_log_cdf(x):
@@ -153,59 +42,8 @@ def std_normal_log_cdf(x):
     Needed by the Gumbel/Weibull standard-normal maps, where Phi(x)
     itself rounds to 0 or 1 long before log Phi loses meaning.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    if pos.any():
-        # ln(1 - Q) with Q = Phi(-x) computed from erfc, exact near 1
-        q = 0.5 * erfc(x[pos] / SQRT2)
-        out[pos] = np.log1p(-q)
-    neg = (~pos) & (x > -33.0)
-    if neg.any():
-        out[neg] = np.log(0.5 * erfc(-x[neg] / SQRT2))
-    deep = x <= -33.0
-    if deep.any():
-        # asymptotic Phi(x) ~ phi(x)/(-x) (1 - 1/x^2 + 3/x^4 - ...)
-        t = x[deep]
-        t2 = t * t
-        out[deep] = (-0.5 * t2 - np.log(-t * SQRT_TWO_PI)
-                     + np.log1p(-1.0 / t2 + 3.0 / (t2 * t2)))
+    out = log_ndtr(np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
-
-
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-
-
-def _ppf_raw(p):
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    out = np.empty_like(p)
-    lo = p < 0.02425
-    hi = p > 1.0 - 0.02425
-    mid = ~(lo | hi)
-    if lo.any():
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        out[lo] = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                   / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if hi.any():
-        q = np.sqrt(-2.0 * np.log1p(-p[hi]))
-        out[hi] = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                    / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        out[mid] = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-                    / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    return out
 
 
 def std_normal_inv(p):
@@ -213,13 +51,8 @@ def std_normal_inv(p):
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise DomainError("std_normal_inv requires 0 < p < 1")
-    x = _ppf_raw(np.atleast_1d(p).astype(float))
-    # one Halley step; pdf stays representable for p >= ~1e-300
-    e = 0.5 * erfc(-x / SQRT2) - np.atleast_1d(p)
-    u = e / (np.exp(-0.5 * x * x) / SQRT_TWO_PI)
-    x = x - u / (1.0 + 0.5 * x * u)
-    x = x.reshape(np.shape(p))
-    return x if x.ndim else float(x)
+    out = ndtri(p)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +76,7 @@ _GL20_X = np.array([0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
 
 
 def _phid(x):
-    return float(std_normal_cdf(x))
+    return float(ndtr(x))
 
 
 def _bvnu(dh, dk, r):

@@ -256,10 +256,62 @@ def test_effective_sample_size():
     assert effective_sample_size(ar) < 600
 
 
+def test_effective_sample_size_of_step_major_chains():
+    # 400 stationary AR(1) chains of 25 steps stacked as subset simulation
+    # stacks them: row k * 400 + c is step k of chain c
+    rng = np.random.default_rng(17)
+    n_chains, steps, phi = 400, 25, 0.8
+    x = np.empty((steps, n_chains))
+    x[0] = rng.standard_normal(n_chains)
+    for k in range(1, steps):
+        x[k] = phi * x[k - 1] + math.sqrt(1 - phi * phi) * rng.standard_normal(n_chains)
+    v = x.ravel()
+    n = len(v)
+    # adjacent rows come from different chains, so lag-1 sees no correlation
+    assert effective_sample_size(v) > 0.9 * n
+    expect = n * (1 - phi) / (1 + phi)
+    assert 0.5 * expect < effective_sample_size(v, stride=n_chains) < 2 * expect
+
+
+def _ess_unstrided(values):
+    """Reference ESS over lags 1..199 of a single sequence (no stride)."""
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    v = v - v.mean()
+    var = float(v @ v) / n
+    s = 0.0
+    for lag in range(1, min(n - 1, 200)):
+        rho = float(v[:-lag] @ v[lag:]) / ((n - lag) * var)
+        if rho <= 0.05:
+            break
+        s += rho
+    return n / (1.0 + 2.0 * s)
+
+
 def _pipeline_config(base, overrides):
     raw = json.loads((ROOT / "configs" / base).read_text())
     raw.update(overrides)
     return config_mod.validate_config(raw)
+
+
+def test_mc_ess_is_the_unstrided_estimate():
+    cfg = _pipeline_config("example1_safety_dependent.json",
+                           {"method": "mc", "n": 100_000, "seed": 3,
+                            "grid_points": 64})
+    res = pipeline.run_analysis(cfg)
+    samples = crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed).failure_samples
+    for i, name in enumerate(cfg.names):
+        assert res.curves[name].ess == _ess_unstrided(samples[:, i])
+
+
+def test_subset_ess_sees_chain_correlation():
+    cfg = _pipeline_config("example1_safety_dependent.json",
+                           {"method": "subset", "n_per_level": 20_000,
+                            "seed": 1})
+    res = pipeline.run_analysis(cfg)
+    for name, diag in res.diagnostics["kde_inputs"].items():
+        assert diag["n_failure_samples"] == 20_000
+        assert diag["ess"] < 10_000, name
 
 
 def test_kde_curves_do_not_depend_on_threads():
@@ -277,7 +329,7 @@ def test_kde_curves_do_not_depend_on_threads():
 
 
 # pf, normalized EVPPI and pf curves of two seeded KDE runs, recorded with the
-# direct (unwindowed) kernel sum
+# windowed kernel sum and scipy's Phi^{-1} (ndtri), which places the curve grid
 PINNED = json.loads((ROOT / "tests" / "data" / "kde_runs_pinned.json").read_text())
 
 

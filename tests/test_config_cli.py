@@ -1,5 +1,8 @@
 import json
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from relsens.config import load_config, validate_config
 from relsens.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _base_config(**overrides):
@@ -37,6 +41,40 @@ def test_shipped_configs_valid():
                  "example1_design.json", "example2_safety.json"):
         cfg = load_config(CONFIG_DIR / name)
         assert len(cfg.names) == 4
+
+
+_LOAD_AND_LIST_SCIPY = """
+import sys
+import relsens.cli
+from relsens.config import load_config
+load_config(sys.argv[1])
+print(" ".join(m for m in ("scipy.optimize", "scipy.integrate")
+               if m in sys.modules))
+"""
+
+
+def _scipy_modules_after_load(config_name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c", _LOAD_AND_LIST_SCIPY,
+         str(CONFIG_DIR / config_name)],
+        env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("name", ["example1_safety.json",
+                                  "example1_safety_dependent.json",
+                                  "example1_design.json"])
+def test_lognormal_configs_load_without_scipy_optimize(name):
+    # lognormal marginals and their Nataf fit are closed form
+    assert _scipy_modules_after_load(name) == []
+
+
+def test_weibull_and_nataf_root_finds_still_load():
+    # example 2 fits a Weibull shape and non-lognormal copula pairs by brentq
+    assert "scipy.optimize" in _scipy_modules_after_load("example2_safety.json")
 
 
 def test_undeclared_lsf_variable_named():

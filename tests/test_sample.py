@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from relsens import (LimitState, crude_mc, evaluate, lognormal_linear_pf,
-                     resample_weighted, subset_simulation)
+                     subset_simulation)
 from relsens.errors import DomainError, StagnationError
-from relsens.sample import write_failure_samples_csv
 from conftest import PF_IND
 
 
@@ -92,6 +90,20 @@ def test_subset_result_invariants(ex1_joint, ex1_lsf):
     assert np.all(g <= 0.0)
 
 
+def test_subset_failure_samples_are_step_major_chains(ex1_joint, ex1_lsf):
+    # a chain's next state lies n_chains rows later: it repeats the current
+    # state exactly when the move was rejected; adjacent rows belong to
+    # different chains and coincide only where two chains share a seed
+    res = subset_simulation(ex1_joint, ex1_lsf, n_per_level=2000, p0=0.1,
+                            seed=3)
+    x = res.last_level_samples
+    k = res.n_chains
+    assert 1 < k < len(x)
+    repeat = np.mean(np.all(x[k:] == x[:-k], axis=1))
+    assert 0.2 < repeat < 0.9
+    assert np.mean(np.all(x[1:] == x[:-1], axis=1)) < 0.01
+
+
 def test_subset_reproducible(ex1_joint, ex1_lsf):
     a = subset_simulation(ex1_joint, ex1_lsf, n_per_level=1000, p0=0.1, seed=9)
     b = subset_simulation(ex1_joint, ex1_lsf, n_per_level=1000, p0=0.1, seed=9)
@@ -139,47 +151,3 @@ def test_subset_stagnation_detected(ex1_joint):
     stuck = LimitState.from_expression("0*R + 1", ("R", "S", "XR", "XS"))
     with pytest.raises(StagnationError):
         subset_simulation(ex1_joint, stuck, n_per_level=500, p0=0.1, seed=0)
-
-
-# -- weighted resampling ------------------------------------------------------------
-
-def test_resample_uniform_preserves_distribution():
-    rows = np.arange(10.0).reshape(-1, 1)
-    out = resample_weighted(rows, np.ones(10), m=100_000, seed=4)
-    counts = np.bincount(out[:, 0].astype(int), minlength=10)
-    stat = chisquare(counts)
-    assert stat.pvalue > 1e-3
-
-
-def test_resample_degenerate_weight():
-    rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    out = resample_weighted(rows, [0.0, 1.0, 0.0], m=50, seed=0)
-    assert np.all(out == rows[1])
-
-
-def test_resample_proportions():
-    rows = np.array([[0.0], [1.0]])
-    out = resample_weighted(rows, [1.0, 3.0], m=100_000, seed=11)
-    frac = out.mean()
-    assert frac == pytest.approx(0.75, abs=0.01)
-
-
-def test_resample_validation():
-    rows = np.array([[1.0], [2.0]])
-    with pytest.raises(DomainError):
-        resample_weighted(rows, [-1.0, 2.0], m=10, seed=0)
-    with pytest.raises(DomainError):
-        resample_weighted(rows, [0.0, 0.0], m=10, seed=0)
-    with pytest.raises(DomainError):
-        resample_weighted(rows, [1.0, 1.0], m=0, seed=0)
-
-
-def test_failure_sample_csv_round_trip(tmp_path, ex1_joint, ex1_lsf):
-    res = crude_mc(ex1_joint, ex1_lsf, n=200_000, seed=21)
-    path = tmp_path / "failures.csv"
-    write_failure_samples_csv(path, ("R", "S", "XR", "XS"),
-                              res.failure_samples)
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    assert data.dtype.names == ("R", "S", "XR", "XS")
-    back = np.column_stack([data[n] for n in data.dtype.names])
-    assert np.array_equal(back, res.failure_samples)

@@ -1,25 +1,84 @@
+import mpmath
 import numpy as np
 import pytest
-import scipy.special as sp
-from scipy.stats import norm
 
-from relsens import (bivariate_normal_cdf, erf, erfc, std_normal,
-                     std_normal_cdf, std_normal_inv, std_normal_pdf)
+from relsens import (bivariate_normal_cdf, std_normal_cdf, std_normal_inv,
+                     std_normal_pdf)
 from relsens.errors import DomainError
 from relsens.special import std_normal_log_cdf
 
-
-def test_erf_matches_scipy_everywhere():
-    x = np.linspace(-12.0, 12.0, 4001)
-    assert np.max(np.abs(erf(x) - sp.erf(x))) < 1e-15
+EPS = np.finfo(float).eps
 
 
-def test_erfc_relative_accuracy_in_tails():
-    x = np.concatenate([np.linspace(-10, 10, 2001), np.linspace(10, 26, 200)])
-    ours = erfc(x)
-    ref = sp.erfc(x)
-    assert np.max(np.abs(ours - ref) / ref) < 1e-13
-    assert np.max(np.abs(ours - ref)) < 1e-15
+def _mp_cdf(x):
+    with mpmath.workdps(50):
+        return float(mpmath.ncdf(float(x)))
+
+
+def _mp_log_cdf(x):
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.ncdf(float(x))))
+
+
+def _mp_inv(p):
+    """Phi^{-1}(p) to 50 digits: Newton on the exact tail probability."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(float(p))
+        q = min(p, 1 - p)                   # exact: p is a double
+        x = mpmath.mpf(float(std_normal_inv(float(q))))
+        for _ in range(4):
+            x -= (mpmath.ncdf(x) - q) / mpmath.npdf(x)
+        return float(x if p < 0.5 else -x)
+
+
+def _rel_err(got, ref):
+    return np.abs(np.asarray(got) / np.asarray(ref) - 1.0)
+
+
+# -- Phi, log Phi and Phi^{-1} against 50-digit mpmath --------------------------
+# Phi at a double x is conditioned like x^2 (d log Phi / d log x ~ x^2 in the
+# lower tail), so the bounds allow a few ulp times 1 + x^2.
+
+def test_cdf_matches_mpmath_everywhere():
+    x = np.linspace(-8.5, 8.5, 341)
+    ref = np.array([_mp_cdf(v) for v in x])
+    assert np.all(_rel_err(std_normal_cdf(x), ref) <= 4.0 * EPS * (1.0 + x * x))
+
+
+def test_cdf_relative_accuracy_in_tails():
+    x = np.linspace(-37.0, -5.0, 161)
+    ref = np.array([_mp_cdf(v) for v in x])
+    assert np.all(ref > 1e-300)             # no subnormal references
+    assert np.all(_rel_err(std_normal_cdf(x), ref) <= 4.0 * EPS * (1.0 + x * x))
+
+
+def test_log_cdf_matches_mpmath_down_to_minus_100():
+    x = np.concatenate([np.linspace(-100.0, 10.0, 441), [-33.0, -37.0, -38.5]])
+    ref = np.array([_mp_log_cdf(v) for v in x])
+    got = std_normal_log_cdf(x)
+    # absolute error of log Phi is the relative error of Phi itself
+    assert np.all(np.abs(got - ref) <= 4.0 * EPS * (1.0 + x * x))
+    assert np.max(_rel_err(got, ref)) < 5e-14
+
+
+def test_inverse_matches_mpmath():
+    p = np.concatenate([np.geomspace(1e-300, 0.49, 150),
+                        1.0 - np.geomspace(1e-16, 0.49, 150),
+                        [1e-6, 1.0 - 1e-6, 0.3, 0.7]])
+    ref = np.array([_mp_inv(v) for v in p])
+    got = std_normal_inv(p)
+    assert np.all(np.abs(got - ref) <= 4.0 * EPS * np.abs(ref))
+    # the ends of every default curve grid, to the last bit
+    for v in (1e-6, 1.0 - 1e-6):
+        assert std_normal_inv(v) == _mp_inv(v)
+
+
+def test_scalar_in_float_out():
+    for fn, arg in ((std_normal_cdf, 0.3), (std_normal_log_cdf, -40.0),
+                    (std_normal_inv, 0.2), (std_normal_pdf, 1.0)):
+        assert type(fn(arg)) is float
+        assert type(fn(np.float64(arg))) is float
+        assert fn(np.array([arg, arg])).shape == (2,)
 
 
 def test_cdf_examples():
@@ -37,9 +96,10 @@ def test_cdf_strictly_increasing():
 
 
 def test_pdf_cdf_pair():
-    pair = std_normal(1.3)
-    assert pair.pdf == pytest.approx(norm.pdf(1.3), rel=1e-14)
-    assert pair.cdf == pytest.approx(norm.cdf(1.3), rel=1e-14)
+    with mpmath.workdps(50):
+        pdf = float(mpmath.npdf(1.3))
+    assert std_normal_pdf(1.3) == pytest.approx(pdf, rel=1e-14)
+    assert std_normal_cdf(1.3) == pytest.approx(_mp_cdf(1.3), rel=1e-14)
 
 
 def test_inverse_accuracy_in_probability():
@@ -65,9 +125,9 @@ def test_inverse_domain_errors():
 
 def test_log_cdf_deep_tail():
     x = np.array([-5.0, -20.0, -37.0, -50.0, -100.0])
-    ref = norm.logcdf(x)
+    ref = np.array([_mp_log_cdf(v) for v in x])
     assert np.max(np.abs(std_normal_log_cdf(x) - ref) / np.abs(ref)) < 1e-9
-    assert std_normal_log_cdf(3.0) == pytest.approx(norm.logcdf(3.0), rel=1e-12)
+    assert std_normal_log_cdf(3.0) == pytest.approx(_mp_log_cdf(3.0), rel=1e-12)
 
 
 # -- bivariate ---------------------------------------------------------------
