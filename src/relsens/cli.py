@@ -151,6 +151,10 @@ def cmd_run(args):
         with open(outdir / "report.json", "w") as fh:
             json.dump(report, fh, indent=2)
         print(f"pf = {result.pf:.6g}; wrote {len(written) + 1} files to {outdir}")
+        failed = result.diagnostics.get("form", {}).get("not_converged")
+        if failed:
+            print("warning: FORM search did not converge for: "
+                  + ", ".join(map(str, failed)), file=sys.stderr)
         return EXIT_OK
     except RelsensError as exc:
         for p in written:

@@ -10,6 +10,7 @@ two-dimensional Gauss-Hermite correlation integral otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -388,7 +389,7 @@ class GaussianCopulaJoint:
     def dim(self):
         return len(self.marginals)
 
-    @property
+    @functools.cached_property
     def independent(self):
         return bool(np.allclose(self.r_z, np.eye(self.dim)))
 

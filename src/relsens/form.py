@@ -2,8 +2,9 @@
 
 The search is the improved HL-RF iteration: the classic update direction
 safeguarded by an Armijo line search on the merit function
-m(u) = ||u||^2/2 + c |G(u)| with adaptive penalty c. Gradients default to
-central differences in standard-normal space.
+m(u) = ||u||^2/2 + c |G(u)| with adaptive penalty c. G is evaluated on
+rows of points: each trial point and its central-difference gradient
+stencil in standard-normal space go through G in one call.
 
 Sign convention: alpha = -grad G(u*)/||grad G(u*)||, so the linearized
 limit state is G1(U) = beta0 - alpha.U and beta0 = alpha.u*.
@@ -33,38 +34,37 @@ class FormResult:
 
 
 def standard_space_lsf(joint, limit_state, a=None):
-    """G(u) = g(to_physical(u), a) as a callable on 1-D or 2-D u."""
+    """G(u) = g(to_physical(u), a) on rows of u (a 1-D u gives a float)."""
     def G(u):
         return lsf_mod.evaluate(limit_state, joint.to_physical(u), a)
     return G
 
 
-def _fd_gradient(G, u, h):
-    n = len(u)
-    steps = np.vstack([np.eye(n), -np.eye(n)]) * h
-    vals = np.asarray([G(u + s) for s in steps], dtype=float)
-    return (vals[:n] - vals[n:]) / (2.0 * h)
-
-
-def find_design_point(G, n, grad=None, u0=None, max_iterations=100,
-                      fd_step=1e-5, tol_u=1e-6, tol_g=1e-6):
+def find_design_point(G, n, u0=None, max_iterations=100, fd_step=1e-5,
+                      tol_u=1e-6, tol_g=1e-6):
     """Most likely failure point of G in n-dimensional standard space.
+
+    G takes a 2-D array of points (one per row) and returns one value per
+    row. Each trial point is evaluated in one call together with its 2n
+    central-difference stencil points, which give the gradient there.
 
     Returns converged=False with the last iterate after
     ``max_iterations``; a vanishing gradient raises SingularPointError.
     """
-    if grad is None:
-        grad = lambda u: _fd_gradient(G, u, fd_step)
-    u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    g0_scale = 1.0 + abs(float(G(np.zeros(n))))
+    offsets = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)]) * fd_step
 
-    gu = float(G(u))
-    gr = np.asarray(grad(u), dtype=float)
+    def g_and_grad(u):
+        vals = np.asarray(G(u + offsets), dtype=float)
+        return float(vals[0]), (vals[1:n + 1] - vals[n + 1:]) / (2.0 * fd_step)
+
+    u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
+    g0_scale = 1.0 + abs(float(G(np.zeros((1, n)))[0]))
+
+    gu, gr = g_and_grad(u)
     if np.linalg.norm(gr) < 1e-14:
         # symmetric LSFs often have zero slope exactly at the origin
         u = u + 1e-3
-        gu = float(G(u))
-        gr = np.asarray(grad(u), dtype=float)
+        gu, gr = g_and_grad(u)
         if np.linalg.norm(gr) < 1e-14:
             raise SingularPointError("zero gradient at the starting point")
 
@@ -78,20 +78,17 @@ def find_design_point(G, n, grad=None, u0=None, max_iterations=100,
         c = 2.0 * np.linalg.norm(u) / math.sqrt(gn2) + 10.0
         m0 = 0.5 * float(u @ u) + c * abs(gu)
         step = 1.0
-        u_new, g_new = u + d, None
         for _ in range(30):
-            u_try = u + step * d
-            g_try = float(G(u_try))
-            if 0.5 * float(u_try @ u_try) + c * abs(g_try) <= m0 - 1e-12 * m0:
-                u_new, g_new = u_try, g_try
+            u_new = u + step * d
+            g_new, gr_new = g_and_grad(u_new)
+            if 0.5 * float(u_new @ u_new) + c * abs(g_new) <= m0 - 1e-12 * m0:
                 break
             step *= 0.5
         else:
             u_new = u + step * d
-            g_new = float(G(u_new))
+            g_new, gr_new = g_and_grad(u_new)
         du = np.linalg.norm(u_new - u)
-        u, gu = u_new, g_new
-        gr = np.asarray(grad(u), dtype=float)
+        u, gu, gr = u_new, g_new, gr_new
         if np.linalg.norm(gr) < 1e-14:
             raise SingularPointError("zero gradient during iteration")
         if du <= tol_u and abs(gu) <= tol_g * g0_scale:

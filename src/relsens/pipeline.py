@@ -2,7 +2,7 @@
 
 Each method produces the unconditional failure probability and one
 conditional-pf curve per input; the decision layer is shared. Per-input
-work is pure, so it can fan out across a thread pool.
+work is pure, so it can fan out across one thread pool per analysis.
 """
 
 from __future__ import annotations
@@ -50,18 +50,17 @@ def _grids(cfg):
             for name, m in zip(cfg.names, cfg.marginals)}
 
 
-def _map_inputs(cfg, fn, threads):
+def _map_inputs(cfg, fn, pool):
     items = list(enumerate(cfg.names))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return dict(zip(cfg.names, pool.map(lambda it: fn(*it), items)))
+    if pool is not None:
+        return dict(zip(cfg.names, pool.map(lambda it: fn(*it), items)))
     return {name: fn(i, name) for i, name in items}
 
 
 # -- per-method reliability + curves ------------------------------------------
 
 
-def _analytic_curves(cfg, grids, a=None, threads=None):
+def _analytic_curves(cfg, grids, a=None, pool=None):
     problem = config_mod.analytic_problem(cfg, a)
     pf = dists.lognormal_linear_pf(problem)
 
@@ -71,11 +70,11 @@ def _analytic_curves(cfg, grids, a=None, threads=None):
             lambda x: dists.lognormal_linear_conditional_pf(problem, i, x),
             pf, grids[name], source="analytic")
 
-    return pf, _map_inputs(cfg, one, threads)
+    return pf, _map_inputs(cfg, one, pool)
 
 
-def _form_curves(cfg, grids, a=None, threads=None):
-    res = form.solve_form(cfg.joint, cfg.limit_state, a)
+def _form_curves(cfg, grids, a=None, pool=None, u0=None):
+    res = form.solve_form(cfg.joint, cfg.limit_state, a, u0=u0)
     pf = float(special.std_normal_cdf(-res.beta0))
 
     def one(i, name):
@@ -84,25 +83,35 @@ def _form_curves(cfg, grids, a=None, threads=None):
             lambda x: form.conditional_pf_x(cfg.joint, i, x, res),
             pf, grids[name], source="form")
 
-    return pf, _map_inputs(cfg, one, threads), res
+    return pf, _map_inputs(cfg, one, pool), res
 
 
-def _kde_curves(cfg, grids, pf_hat, failure_samples, threads=None,
-                n_chains=1):
+def _kde_curves(cfg, grids, pf_hat, failure_samples, pool=None, n_chains=1):
     def one(i, name):
         return condest.conditional_pf_from_failure_samples(
             cfg.marginals[i], i, failure_samples[:, i], pf_hat,
             grids[name], transform=cfg.kde_transform, n_chains=n_chains)
 
-    return _map_inputs(cfg, one, threads)
+    return _map_inputs(cfg, one, pool)
 
 
 def run_analysis(cfg, threads=None):
     """Full pipeline for one configuration."""
+    pool = (ThreadPoolExecutor(max_workers=threads)
+            if threads and threads > 1 else None)
+    try:
+        return _run_analysis(cfg, pool)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _run_analysis(cfg, pool):
     timer = StageTimer()
     grids = _grids(cfg)
     diagnostics = {"method": cfg.method, "seed": cfg.seed}
     form_result = None
+    form_solves = []                   # (design value or "reliability", result)
 
     design_block = None
     a_ref = None
@@ -110,19 +119,25 @@ def run_analysis(cfg, threads=None):
         # a parametric limit state has no reliability of its own: run the
         # design stage first and report curves at the prior-optimal design
         with timer.time("design_evppi"):
-            design_block = _design_analysis(cfg, grids, threads)
+            design_block = _design_analysis(cfg, grids, pool, form_solves)
         a_ref = design_block["prior"]["a_opt"]
         diagnostics["a_opt"] = a_ref
 
     with timer.time("reliability"):
         if cfg.method == "analytic":
-            pf, curves = _analytic_curves(cfg, grids, a=a_ref, threads=threads)
+            pf, curves = _analytic_curves(cfg, grids, a=a_ref, pool=pool)
         elif cfg.method == "form":
             pf, curves, form_result = _form_curves(cfg, grids, a=a_ref,
-                                                   threads=threads)
+                                                   pool=pool)
+            form_solves.append(("reliability", form_result))
             diagnostics["beta0"] = form_result.beta0
             diagnostics["alpha_sq"] = (form_result.alpha ** 2).tolist()
             diagnostics["form_iterations"] = form_result.iterations
+            diagnostics["form"] = {
+                "solves": len(form_solves),
+                "iterations": sum(r.iterations for _, r in form_solves),
+                "not_converged": [label for label, r in form_solves
+                                  if not r.converged]}
         elif cfg.method == "mc":
             mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed,
                                  a=a_ref)
@@ -130,7 +145,7 @@ def run_analysis(cfg, threads=None):
             diagnostics["n"] = mc.n
             diagnostics["ci95"] = list(mc.ci95)
             diagnostics["n_failure_samples"] = len(mc.failure_samples)
-            curves = _kde_curves(cfg, grids, pf, mc.failure_samples, threads)
+            curves = _kde_curves(cfg, grids, pf, mc.failure_samples, pool)
         elif cfg.method == "subset":
             ss = sample.subset_simulation(cfg.joint, cfg.limit_state,
                                           cfg.n_per_level, cfg.p0, cfg.seed,
@@ -139,7 +154,7 @@ def run_analysis(cfg, threads=None):
             diagnostics["levels"] = [list(t) for t in ss.levels]
             diagnostics["n_failure_samples"] = len(ss.last_level_samples)
             diagnostics["samples_correlated"] = True
-            curves = _kde_curves(cfg, grids, pf, ss.last_level_samples, threads,
+            curves = _kde_curves(cfg, grids, pf, ss.last_level_samples, pool,
                                  n_chains=ss.n_chains)
         else:
             raise ConfigError(f"unknown method {cfg.method!r}")
@@ -171,28 +186,35 @@ def run_analysis(cfg, threads=None):
                           diagnostics=diagnostics)
 
 
-def _design_analysis(cfg, grids, threads=None):
-    """Per-design reliability plus the inner-optimization EVPPI."""
+def _design_analysis(cfg, grids, pool, form_solves):
+    """Per-design reliability plus the inner-optimization EVPPI.
+
+    FORM solves start from the previous design's design point and are
+    appended to ``form_solves`` as (design value, result).
+    """
     grid = cfg.design.grid
     pf_per_design = np.empty(grid.size)
     curve_sets = {name: [] for name in cfg.names}
     for j, a in enumerate(grid):
         if cfg.method == "analytic":
-            pf_a, curves_a = _analytic_curves(cfg, grids, a=a, threads=threads)
+            pf_a, curves_a = _analytic_curves(cfg, grids, a=a, pool=pool)
         elif cfg.method == "form":
-            pf_a, curves_a, _ = _form_curves(cfg, grids, a=a, threads=threads)
+            u0 = form_solves[-1][1].u_star if form_solves else None
+            pf_a, curves_a, res = _form_curves(cfg, grids, a=a, pool=pool,
+                                               u0=u0)
+            form_solves.append((float(a), res))
         elif cfg.method == "mc":
             mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n,
                                  cfg.seed + j + 1, a=a)
             pf_a = mc.pf_hat
-            curves_a = _kde_curves(cfg, grids, pf_a, mc.failure_samples, threads)
+            curves_a = _kde_curves(cfg, grids, pf_a, mc.failure_samples, pool)
         else:
             ss = sample.subset_simulation(cfg.joint, cfg.limit_state,
                                           cfg.n_per_level, cfg.p0,
                                           cfg.seed + j + 1, a=a)
             pf_a = ss.pf_hat
             curves_a = _kde_curves(cfg, grids, pf_a, ss.last_level_samples,
-                                   threads, n_chains=ss.n_chains)
+                                   pool, n_chains=ss.n_chains)
         pf_per_design[j] = pf_a
         for name in cfg.names:
             curve_sets[name].append(curves_a[name])

@@ -241,6 +241,61 @@ def test_cli_design_run(tmp_path):
     assert table[0] == "input,absolute,normalized,relative"
 
 
+def _run_design_form(tmp_path, sub, *extra):
+    out = tmp_path / sub
+    assert cli.main(["run", str(CONFIG_DIR / "example1_design.json"),
+                     "--method", "form", "--out", str(out), *extra]) == 0
+    return out, json.loads((out / "report.json").read_text())
+
+
+def test_cli_design_form_matches_analytic(tmp_path, capsys):
+    # FORM is exact on the lognormal-linear model, warm-started or not
+    _, form_report = _run_design_form(tmp_path, "form")
+    assert "warning" not in capsys.readouterr().err
+    analytic = tmp_path / "analytic"
+    assert cli.main(["run", str(CONFIG_DIR / "example1_design.json"),
+                     "--method", "analytic", "--out", str(analytic)]) == 0
+    analytic_report = json.loads((analytic / "report.json").read_text())
+    assert form_report["design"]["a_opt"] == analytic_report["design"]["a_opt"]
+    got = form_report["design"]["report"]["entries"]
+    expect = analytic_report["design"]["report"]["entries"]
+    assert [e["name"] for e in got] == [e["name"] for e in expect]
+    for e_form, e_exact in zip(got, expect):
+        assert abs(e_form["normalized"] - e_exact["normalized"]) <= 1e-8
+    diag = form_report["diagnostics"]["form"]
+    assert diag["solves"] == 152        # 151 designs plus the one at a_opt
+    assert diag["not_converged"] == []
+    # warm starts take about 4 iterations per solve here, 7 from the origin
+    assert diag["solves"] <= diag["iterations"] < 5 * diag["solves"]
+
+
+def test_cli_reports_form_non_convergence(tmp_path, capsys, monkeypatch):
+    from relsens import form
+
+    solve = form.solve_form
+    monkeypatch.setattr(form, "solve_form",
+                        lambda *a, **k: solve(*a, max_iterations=1, **k))
+    _, report = _run_design_form(tmp_path, "capped")
+    # one HL-RF step cannot pass the step-size test from any start here
+    grid = load_config(CONFIG_DIR / "example1_design.json").design.grid.tolist()
+    failed = report["diagnostics"]["form"]["not_converged"]
+    assert failed == [*grid, "reliability"]
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: FORM search did not converge for: "
+                        + ", ".join(map(str, failed))]
+
+
+def test_cli_design_form_threads_byte_identical(tmp_path):
+    one, _ = _run_design_form(tmp_path, "one", "--threads", "1")
+    two, _ = _run_design_form(tmp_path, "two", "--threads", "2")
+    names = sorted(p.name for p in one.glob("*.csv"))
+    assert names == sorted(p.name for p in two.glob("*.csv"))
+    assert len(names) == 5
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
 def test_cli_sweep(tmp_path):
     out = tmp_path / "sweep"
     code = cli.main(["sweep", str(CONFIG_DIR / "example1_safety_dependent.json"),

@@ -197,6 +197,16 @@ def test_independent_copula_is_identity(ex1_joint):
     assert ex1_joint.independent
 
 
+@pytest.mark.parametrize("name, expect", [("ex1_joint", True),
+                                          ("ex1_joint_dep", False),
+                                          ("ex2_joint", False)])
+def test_independent_flag_computed_once(name, expect, request):
+    joint = request.getfixturevalue(name)
+    assert joint.independent is expect
+    assert joint.independent is bool(np.allclose(joint.r_z, np.eye(joint.dim)))
+    assert joint.__dict__["independent"] is expect
+
+
 def test_cholesky_transform_example():
     # 2-D normal pair with copula correlation 0.5 at z = (1, 1)
     a = fit_params_from_moments("normal", 0.0 + 1.0, 1.0)  # mean 1, sd 1

@@ -56,11 +56,37 @@ def test_linear_lsf_recovered_exactly():
         alpha = rng.standard_normal(n)
         alpha /= np.linalg.norm(alpha)
         beta = rng.uniform(1.0, 4.0)
-        res = find_design_point(lambda u: beta - float(alpha @ u), n)
+        res = find_design_point(lambda u: beta - u @ alpha, n)
         assert res.converged
         assert res.beta0 == pytest.approx(beta, abs=1e-8)
         assert np.max(np.abs(res.alpha - alpha)) < 1e-7
         assert res.iterations <= 3
+
+
+@pytest.mark.parametrize("joint, lsf", [("ex1_joint", "ex1_lsf"),
+                                        ("ex1_joint_dep", "ex1_lsf"),
+                                        ("ex2_joint", "ex2_lsf")])
+def test_restart_at_design_point_converges_at_once(joint, lsf, request):
+    joint, lsf = request.getfixturevalue(joint), request.getfixturevalue(lsf)
+    first = solve_form(joint, lsf)
+    again = solve_form(joint, lsf, u0=first.u_star)
+    assert again.converged
+    assert again.iterations <= 2
+    assert again.beta0 == pytest.approx(first.beta0, abs=1e-10)
+
+
+# solve_form(ex1_joint, ex1_lsf) at the commit before G took the trial point
+# and its gradient stencil in one batched call (one call per point then),
+# printed with float.hex(); independent inputs make the batch exact
+EX1_BETA0_BITS = "0x1.383a72537ddd3p+1"
+EX1_ALPHA_BITS = ("-0x1.06ab8e1e27e18p-1", "0x1.4692264ef9c6bp-1",
+                  "-0x1.089b73be23b21p-2", "0x1.06ab8e1d2ae71p-1")
+
+
+def test_batched_stencil_reproduces_pointwise_search(ex1_joint, ex1_lsf):
+    res = solve_form(ex1_joint, ex1_lsf)
+    assert res.beta0 == float.fromhex(EX1_BETA0_BITS)
+    assert res.alpha.tolist() == [float.fromhex(h) for h in EX1_ALPHA_BITS]
 
 
 def test_form_result_invariants(ex1_joint, ex1_lsf):
