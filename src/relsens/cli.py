@@ -96,12 +96,15 @@ def cmd_validate(args):
 
 def cmd_run(args):
     t0 = time.perf_counter()
-    cfg = _load(args)
+    cfg = _load(args)                  # JSON, schema, marginal and Nataf fits
+    load_seconds = time.perf_counter() - t0
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     try:
         result = pipeline.run_analysis(cfg, threads=args.threads)
+        result.diagnostics["stage_seconds"] = {
+            "load": load_seconds, **result.diagnostics["stage_seconds"]}
 
         # validate_config admits exactly one of the safety and design blocks
         table_report = (result.safety_report if cfg.safety is not None
@@ -144,7 +147,7 @@ def cmd_run(args):
             "method": cfg.method,
             "tool_version": __version__,
             "wall_seconds": time.perf_counter() - t0,
-            "stage_diagnostics": result.diagnostics.get("stage_seconds", {}),
+            "stage_diagnostics": result.diagnostics["stage_seconds"],
             "outputs": {p.name: _sha256(p) for p in written},
         }
         report["manifest"] = manifest

@@ -131,6 +131,8 @@ def posterior_loss_curve(curves_by_design, decision):
     """min_j [c_d(a_j) + c_f pf_j(x)] on the shared curve grid."""
     grid0 = curves_by_design[0].grid
     for c in curves_by_design[1:]:
+        if c.grid is grid0:            # the pipeline's curves share one array
+            continue
         if len(c.grid) != len(grid0) or not np.allclose(c.grid, grid0):
             raise ConfigError("conditional curves must share one grid")
     costs = decision.design_cost(decision.grid)

@@ -5,7 +5,10 @@ Marginal kinds are the four used throughout: normal, lognormal, Gumbel
 (max) and Weibull. Dependence is a Gaussian copula whose correlation is
 fitted from the physical correlation matrix (Nataf model): closed form
 for lognormal pairs, identity for normal pairs, and a root-find on the
-two-dimensional Gauss-Hermite correlation integral otherwise.
+two-dimensional Gauss-Hermite correlation integral otherwise. Both
+root-finds (that one and the Weibull shape from its cov) bisect to
+adjacent floats (``_bisect``), so loading a config never imports
+scipy.optimize.
 """
 
 from __future__ import annotations
@@ -242,6 +245,30 @@ class Marginal:
         return out if out.ndim else float(out)
 
 
+def _bisect(f, lo, hi):
+    """Root of f in [lo, hi], bisected until the two ends are adjacent floats.
+
+    Returns a point where f is exactly 0, or else the end with the smaller
+    |f|. Raises ValueError if f(lo) and f(hi) share a sign or f is NaN.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    while True:
+        if math.isnan(f_lo) or math.isnan(f_hi):
+            raise ValueError("residual is NaN")
+        if f_lo == 0.0 or f_hi == 0.0:
+            return lo if f_lo == 0.0 else hi
+        if (f_lo < 0.0) == (f_hi < 0.0):
+            raise ValueError("residual has the same sign at both ends")
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+
+
 def marginal_from_params(kind, p1, p2):
     return Marginal(kind, (p1, p2))
 
@@ -263,8 +290,6 @@ def fit_params_from_moments(kind, mean, cov):
         scale = mean * cov * math.sqrt(6.0) / math.pi
         return Marginal(GUMBEL, (mean - EULER_GAMMA * scale, scale))
     if kind == WEIBULL:
-        from scipy.optimize import brentq
-
         target = cov * cov
 
         def resid(k):
@@ -272,7 +297,7 @@ def fit_params_from_moments(kind, mean, cov):
                     / math.gamma(1.0 + 1.0 / k) ** 2 - 1.0 - target)
 
         try:
-            shape = brentq(resid, 0.08, 400.0, xtol=1e-13, rtol=8.9e-16)
+            shape = _bisect(resid, 0.08, 400.0)
         except ValueError as exc:
             raise FitError(
                 f"weibull shape fit failed for cov={cov}",
@@ -330,12 +355,9 @@ def nataf_pair(mi, mj, rho_x):
     if mi.kind == LOGNORMAL and mj.kind == LOGNORMAL:
         di, dj = mi.cov, mj.cov
         return math.log1p(rho_x * di * dj) / (mi.params[1] * mj.params[1])
-    from scipy.optimize import brentq
-
     try:
-        return brentq(
-            lambda r: _pair_physical_correlation(r, mi, mj) - rho_x,
-            -0.999, 0.999, xtol=1e-12, rtol=8.9e-16)
+        return _bisect(lambda r: _pair_physical_correlation(r, mi, mj) - rho_x,
+                       -0.999, 0.999)
     except ValueError as exc:
         raise NatafError(
             f"no copula correlation reproduces rho_x={rho_x} for "

@@ -354,6 +354,32 @@ def test_kde_runs_reproduce_pinned_values(run):
                         "ess": curve.ess, "clip_fraction": curve.clip_fraction}
 
 
+
+# example 2 (normal, Gumbel and Weibull inputs, Nataf-fitted copula) through
+# mc and the physical-space KDE: method mc, n 2e5, seed 21, grid_points 128,
+# recorded from the tree whose Weibull shape and copula correlations came from
+# scipy's brentq (Weibull xtol 1e-13, Nataf xtol 1e-12, both rtol 8.9e-16).
+# The full-precision bisection moves the fitted values by about 1e-14, so pf
+# must be equal and the EVPPI and pf curves equal to rtol 1e-10.
+COLUMN_PINNED = json.loads(
+    (ROOT / "tests" / "data" / "column_mc_pinned.json").read_text())
+
+
+def test_column_mc_reproduces_pinned_values():
+    run = COLUMN_PINNED
+    cfg = _pipeline_config(run["config"], run["overrides"])
+    res = pipeline.run_analysis(cfg)
+    assert res.pf == run["pf"]
+    evppi = {e.name: e.normalized for e in res.safety_report.entries}
+    assert evppi.keys() == run["evppi_normalized"].keys()
+    for name, want in run["evppi_normalized"].items():
+        assert evppi[name] == pytest.approx(want, rel=1e-10, abs=0.0)
+    for name, want in run["pf_curves"].items():
+        got = res.curves[name].pf_values
+        want = np.asarray(want)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
 def test_curve_csv(tmp_path, ex1_marginals):
     m = ex1_marginals[0]
     rng = np.random.default_rng(8)

@@ -336,6 +336,24 @@ def test_design_grid_mismatch_rejected(ex1_problem, ex1_marginals):
         evppi_design([c1, c2], np.array([1e-3, 1e-4]), d, ex1_marginals[0])
 
 
+
+def test_design_grid_compared_unless_shared(ex1_problem, ex1_marginals):
+    # curves on one grid array skip the value comparison; a distinct array
+    # is still compared, so an equal-length grid with other values fails
+    d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=np.array([1.0, 1.5]))
+    grid = default_grid(ex1_marginals[0], 64)
+    shared = [analytic_curve(ex1_problem, ex1_marginals, 0, grid=grid)
+              for _ in range(2)]
+    assert shared[0].grid is shared[1].grid
+    copied = [shared[0],
+              analytic_curve(ex1_problem, ex1_marginals, 0, grid=grid.copy())]
+    assert np.array_equal(posterior_loss_curve(shared, d),
+                          posterior_loss_curve(copied, d))
+    shifted = analytic_curve(ex1_problem, ex1_marginals, 0, grid=grid * 1.001)
+    with pytest.raises(ConfigError, match="share one grid"):
+        evppi_design([shared[0], shifted], np.array([1e-3, 1e-4]), d,
+                     ex1_marginals[0])
+
 # -- threshold sweep ------------------------------------------------------------------------
 
 def test_threshold_sweep_peaks_near_pf(ex1_problem_dep, ex1_marginals):

@@ -4,14 +4,15 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 import relsens.dists as dists
 from relsens import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
                      fit_params_from_moments, lognormal_linear_conditional_pf,
                      lognormal_linear_pf, nataf_fit, validate_correlation)
-from relsens.errors import (DomainError, InvalidCorrelationError,
-                            TransformClampWarning)
+from relsens.errors import (DomainError, FitError, InvalidCorrelationError,
+                            NatafError, TransformClampWarning)
 from conftest import EX1_RXX, EX1_SIGNS, PF_DEP, PF_IND
 
 
@@ -70,6 +71,95 @@ def test_fit_rejects_bad_moments():
     with pytest.raises(DomainError):
         fit_params_from_moments("normal", 1.0, 0.0)
 
+
+# -- root-finds (bisection to adjacent floats; brentq as the reference) -----------
+
+WEIBULL_COVS = [0.02, 0.1, 0.3, 1.0, 2.0, 5.0]
+NATAF_PAIRS = {
+    "normal-gumbel": (("normal", 250.0, 0.3), ("gumbel", 2500.0, 0.2)),
+    "normal-weibull": (("normal", 250.0, 0.3), ("weibull", 40.0, 0.1)),
+    "gumbel-weibull": (("gumbel", 2500.0, 0.2), ("weibull", 40.0, 0.1)),
+    "lognormal-gumbel": (("lognormal", 100.0, 0.2), ("gumbel", 2500.0, 0.2)),
+}
+NATAF_RHOS = [-0.7, -0.3, 0.3, 0.7, 0.9]
+
+
+def _weibull_resid(cov):
+    return lambda k: (math.gamma(1.0 + 2.0 / k) / math.gamma(1.0 + 1.0 / k) ** 2
+                      - 1.0 - cov * cov)
+
+
+def _nataf_resid(pair, rho_x):
+    mi, mj = (fit_params_from_moments(*spec) for spec in NATAF_PAIRS[pair])
+    return mi, mj, lambda r: dists._pair_physical_correlation(r, mi, mj) - rho_x
+
+
+def _assert_full_precision(f, root):
+    # the root is exact, or one adjacent float lies across the sign change
+    f0 = f(root)
+    if f0 == 0.0:
+        return
+    across = [f(np.nextafter(root, d)) for d in (-math.inf, math.inf)]
+    assert any((fa < 0.0) != (f0 < 0.0) for fa in across)
+
+
+@pytest.mark.parametrize("cov", WEIBULL_COVS)
+def test_weibull_shape_matches_brentq(cov):
+    resid = _weibull_resid(cov)
+    ref = brentq(resid, 0.08, 400.0, xtol=1e-13, rtol=8.9e-16)
+    shape = fit_params_from_moments("weibull", 40.0, cov).params[0]
+    assert shape == pytest.approx(ref, rel=1e-12, abs=0.0)
+    _assert_full_precision(resid, shape)
+
+
+@pytest.mark.parametrize("rho_x", NATAF_RHOS)
+@pytest.mark.parametrize("pair", sorted(NATAF_PAIRS))
+def test_nataf_pair_matches_brentq(pair, rho_x):
+    mi, mj, resid = _nataf_resid(pair, rho_x)
+    ref = brentq(resid, -0.999, 0.999, xtol=1e-12)
+    rho_z = dists.nataf_pair(mi, mj, rho_x)
+    assert abs(rho_z - ref) <= 1e-12
+    _assert_full_precision(resid, rho_z)
+
+
+def test_weibull_fit_error_carries_residual():
+    # cov 0.001 needs a shape beyond the bracket end 400
+    with pytest.raises(FitError, match="cov=0.001") as info:
+        fit_params_from_moments("weibull", 40.0, 0.001)
+    assert info.value.residual == pytest.approx(
+        _weibull_resid(0.001)(400.0), rel=1e-12)
+
+
+def test_nataf_unreachable_correlation_raises():
+    mi, mj, _ = _nataf_resid("normal-gumbel", 0.98)
+    with pytest.raises(NatafError, match="rho_x=0.98"):
+        dists.nataf_pair(mi, mj, 0.98)
+
+
+def test_bisect_stops_at_exact_zero_and_rejects_bad_brackets():
+    assert dists._bisect(lambda x: x - 0.5, 0.0, 1.0) == 0.5
+    assert dists._bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    with pytest.raises(ValueError, match="same sign"):
+        dists._bisect(lambda x: x + 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        dists._bisect(lambda x: math.nan, 0.0, 1.0)
+
+
+def test_nan_residual_raises_instead_of_looping(monkeypatch):
+    calls = []
+
+    def resid(x):
+        calls.append(x)
+        return math.nan if 0.2 < x < 0.8 else x - 0.3
+
+    with pytest.raises(ValueError, match="NaN"):
+        dists._bisect(resid, 0.0, 1.0)
+    assert len(calls) == 3                  # both ends and the first midpoint
+    mi, mj, _ = _nataf_resid("normal-gumbel", 0.3)
+    monkeypatch.setattr(dists, "_pair_physical_correlation",
+                        lambda r, a, b: math.nan if abs(r) < 0.5 else r)
+    with pytest.raises(NatafError):
+        dists.nataf_pair(mi, mj, 0.3)
 
 # -- cdf / inverse -------------------------------------------------------------
 
