@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+THREADS_HELP = ("accepted for compatibility; the analysis runs in one thread "
+                "and its results never depend on this value")
+
 
 def _fmt(x):
     return repr(float(x))
@@ -102,7 +105,7 @@ def cmd_run(args):
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        result = pipeline.run_analysis(cfg, threads=args.threads)
+        result = pipeline.run_analysis(cfg)
         result.diagnostics["stage_seconds"] = {
             "load": load_seconds, **result.diagnostics["stage_seconds"]}
 
@@ -140,6 +143,9 @@ def cmd_run(args):
                 "pf_at_a_opt": result.design["prior"]["pf"],
                 "prior_expected_loss": result.design["prior"]["expected_loss"],
                 "report": _report_dict(result.design["report"]),
+                "details": {name: {"raw": out["raw"],
+                                   "negative_clipped": out["negative_clipped"]}
+                            for name, out in result.design["details"].items()},
             }
         manifest = {
             "config_sha256": _sha256(args.config),
@@ -178,7 +184,7 @@ def cmd_sweep(args):
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        result = pipeline.run_analysis(cfg, threads=args.threads)
+        result = pipeline.run_analysis(cfg)
         rows = dec.threshold_sweep([result.curves[n] for n in cfg.names],
                                    cfg.marginals, cfg.names, cfg.safety.c_f,
                                    ratios, result.pf)
@@ -234,7 +240,7 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--method", choices=["analytic", "form", "mc", "subset"])
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="EVPPI against the cost ratio")
@@ -245,7 +251,7 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--method", choices=["analytic", "form", "mc", "subset"])
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("form-curves",

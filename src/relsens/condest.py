@@ -39,6 +39,7 @@ TRANSFORM_IDENTITY = "identity"
 
 DENSITY_FLOOR = 1e-300
 TRUNCATION_RTOL = 1e-16
+MIN_FAILURE_VALUES = 20
 
 
 def silverman_bandwidth(values):
@@ -122,8 +123,9 @@ class KdeModel:
 def kde_fit(values, marginal, transform=TRANSFORM_STANDARD_NORMAL):
     """Fit the conditional-density KDE for one input's failure values."""
     values = np.asarray(values, dtype=float)
-    if len(values) < 20:
-        raise DomainError("need at least 20 failure values for a density fit")
+    if len(values) < MIN_FAILURE_VALUES:
+        raise DomainError(f"need at least {MIN_FAILURE_VALUES} failure values "
+                          "for a density fit")
     if transform == TRANSFORM_STANDARD_NORMAL:
         pts = np.asarray(marginal.to_standard_normal(values), dtype=float)
     elif transform == TRANSFORM_IDENTITY:
@@ -137,7 +139,11 @@ def kde_fit(values, marginal, transform=TRANSFORM_STANDARD_NORMAL):
 
 @dataclass(frozen=True)
 class ConditionalPfCurve:
-    """pf(x_i) on a grid, with the densities that produced it."""
+    """pf(x_i) on a grid, with the densities that produced it.
+
+    A design sweep's curve has one row of pf_values per design value,
+    with pf_uncond then holding one value per design.
+    """
 
     input_index: int
     grid: np.ndarray

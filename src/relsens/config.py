@@ -241,15 +241,18 @@ def as_lognormal_linear(limit_state, marginals):
 
 
 def analytic_problem(cfg, a=None):
-    """LognormalLinearProblem for the configured model, at design ``a``."""
+    """LognormalLinearProblem for the configured model, at design ``a``
+    (one value, or a 1-D array giving one constant term per design)."""
     coeffs, design_sign = as_lognormal_linear(cfg.limit_state, cfg.marginals)
     const = 0.0
     if cfg.limit_state.has_design_param:
         if a is None:
             raise ConfigError("this limit state needs a design value")
-        if a <= 0.0:
+        a = np.asarray(a, dtype=float)
+        if np.any(a <= 0.0):
             raise ConfigError("analytic design values must be positive")
-        const = design_sign * float(np.log(a))
+        const = design_sign * np.log(a)
+        const = const if const.ndim else float(const)
     corr = None if cfg.joint.independent else cfg.joint.r_xx
     return dists.LognormalLinearProblem.from_marginals(
         cfg.marginals, corr, coeffs, const)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lsf as lsf_mod
+from .condest import ConditionalPfCurve
 from .errors import ConfigError, DomainError
 
 DO_NOTHING = "do_nothing"
@@ -127,35 +128,49 @@ def prior_design(pf_per_design, decision):
             "pf": float(pf[j])}
 
 
-def posterior_loss_curve(curves_by_design, decision):
-    """min_j [c_d(a_j) + c_f pf_j(x)] on the shared curve grid."""
+def _design_rows(curves_by_design):
+    """One curve holding a row of pf values per design.
+
+    Takes that curve itself or a sequence of one curve per design, whose
+    grids must agree.
+    """
+    if isinstance(curves_by_design, ConditionalPfCurve):
+        return curves_by_design
     grid0 = curves_by_design[0].grid
     for c in curves_by_design[1:]:
-        if c.grid is grid0:            # the pipeline's curves share one array
+        if c.grid is grid0:            # curves built on one grid array
             continue
         if len(c.grid) != len(grid0) or not np.allclose(c.grid, grid0):
             raise ConfigError("conditional curves must share one grid")
+    return replace(curves_by_design[0], pf_values=np.vstack(
+        [c.pf_values for c in curves_by_design]))
+
+
+def posterior_loss_curve(curves_by_design, decision):
+    """min_j [c_d(a_j) + c_f pf_j(x)] on the shared curve grid."""
+    values = _design_rows(curves_by_design).pf_values
     costs = decision.design_cost(decision.grid)
-    loss = np.vstack([costs[j] + decision.c_f * c.pf_values
-                      for j, c in enumerate(curves_by_design)])
-    return loss.min(axis=0)
+    return (costs[:, None] + decision.c_f * values).min(axis=0)
 
 
 def evppi_design(curves_by_design, pf_per_design, decision, marginal):
     """Expected value of learning X_i before choosing the design.
 
+    ``curves_by_design`` is one curve with a row of pf values per design
+    value, or a sequence of one curve per design value. The prior density
+    is taken from that curve, or evaluated once on its grid.
+
     Sampling noise can push the raw estimate slightly negative; the
     value is floored at zero and the raw difference is reported.
     """
-    if len(curves_by_design) != decision.grid.size:
+    curve = _design_rows(curves_by_design)
+    if len(curve.pf_values) != decision.grid.size:
         raise ConfigError("need one conditional curve per design value")
     prior = prior_design(pf_per_design, decision)["expected_loss"]
-    post = posterior_loss_curve(curves_by_design, decision)
-    grid = curves_by_design[0].grid
-    c0 = curves_by_design[0]
-    density = (c0.density_prior if c0.density_prior is not None
-               else np.asarray(marginal.pdf(grid), dtype=float))
-    posterior = float(np.trapezoid(post * density, grid))
+    post = posterior_loss_curve(curve, decision)
+    density = (curve.density_prior if curve.density_prior is not None
+               else np.asarray(marginal.pdf(curve.grid), dtype=float))
+    posterior = float(np.trapezoid(post * density, curve.grid))
     raw = prior - posterior
     return {"evppi": max(0.0, raw), "raw": raw, "prior_loss": prior,
             "posterior_loss": posterior, "negative_clipped": raw < 0.0}

@@ -455,7 +455,8 @@ class LognormalLinearProblem:
     """g = const + sum_i coeff_i ln X_i with ln X jointly normal.
 
     Failure is g <= 0, so the failure probability has the closed form
-    Phi(-(const + c.mu)/sqrt(c' C c)).
+    Phi(-(const + c.mu)/sqrt(c' C c)). ``const_term`` may hold one value
+    per design; the results below then have one row per design.
     """
 
     const_term: float
@@ -501,13 +502,14 @@ def lognormal_linear_pf(problem):
     if var <= 0.0:
         raise DomainError("degenerate problem: zero variance of g")
     num = problem.const_term + float(c @ problem.mu_ln)
-    return float(special.std_normal_cdf(-num / math.sqrt(var)))
+    return special.std_normal_cdf(-num / math.sqrt(var))
 
 
 def lognormal_linear_conditional_pf(problem, i, x_i):
     """P(failure | X_i = x_i), by Gaussian conditioning of the logs.
 
-    ``x_i`` may be an array; the result matches its shape.
+    ``x_i`` may be an array; the result matches its shape, with a leading
+    design axis when the problem has one constant per design.
     """
     x_i = np.asarray(x_i, dtype=float)
     if np.any(x_i <= 0.0):
@@ -530,6 +532,6 @@ def lognormal_linear_conditional_pf(problem, i, x_i):
     if var_c <= 0.0:
         raise DomainError("degenerate problem: zero conditional variance")
     mu_c = mu[idx][..., :] + np.multiply.outer(t - mu[i], kvec)
-    num = problem.const_term + c[i] * t + mu_c @ cr
+    num = np.add.outer(problem.const_term, c[i] * t) + mu_c @ cr
     out = np.asarray(special.std_normal_cdf(-num / math.sqrt(var_c)))
     return out if out.ndim else float(out)

@@ -2,9 +2,12 @@
 
 The search is the improved HL-RF iteration: the classic update direction
 safeguarded by an Armijo line search on the merit function
-m(u) = ||u||^2/2 + c |G(u)| with adaptive penalty c. G is evaluated on
-rows of points: each trial point and its central-difference gradient
-stencil in standard-normal space go through G in one call.
+m(u) = ||u||^2/2 + c |G(u)| with adaptive penalty c. It runs in lockstep
+over a set of independent problems, one per row, such as the values of
+a design grid: every round makes one G call that holds each unconverged
+row's trial point with its central-difference gradient stencil in
+standard-normal space, and a trial the Armijo test rejects is retried at
+half the step for that row alone. A single problem is the one-row case.
 
 Sign convention: alpha = -grad G(u*)/||grad G(u*)||, so the linearized
 limit state is G1(U) = beta0 - alpha.U and beta0 = alpha.u*.
@@ -13,7 +16,7 @@ limit state is G1(U) = beta0 - alpha.U and beta0 = alpha.u*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +27,15 @@ from .errors import DomainError, SingularPointError
 
 @dataclass(frozen=True)
 class FormResult:
+    """Design point of one problem, or of each row of a lockstep search.
+
+    For a lockstep search over several design values, beta0, alpha,
+    u_star, x_star and grad_norm have one row per design, ``iterations``
+    is the total over rows and ``converged`` is true when every row
+    converged. ``row_iterations`` and ``row_converged`` always hold one
+    entry per row.
+    """
+
     beta0: float
     alpha: np.ndarray
     u_star: np.ndarray
@@ -31,86 +43,150 @@ class FormResult:
     iterations: int
     converged: bool
     grad_norm: float
+    row_iterations: np.ndarray
+    row_converged: np.ndarray
 
 
 def standard_space_lsf(joint, limit_state, a=None):
-    """G(u) = g(to_physical(u), a) on rows of u (a 1-D u gives a float)."""
-    def G(u):
-        return lsf_mod.evaluate(limit_state, joint.to_physical(u), a)
+    """G(u, rows) = g(to_physical(u), a) on rows of u.
+
+    ``a`` is None, one design value, or a 1-D array of design values; with
+    an array, point k of u belongs to design rows[k].
+    """
+    designs = np.asarray(a, dtype=float) if np.ndim(a) else None
+
+    def G(u, rows):
+        return lsf_mod.evaluate(limit_state, joint.to_physical(u),
+                                a if designs is None else designs[rows])
     return G
 
 
-def find_design_point(G, n, u0=None, max_iterations=100, fd_step=1e-5,
-                      tol_u=1e-6, tol_g=1e-6):
+def _rowdot(a, b):
+    # one BLAS dot per row: each row gets the bits of its own 1-D a @ b
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def find_design_points(G, u0, max_iterations=100, fd_step=1e-5, tol_u=1e-6,
+                       tol_g=1e-6):
+    """Most likely failure points of m problems in n-dimensional standard
+    space, searched in lockstep from the rows of ``u0`` (shape (m, n)).
+
+    G(u, rows) maps points u (k, n), point k belonging to problem rows[k],
+    to one value per point. A row that has not converged after
+    ``max_iterations`` keeps its last iterate with row_converged False; a
+    vanishing gradient in any row raises SingularPointError. Returns a
+    FormResult with one row per problem and an empty x_star.
+    """
+    u = np.array(u0, dtype=float)
+    m, n = u.shape
+    offsets = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)]) * fd_step
+    k = len(offsets)
+
+    def g_and_grad(points, rows):
+        vals = np.asarray(G((points[:, None, :] + offsets).reshape(-1, n),
+                            np.repeat(rows, k)), dtype=float).reshape(-1, k)
+        return vals[:, 0], (vals[:, 1:n + 1] - vals[:, n + 1:]) / (2.0 * fd_step)
+
+    rows = np.arange(m)
+    g0_scale = 1.0 + np.abs(np.asarray(G(np.zeros((m, n)), rows), dtype=float))
+
+    gu, gr = g_and_grad(u, rows)
+    flat = np.sqrt(_rowdot(gr, gr)) < 1e-14
+    if flat.any():
+        # symmetric LSFs often have zero slope exactly at the origin
+        u[flat] += 1e-3
+        gu[flat], gr[flat] = g_and_grad(u[flat], rows[flat])
+        if np.any(np.sqrt(_rowdot(gr[flat], gr[flat])) < 1e-14):
+            raise SingularPointError("zero gradient at the starting point")
+
+    row_iterations = np.full(m, max_iterations)
+    converged = np.zeros(m, dtype=bool)
+    active = rows
+    for iteration in range(1, max_iterations + 1):
+        ua, ga, gra = u[active], gu[active], gr[active]
+        gn2 = _rowdot(gra, gra)
+        d = ((_rowdot(gra, ua) - ga) / gn2)[:, None] * gra - ua
+        # merit with penalty always dominating the constraint multiplier
+        uu = _rowdot(ua, ua)
+        c = 2.0 * np.sqrt(uu) / np.sqrt(gn2) + 10.0
+        m0 = 0.5 * uu + c * np.abs(ga)
+        step = np.ones(len(active))
+        u_new, g_new, gr_new = (np.empty_like(ua), np.empty_like(ga),
+                                np.empty_like(gra))
+        todo = np.arange(len(active))
+        for _ in range(30):
+            trial = ua[todo] + step[todo, None] * d[todo]
+            g_t, gr_t = g_and_grad(trial, active[todo])
+            ok = (0.5 * _rowdot(trial, trial) + c[todo] * np.abs(g_t)
+                  <= m0[todo] - 1e-12 * m0[todo])
+            accepted = todo[ok]
+            u_new[accepted], g_new[accepted], gr_new[accepted] = (
+                trial[ok], g_t[ok], gr_t[ok])
+            todo = todo[~ok]
+            if not todo.size:
+                break
+            step[todo] *= 0.5
+        else:
+            trial = ua[todo] + step[todo, None] * d[todo]
+            u_new[todo] = trial
+            g_new[todo], gr_new[todo] = g_and_grad(trial, active[todo])
+        du = np.sqrt(_rowdot(u_new - ua, u_new - ua))
+        u[active], gu[active], gr[active] = u_new, g_new, gr_new
+        if np.any(np.sqrt(_rowdot(gr_new, gr_new)) < 1e-14):
+            raise SingularPointError("zero gradient during iteration")
+        done = (du <= tol_u) & (np.abs(g_new) <= tol_g * g0_scale[active])
+        converged[active[done]] = True
+        row_iterations[active[done]] = iteration
+        active = active[~done]
+        if not active.size:
+            break
+
+    grad_norm = np.sqrt(_rowdot(gr, gr))
+    alpha = -gr / grad_norm[:, None]
+    return FormResult(beta0=_rowdot(alpha, u), alpha=alpha, u_star=u,
+                      x_star=np.empty((m, 0)),
+                      iterations=int(row_iterations.sum()),
+                      converged=bool(converged.all()), grad_norm=grad_norm,
+                      row_iterations=row_iterations, row_converged=converged)
+
+
+def _first_row(res, x_star):
+    return FormResult(beta0=float(res.beta0[0]), alpha=res.alpha[0],
+                      u_star=res.u_star[0], x_star=x_star,
+                      iterations=res.iterations, converged=res.converged,
+                      grad_norm=float(res.grad_norm[0]),
+                      row_iterations=res.row_iterations,
+                      row_converged=res.row_converged)
+
+
+def find_design_point(G, n, u0=None, **kwargs):
     """Most likely failure point of G in n-dimensional standard space.
 
     G takes a 2-D array of points (one per row) and returns one value per
-    row. Each trial point is evaluated in one call together with its 2n
-    central-difference stencil points, which give the gradient there.
-
-    Returns converged=False with the last iterate after
-    ``max_iterations``; a vanishing gradient raises SingularPointError.
+    row. The one-row case of ``find_design_points``.
     """
-    offsets = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)]) * fd_step
-
-    def g_and_grad(u):
-        vals = np.asarray(G(u + offsets), dtype=float)
-        return float(vals[0]), (vals[1:n + 1] - vals[n + 1:]) / (2.0 * fd_step)
-
-    u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    g0_scale = 1.0 + abs(float(G(np.zeros((1, n)))[0]))
-
-    gu, gr = g_and_grad(u)
-    if np.linalg.norm(gr) < 1e-14:
-        # symmetric LSFs often have zero slope exactly at the origin
-        u = u + 1e-3
-        gu, gr = g_and_grad(u)
-        if np.linalg.norm(gr) < 1e-14:
-            raise SingularPointError("zero gradient at the starting point")
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        gn2 = float(gr @ gr)
-        u_hlrf = ((gr @ u - gu) / gn2) * gr
-        d = u_hlrf - u
-        # merit with penalty always dominating the constraint multiplier
-        c = 2.0 * np.linalg.norm(u) / math.sqrt(gn2) + 10.0
-        m0 = 0.5 * float(u @ u) + c * abs(gu)
-        step = 1.0
-        for _ in range(30):
-            u_new = u + step * d
-            g_new, gr_new = g_and_grad(u_new)
-            if 0.5 * float(u_new @ u_new) + c * abs(g_new) <= m0 - 1e-12 * m0:
-                break
-            step *= 0.5
-        else:
-            u_new = u + step * d
-            g_new, gr_new = g_and_grad(u_new)
-        du = np.linalg.norm(u_new - u)
-        u, gu, gr = u_new, g_new, gr_new
-        if np.linalg.norm(gr) < 1e-14:
-            raise SingularPointError("zero gradient during iteration")
-        if du <= tol_u and abs(gu) <= tol_g * g0_scale:
-            converged = True
-            break
-
-    grad_norm = float(np.linalg.norm(gr))
-    alpha = -gr / grad_norm
-    beta0 = float(alpha @ u)
-    return FormResult(beta0=beta0, alpha=alpha, u_star=u.copy(),
-                      x_star=np.array([]), iterations=iterations,
-                      converged=converged, grad_norm=grad_norm)
+    start = np.zeros((1, n)) if u0 is None else np.reshape(u0, (1, n))
+    res = find_design_points(lambda u, rows: G(u), start, **kwargs)
+    return _first_row(res, np.array([]))
 
 
-def solve_form(joint, limit_state, a=None, **kwargs):
-    """find_design_point on a physical problem; fills in x_star."""
-    G = standard_space_lsf(joint, limit_state, a)
-    res = find_design_point(G, joint.dim, **kwargs)
-    return FormResult(beta0=res.beta0, alpha=res.alpha, u_star=res.u_star,
-                      x_star=np.asarray(joint.to_physical(res.u_star)),
-                      iterations=res.iterations, converged=res.converged,
-                      grad_norm=res.grad_norm)
+def solve_form(joint, limit_state, a=None, u0=None, **kwargs):
+    """Design point of a physical problem, with x_star filled in.
+
+    With ``a`` a 1-D array of design values, the searches for all of them
+    run in lockstep and every field of the result has one row per design
+    (see FormResult); ``u0`` then gives one start for every row or one
+    row per design.
+    """
+    m = np.size(a) if np.ndim(a) else 1
+    start = (np.zeros((m, joint.dim)) if u0 is None else
+             np.broadcast_to(np.asarray(u0, dtype=float), (m, joint.dim)))
+    res = find_design_points(standard_space_lsf(joint, limit_state, a),
+                             start, **kwargs)
+    x_star = np.asarray(joint.to_physical(res.u_star))
+    if np.ndim(a):
+        return replace(res, x_star=x_star)
+    return _first_row(res, x_star[0])
 
 
 def correlated_importance(alpha, chol_z):
@@ -129,12 +205,20 @@ def correlated_importance(alpha, chol_z):
 # ---------------------------------------------------------------------------
 
 def conditional_pf_u(beta0, alpha_i, u_i):
-    """FORM failure probability conditional on U_i = u_i."""
-    if abs(alpha_i) >= 1.0:
+    """FORM failure probability conditional on U_i = u_i.
+
+    ``beta0`` and ``alpha_i`` may hold one value per design; the result
+    then has one row per design and one column per value of ``u_i``.
+    """
+    beta0 = np.asarray(beta0, dtype=float)
+    alpha_i = np.asarray(alpha_i, dtype=float)
+    if np.any(np.abs(alpha_i) >= 1.0):
         raise DomainError("conditional pf is a step function at |alpha_i| = 1")
+    if beta0.ndim:
+        beta0, alpha_i = beta0[:, None], alpha_i[:, None]
     u_i = np.asarray(u_i, dtype=float)
     out = np.asarray(special.std_normal_cdf(
-        (alpha_i * u_i - beta0) / math.sqrt(1.0 - alpha_i * alpha_i)))
+        (alpha_i * u_i - beta0) / np.sqrt(1.0 - alpha_i * alpha_i)))
     return out if out.ndim else float(out)
 
 
@@ -142,14 +226,15 @@ def conditional_pf_x(joint, i, x_i, form_result):
     """FORM failure probability conditional on X_i = x_i.
 
     Only valid when the inputs are independent (the marginal map then
-    equals the full transform for component i).
+    equals the full transform for component i). A lockstep result gives
+    one row per design.
     """
     if not joint.independent:
         raise DomainError(
             "conditional_pf_x requires independent inputs; "
             "use the failure-sample estimator for dependent models")
     z = joint.marginals[i].to_standard_normal(x_i)
-    return conditional_pf_u(form_result.beta0, form_result.alpha[i], z)
+    return conditional_pf_u(form_result.beta0, form_result.alpha[..., i], z)
 
 
 def threshold_u(beta0, alpha_i, cr_over_cf):

@@ -246,7 +246,8 @@ class LimitState:
 def evaluate(limit_state, x, a=None):
     """Evaluate g at one point (1-D x) or a batch (rows of a 2-D x).
 
-    ``a`` must be given iff the limit state declares a design parameter.
+    ``a`` must be given iff the limit state declares a design parameter:
+    one value for every row, or a 1-D array with one value per row.
     """
     if limit_state.has_design_param and a is None:
         raise EvalError("limit state requires the design parameter a")
@@ -260,7 +261,11 @@ def evaluate(limit_state, x, a=None):
             f"expected {len(limit_state.input_names)} inputs, got {x2.shape[1]}")
     env = {name: x2[:, i] for i, name in enumerate(limit_state.input_names)}
     if a is not None:
-        env[DESIGN_SYMBOL] = float(a)
+        a = np.asarray(a, dtype=float)
+        if a.ndim and a.shape != (x2.shape[0],):
+            raise EvalError(f"design parameter a: expected one value or "
+                            f"{x2.shape[0]} (one per row), got shape {a.shape}")
+        env[DESIGN_SYMBOL] = a if a.ndim else float(a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = np.asarray(_eval(limit_state.ast, env), dtype=float)
     g = np.broadcast_to(g, (x2.shape[0],)).copy() if g.ndim == 0 else g

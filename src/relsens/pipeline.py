@@ -1,20 +1,22 @@
 """Orchestration: from a validated RunConfig to curves and reports.
 
-Each method produces the unconditional failure probability and one
-conditional-pf curve per input; the decision layer is shared. Per-input
-work is pure, so it can fan out across one thread pool per analysis.
+One estimator serves both decision stages. ``estimate`` computes pf and
+every input's conditional-pf curve at each value of the design grid,
+which it carries as an array axis; a design-free limit state (the safety
+stage) is the one-row case. The design stage picks the prior-optimal
+design from those rows and reports the curves of its row, so no
+reliability analysis is repeated. The decision layer is shared.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import condest, config as config_mod, decision as dec, dists, form, sample, special
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 
 @dataclass
@@ -41,8 +43,21 @@ class AnalysisResult:
     curves: dict                       # name -> ConditionalPfCurve
     safety_report: object = None
     design: dict = None                # prior design + per-input EVPPI
-    form_result: object = None
     diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """Reliability results with one row per design (one row for safety).
+
+    ``at_row(j)`` gives row j's per-input ConditionalPfCurve objects and
+    its method diagnostics; ``diagnostics`` holds figures of all rows.
+    """
+
+    pf: np.ndarray                     # (n_designs,)
+    values: dict                       # name -> (n_designs, n_grid) pf(x_i)
+    at_row: object
+    diagnostics: dict
 
 
 def _grids(cfg):
@@ -50,126 +65,170 @@ def _grids(cfg):
             for name, m in zip(cfg.names, cfg.marginals)}
 
 
-def _map_inputs(cfg, fn, pool):
-    items = list(enumerate(cfg.names))
-    if pool is not None:
-        return dict(zip(cfg.names, pool.map(lambda it: fn(*it), items)))
-    return {name: fn(i, name) for i, name in items}
+def estimate(cfg, designs=None):
+    """pf and conditional-pf curves at every design value.
 
-
-# -- per-method reliability + curves ------------------------------------------
-
-
-def _analytic_curves(cfg, grids, a=None, pool=None):
-    problem = config_mod.analytic_problem(cfg, a)
-    pf = dists.lognormal_linear_pf(problem)
-
-    def one(i, name):
-        return condest.curve_from_function(
-            cfg.marginals[i], i,
-            lambda x: dists.lognormal_linear_conditional_pf(problem, i, x),
-            pf, grids[name], source="analytic")
-
-    return pf, _map_inputs(cfg, one, pool)
-
-
-def _form_curves(cfg, grids, a=None, pool=None, u0=None):
-    res = form.solve_form(cfg.joint, cfg.limit_state, a, u0=u0)
-    pf = float(special.std_normal_cdf(-res.beta0))
-
-    def one(i, name):
-        return condest.curve_from_function(
-            cfg.marginals[i], i,
-            lambda x: form.conditional_pf_x(cfg.joint, i, x, res),
-            pf, grids[name], source="form")
-
-    return pf, _map_inputs(cfg, one, pool), res
-
-
-def _kde_curves(cfg, grids, pf_hat, failure_samples, pool=None, n_chains=1):
-    def one(i, name):
-        return condest.conditional_pf_from_failure_samples(
-            cfg.marginals[i], i, failure_samples[:, i], pf_hat,
-            grids[name], transform=cfg.kde_transform, n_chains=n_chains)
-
-    return _map_inputs(cfg, one, pool)
-
-
-def run_analysis(cfg, threads=None):
-    """Full pipeline for one configuration."""
-    pool = (ThreadPoolExecutor(max_workers=threads)
-            if threads and threads > 1 else None)
-    try:
-        return _run_analysis(cfg, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
-def _run_analysis(cfg, pool):
-    timer = StageTimer()
+    ``designs`` is the design grid, or None for a design-free limit state.
+    """
     grids = _grids(cfg)
-    diagnostics = {"method": cfg.method, "seed": cfg.seed}
-    form_result = None
-    form_solves = []                   # (design value or "reliability", result)
+    if cfg.method == "analytic":
+        return _analytic(cfg, grids, designs)
+    if cfg.method == "form":
+        return _form(cfg, grids, designs)
+    if cfg.method == "mc":
+        return _mc(cfg, grids, designs)
+    if cfg.method == "subset":
+        return _subset(cfg, grids, designs)
+    raise ConfigError(f"unknown method {cfg.method!r}")
 
-    design_block = None
-    a_ref = None
-    if cfg.design is not None:
-        # a parametric limit state has no reliability of its own: run the
-        # design stage first and report curves at the prior-optimal design
-        with timer.time("design_evppi"):
-            design_block = _design_analysis(cfg, grids, pool, form_solves)
-        a_ref = design_block["prior"]["a_opt"]
-        diagnostics["a_opt"] = a_ref
+
+def _function_estimate(cfg, grids, pf, values, source, row_diagnostics,
+                       diagnostics):
+    """Estimate of a closed-form method: row curves wrap the value rows."""
+    def at_row(j):
+        curves = {name: condest.curve_from_function(
+                      cfg.marginals[i], i, lambda x, row=values[name][j]: row,
+                      pf[j], grids[name], source=source)
+                  for i, name in enumerate(cfg.names)}
+        return curves, row_diagnostics(j)
+
+    return Estimate(pf, values, at_row, diagnostics)
+
+
+def _analytic(cfg, grids, designs):
+    problem = config_mod.analytic_problem(cfg, designs)
+    pf = np.atleast_1d(dists.lognormal_linear_pf(problem))
+    values = {name: np.atleast_2d(dists.lognormal_linear_conditional_pf(
+                  problem, i, grids[name]))
+              for i, name in enumerate(cfg.names)}
+    return _function_estimate(cfg, grids, pf, values, "analytic",
+                              lambda j: {}, {})
+
+
+def _form(cfg, grids, designs):
+    res = form.solve_form(cfg.joint, cfg.limit_state, designs)
+    beta = np.atleast_1d(res.beta0)
+    alpha = np.atleast_2d(res.alpha)
+    pf = special.std_normal_cdf(-beta)
+    values = {name: np.atleast_2d(form.conditional_pf_x(cfg.joint, i,
+                                                        grids[name], res))
+              for i, name in enumerate(cfg.names)}
+    labels = ["reliability"] if designs is None else designs.tolist()
+    diagnostics = {"form": {
+        "solves": len(beta), "iterations": res.iterations,
+        "not_converged": [label for label, ok in zip(labels, res.row_converged)
+                          if not ok]}}
+
+    def row_diagnostics(j):
+        return {"beta0": float(beta[j]), "alpha_sq": (alpha[j] ** 2).tolist(),
+                "form_iterations": int(res.row_iterations[j])}
+
+    return _function_estimate(cfg, grids, pf, values, "form", row_diagnostics,
+                              diagnostics)
+
+
+def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
+                  row_diagnostics):
+    """Estimate of a sampling method from each row's failure samples.
+
+    ``failure_rows(j)`` returns the ``counts[j]`` failure samples of row
+    j; every row needs condest.MIN_FAILURE_VALUES of them for the density
+    fits.
+    """
+    counts = [int(c) for c in counts]
+    starved = [j for j, c in enumerate(counts) if c < condest.MIN_FAILURE_VALUES]
+    if designs is not None and starved:
+        a = designs.tolist()
+        raise DomainError(
+            f"need at least {condest.MIN_FAILURE_VALUES} failure values per "
+            "design for the density fits; too few at "
+            + ", ".join(f"a = {a[j]!r} ({counts[j]})" for j in starved))
+    rows = []
+    for j in range(len(pf)):
+        samples = failure_rows(j)
+        rows.append({name: condest.conditional_pf_from_failure_samples(
+                         cfg.marginals[i], i, samples[:, i], pf[j],
+                         grids[name], transform=cfg.kde_transform,
+                         n_chains=n_chains[j])
+                     for i, name in enumerate(cfg.names)})
+    values = {name: np.vstack([row[name].pf_values for row in rows])
+              for name in cfg.names}
+    diagnostics = ({} if designs is None else
+                   {"n_failure_samples_per_design": counts})
+    return Estimate(pf, values, lambda j: (rows[j], row_diagnostics(j)),
+                    diagnostics)
+
+
+def _mc(cfg, grids, designs):
+    mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed,
+                         a=designs)
+    pf = np.atleast_1d(mc.pf_hat)
+    n_fail = np.atleast_1d(mc.n_fail)
+    lo, hi = np.atleast_1d(mc.ci95[0]), np.atleast_1d(mc.ci95[1])
+
+    def row_diagnostics(j):
+        return {"n": mc.n, "ci95": [float(lo[j]), float(hi[j])],
+                "n_failure_samples": int(n_fail[j])}
+
+    return _kde_estimate(cfg, grids, designs, pf, n_fail, mc.failures,
+                         [1] * len(pf), row_diagnostics)
+
+
+def _subset(cfg, grids, designs):
+    # one run per design, each on its own stream
+    starts = ([(cfg.seed, None)] if designs is None else
+              [(cfg.seed + j + 1, a) for j, a in enumerate(designs)])
+    runs = [sample.subset_simulation(cfg.joint, cfg.limit_state,
+                                     cfg.n_per_level, cfg.p0, seed, a=a)
+            for seed, a in starts]
+    pf = np.array([ss.pf_hat for ss in runs])
+
+    def row_diagnostics(j):
+        return {"levels": [list(t) for t in runs[j].levels],
+                "n_failure_samples": len(runs[j].last_level_samples),
+                "samples_correlated": True}
+
+    return _kde_estimate(cfg, grids, designs, pf,
+                         [len(ss.last_level_samples) for ss in runs],
+                         lambda j: runs[j].last_level_samples,
+                         [ss.n_chains for ss in runs], row_diagnostics)
+
+
+def run_analysis(cfg):
+    """Full pipeline for one configuration."""
+    timer = StageTimer()
+    diagnostics = {"method": cfg.method, "seed": cfg.seed}
+    designs = None if cfg.design is None else cfg.design.grid
 
     with timer.time("reliability"):
-        if cfg.method == "analytic":
-            pf, curves = _analytic_curves(cfg, grids, a=a_ref, pool=pool)
-        elif cfg.method == "form":
-            pf, curves, form_result = _form_curves(cfg, grids, a=a_ref,
-                                                   pool=pool)
-            form_solves.append(("reliability", form_result))
-            diagnostics["beta0"] = form_result.beta0
-            diagnostics["alpha_sq"] = (form_result.alpha ** 2).tolist()
-            diagnostics["form_iterations"] = form_result.iterations
-            diagnostics["form"] = {
-                "solves": len(form_solves),
-                "iterations": sum(r.iterations for _, r in form_solves),
-                "not_converged": [label for label, r in form_solves
-                                  if not r.converged]}
-        elif cfg.method == "mc":
-            mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed,
-                                 a=a_ref)
-            pf = mc.pf_hat
-            diagnostics["n"] = mc.n
-            diagnostics["ci95"] = list(mc.ci95)
-            diagnostics["n_failure_samples"] = len(mc.failure_samples)
-            curves = _kde_curves(cfg, grids, pf, mc.failure_samples, pool)
-        elif cfg.method == "subset":
-            ss = sample.subset_simulation(cfg.joint, cfg.limit_state,
-                                          cfg.n_per_level, cfg.p0, cfg.seed,
-                                          a=a_ref)
-            pf = ss.pf_hat
-            diagnostics["levels"] = [list(t) for t in ss.levels]
-            diagnostics["n_failure_samples"] = len(ss.last_level_samples)
-            diagnostics["samples_correlated"] = True
-            curves = _kde_curves(cfg, grids, pf, ss.last_level_samples, pool,
-                                 n_chains=ss.n_chains)
-        else:
-            raise ConfigError(f"unknown method {cfg.method!r}")
-
+        est = estimate(cfg, designs)
+        # a parametric limit state has no reliability of its own: report
+        # the curves of the prior-optimal design's row
+        prior = None if designs is None else dec.prior_design(est.pf,
+                                                              cfg.design)
+        j = 0 if prior is None else prior["index"]
+        curves, row_diagnostics = est.at_row(j)
+    if prior is not None:
+        diagnostics["a_opt"] = prior["a_opt"]
+    diagnostics.update(row_diagnostics)
+    diagnostics.update(est.diagnostics)
+    pf = float(est.pf[j])
     diagnostics["pf"] = pf
     kde_inputs = {name: {"n_failure_samples": c.n_failure_samples,
                          "ess": c.ess, "clip_fraction": c.clip_fraction}
                   for name, c in curves.items() if c.source == "kde"}
     if kde_inputs:
         diagnostics["kde_inputs"] = kde_inputs
-    method_label = {"mc": "mc-kde", "subset": "subset-kde"}.get(cfg.method,
-                                                                cfg.method)
+
+    design_block = None
+    if prior is not None:
+        with timer.time("design_evppi"):
+            design_block = _design_evppi(cfg, est, prior, curves)
 
     safety_report = None
     if cfg.safety is not None:
+        method_label = {"mc": "mc-kde", "subset": "subset-kde"}.get(
+            cfg.method, cfg.method)
         with timer.time("safety_evppi"):
             curve_list = [curves[n] for n in cfg.names]
             extra = {
@@ -182,54 +241,26 @@ def _run_analysis(cfg, pool):
 
     diagnostics["stage_seconds"] = dict(timer.stages)
     return AnalysisResult(pf=pf, curves=curves, safety_report=safety_report,
-                          design=design_block, form_result=form_result,
-                          diagnostics=diagnostics)
+                          design=design_block, diagnostics=diagnostics)
 
 
-def _design_analysis(cfg, grids, pool, form_solves):
-    """Per-design reliability plus the inner-optimization EVPPI.
-
-    FORM solves start from the previous design's design point and are
-    appended to ``form_solves`` as (design value, result).
-    """
-    grid = cfg.design.grid
-    pf_per_design = np.empty(grid.size)
-    curve_sets = {name: [] for name in cfg.names}
-    for j, a in enumerate(grid):
-        if cfg.method == "analytic":
-            pf_a, curves_a = _analytic_curves(cfg, grids, a=a, pool=pool)
-        elif cfg.method == "form":
-            u0 = form_solves[-1][1].u_star if form_solves else None
-            pf_a, curves_a, res = _form_curves(cfg, grids, a=a, pool=pool,
-                                               u0=u0)
-            form_solves.append((float(a), res))
-        elif cfg.method == "mc":
-            mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n,
-                                 cfg.seed + j + 1, a=a)
-            pf_a = mc.pf_hat
-            curves_a = _kde_curves(cfg, grids, pf_a, mc.failure_samples, pool)
-        else:
-            ss = sample.subset_simulation(cfg.joint, cfg.limit_state,
-                                          cfg.n_per_level, cfg.p0,
-                                          cfg.seed + j + 1, a=a)
-            pf_a = ss.pf_hat
-            curves_a = _kde_curves(cfg, grids, pf_a, ss.last_level_samples,
-                                   pool, n_chains=ss.n_chains)
-        pf_per_design[j] = pf_a
-        for name in cfg.names:
-            curve_sets[name].append(curves_a[name])
-
-    prior = dec.prior_design(pf_per_design, cfg.design)
+def _design_evppi(cfg, est, prior, ref_curves):
+    """The inner-optimization EVPPI of every input over the design rows."""
     entries = []
     details = {}
     for name, marginal in zip(cfg.names, cfg.marginals):
-        out = dec.evppi_design(curve_sets[name], pf_per_design, cfg.design,
-                               marginal)
+        ref = ref_curves[name]
+        # one curve with a row per design, on the reference row's grid
+        sweep = condest.ConditionalPfCurve(
+            input_index=ref.input_index, grid=ref.grid,
+            pf_values=est.values[name], source=ref.source, pf_uncond=est.pf,
+            density_prior=ref.density_prior)
+        out = dec.evppi_design(sweep, est.pf, cfg.design, marginal)
         entries.append(dec.EvppiEntry(name=name, absolute=out["evppi"]))
         details[name] = out
     report = dec.normalize(dec.EvppiReport(entries=tuple(entries),
                                            method=f"{cfg.method}-design"))
-    return {"prior": prior, "pf_per_design": pf_per_design.tolist(),
+    return {"prior": prior, "pf_per_design": est.pf.tolist(),
             "report": report, "details": details}
 
 

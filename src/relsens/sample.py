@@ -24,11 +24,28 @@ def make_rng(seed_or_stream):
 
 @dataclass(frozen=True)
 class McResult:
+    """Crude Monte Carlo at one design value, or at several on one sample.
+
+    With several designs, pf_hat, ci95 and n_fail hold one value per
+    design, failure_samples holds the rows that fail at any design and
+    ``failed_at`` marks, as bits packed along the design axis
+    (``np.packbits(..., axis=1)``), the designs each row fails at.
+    """
+
     pf_hat: float
     n: int
     ci95: tuple
     failure_samples: np.ndarray = field(repr=False)
     seed: int
+    n_fail: int = 0
+    failed_at: np.ndarray = field(repr=False, default=None)
+
+    def failures(self, j):
+        """The failure rows of design j, in draw order."""
+        if self.failed_at is None:
+            return self.failure_samples
+        bit = (self.failed_at[:, j // 8] >> (7 - j % 8)) & 1
+        return self.failure_samples[bit.astype(bool)]
 
 
 @dataclass(frozen=True)
@@ -46,30 +63,44 @@ class SubsetResult:
 def crude_mc(joint, limit_state, n, seed, a=None):
     """Direct Monte Carlo estimate of P(g <= 0).
 
-    Deterministic for a given seed; failure_samples holds exactly the
-    physical rows with g <= 0, in draw order.
+    ``a`` is one design value (or None for a design-free limit state) or a
+    1-D array of design values; g is then evaluated at every design on the
+    same sample (common random numbers), so each design's result equals
+    that of a run at that design alone. Deterministic for a given seed;
+    failure_samples holds exactly the physical rows with g <= 0 (at some
+    design), in draw order.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
+    designs = np.asarray(a, dtype=float) if np.ndim(a) else [a]
     rng = make_rng(seed)
-    n_fail = 0
+    n_fail = np.zeros(len(designs), dtype=np.int64)
     fail_rows = []
+    fail_bits = []
     done = 0
     while done < n:
         m = min(MC_BATCH, n - done)
         x, _ = joint.sample(m, rng)
-        g = lsf_mod.evaluate(limit_state, x, a)
-        mask = g <= 0.0
-        n_fail += int(np.count_nonzero(mask))
-        if mask.any():
-            fail_rows.append(x[mask])
+        mask = np.empty((m, len(designs)), dtype=bool)
+        for j, a_j in enumerate(designs):
+            mask[:, j] = lsf_mod.evaluate(limit_state, x, a_j) <= 0.0
+        n_fail += np.count_nonzero(mask, axis=0)
+        hit = mask.any(axis=1)
+        if hit.any():
+            fail_rows.append(x[hit])
+            fail_bits.append(np.packbits(mask[hit], axis=1))
         done += m
     pf = n_fail / n
-    half = 1.96 * np.sqrt(max(pf * (1.0 - pf), 0.0) / n)
-    ci = (max(0.0, pf - half), min(1.0, pf + half))
+    half = 1.96 * np.sqrt(np.maximum(pf * (1.0 - pf), 0.0) / n)
+    lo, hi = np.maximum(0.0, pf - half), np.minimum(1.0, pf + half)
     samples = np.vstack(fail_rows) if fail_rows else np.empty((0, joint.dim))
-    return McResult(pf_hat=pf, n=n, ci95=ci, failure_samples=samples,
-                    seed=seed)
+    if np.ndim(a):
+        bits = (np.vstack(fail_bits) if fail_bits else
+                np.empty((0, (len(designs) + 7) // 8), dtype=np.uint8))
+        return McResult(pf_hat=pf, n=n, ci95=(lo, hi), failure_samples=samples,
+                        seed=seed, n_fail=n_fail, failed_at=bits)
+    return McResult(pf_hat=float(pf[0]), n=n, ci95=(float(lo[0]), float(hi[0])),
+                    failure_samples=samples, seed=seed, n_fail=int(n_fail[0]))
 
 
 def _conditional_level(G, seeds_u, seeds_g, threshold, n_out, rng, lam):

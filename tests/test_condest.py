@@ -8,7 +8,7 @@ import pytest
 from relsens import (conditional_pf_from_failure_samples, crude_mc,
                      default_grid, kde_fit, lognormal_linear_conditional_pf,
                      lognormal_linear_pf, marginal_from_params)
-from relsens import config as config_mod, pipeline
+from relsens import cli, config as config_mod, pipeline
 from relsens.condest import (TRANSFORM_IDENTITY, effective_sample_size,
                              silverman_bandwidth, write_curve_csv)
 from relsens.errors import DegenerateSampleError, DomainError
@@ -314,18 +314,25 @@ def test_subset_ess_sees_chain_correlation():
         assert diag["ess"] < 10_000, name
 
 
-def test_kde_curves_do_not_depend_on_threads():
-    cfg = _pipeline_config("example1_safety_dependent.json",
-                           {"method": "mc", "n": 100_000, "seed": 3})
-    one = pipeline.run_analysis(cfg, threads=1)
-    two = pipeline.run_analysis(cfg, threads=2)
-    for name in cfg.names:
-        assert one.curves[name].source == "kde"
-        assert np.array_equal(one.curves[name].pf_values,
-                              two.curves[name].pf_values)
-        assert np.array_equal(one.curves[name].density_conditional,
-                              two.curves[name].density_conditional)
-    assert one.diagnostics["kde_inputs"] == two.diagnostics["kde_inputs"]
+def test_kde_curves_do_not_depend_on_threads(tmp_path):
+    raw = json.loads((ROOT / "configs" / "example1_safety_dependent.json")
+                     .read_text())
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(dict(raw, method="mc", n=100_000, seed=3)))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert cli.main(["run", str(cfg_path), "--out", str(out),
+                         "--threads", threads]) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert names == sorted(p.name for p in outs[1].glob("*.csv"))
+    assert len(names) == 9
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    reports = [json.loads((out / "report.json").read_text()) for out in outs]
+    kde_inputs = [r["diagnostics"]["kde_inputs"] for r in reports]
+    assert kde_inputs[0] == kde_inputs[1]
 
 
 # pf, normalized EVPPI and pf curves of two seeded KDE runs, recorded with the

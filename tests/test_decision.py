@@ -312,6 +312,25 @@ def test_design_refinement_bounds_and_convergence(ex1_problem, ex1_marginals):
     assert abs(res[21][2] - ref) < 0.02 * ref
 
 
+def test_design_evppi_takes_one_curve_with_a_row_per_design(ex1_problem,
+                                                            ex1_marginals):
+    grid = np.linspace(0.5, 2.0, 31)
+    d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=grid)
+    for i, m in enumerate(ex1_marginals):
+        curves, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
+        sweep = replace(curves[0], pf_values=np.vstack(
+            [c.pf_values for c in curves]))
+        assert evppi_design(sweep, pf_a, d, m) == evppi_design(curves, pf_a,
+                                                               d, m)
+        # without a stored density the prior is evaluated on the grid
+        bare = replace(sweep, density_prior=None)
+        assert evppi_design(bare, pf_a, d, m) == evppi_design(curves, pf_a,
+                                                              d, m)
+    with pytest.raises(ConfigError, match="one conditional curve per design"):
+        evppi_design(replace(sweep, pf_values=sweep.pf_values[:-1]),
+                     pf_a, d, ex1_marginals[-1])
+
+
 def test_design_evppi_negative_floor(ex1_marginals):
     m = ex1_marginals[0]
     grid_x = default_grid(m)

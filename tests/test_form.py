@@ -89,6 +89,32 @@ def test_batched_stencil_reproduces_pointwise_search(ex1_joint, ex1_lsf):
     assert res.alpha.tolist() == [float.fromhex(h) for h in EX1_ALPHA_BITS]
 
 
+def test_lockstep_rows_equal_one_row_solves(ex1_joint, ex1_design_lsf):
+    designs = np.linspace(0.5, 2.0, 151)
+    sweep = solve_form(ex1_joint, ex1_design_lsf, designs)
+    assert sweep.beta0.shape == (151,) and sweep.alpha.shape == (151, 4)
+    assert sweep.x_star.shape == (151, 4)
+    assert sweep.converged and sweep.row_converged.all()
+    assert sweep.iterations == sweep.row_iterations.sum()
+    for j, a in enumerate(designs):
+        one = solve_form(ex1_joint, ex1_design_lsf, float(a))
+        assert abs(sweep.beta0[j] - one.beta0) <= 1e-12
+        assert np.max(np.abs(sweep.alpha[j] - one.alpha)) <= 1e-10
+        assert sweep.row_converged[j] == one.converged
+        assert sweep.row_iterations[j] == one.iterations
+
+
+def test_lockstep_rows_converge_on_their_own_counts(ex1_joint, ex1_design_lsf):
+    # capped rounds: rows that converge stop, the rest report False
+    designs = np.linspace(0.5, 2.0, 7)
+    capped = solve_form(ex1_joint, ex1_design_lsf, designs, max_iterations=6)
+    full = solve_form(ex1_joint, ex1_design_lsf, designs)
+    assert list(capped.row_converged) == [n <= 6 for n in full.row_iterations]
+    assert not capped.converged
+    assert np.array_equal(capped.row_iterations,
+                          np.minimum(full.row_iterations, 6))
+
+
 def test_form_result_invariants(ex1_joint, ex1_lsf):
     res = solve_form(ex1_joint, ex1_lsf)
     assert res.converged

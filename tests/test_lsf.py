@@ -108,6 +108,19 @@ def test_batch_evaluation_matches_scalar(ex2_lsf):
     assert np.allclose(batch, single, rtol=0, atol=0)
 
 
+def test_per_row_design_values_match_scalar_calls(ex1_design_lsf):
+    rng = np.random.default_rng(4)
+    xs = np.exp(rng.normal(0.0, 0.3, (40, 4))) * [100.0, 40.0, 1.0, 1.0]
+    a = rng.uniform(0.5, 2.0, 40)
+    batch = evaluate(ex1_design_lsf, xs, a)
+    single = [evaluate(ex1_design_lsf, row, a_k) for row, a_k in zip(xs, a)]
+    assert batch.tolist() == single
+    assert evaluate(ex1_design_lsf, xs[0], a[:1]) == single[0]
+    for wrong in (a[:39], np.append(a, 1.0), a.reshape(20, 2)):
+        with pytest.raises(EvalError, match="design parameter a"):
+            evaluate(ex1_design_lsf, xs, wrong)
+
+
 def test_builtin_unknown_id():
     with pytest.raises(EvalError):
         builtin("nope")

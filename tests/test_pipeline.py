@@ -1,0 +1,104 @@
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from relsens import cli, condest, config as config_mod, dists, pipeline, sample
+from relsens.errors import DomainError
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _design_config(method, start=0.5, stop=2.0, count=151, **overrides):
+    raw = json.loads((ROOT / "configs" / "example1_design.json").read_text())
+    raw["method"] = method
+    raw["decision"]["design"]["grid"] = {"start": start, "stop": stop,
+                                         "count": count}
+    raw.update(overrides)
+    return raw
+
+
+def test_analytic_broadcast_equals_per_design_loop():
+    cfg = config_mod.validate_config(_design_config("analytic"))
+    est = pipeline.estimate(cfg, cfg.design.grid)
+    coeffs, design_sign = config_mod.as_lognormal_linear(cfg.limit_state,
+                                                         cfg.marginals)
+    for j, a in enumerate(cfg.design.grid):
+        problem = dists.LognormalLinearProblem.from_marginals(
+            cfg.marginals, None, coeffs, design_sign * math.log(a))
+        pf = dists.lognormal_linear_pf(problem)
+        assert est.pf[j] == pytest.approx(pf, rel=1e-14, abs=0.0)
+        for i, (name, m) in enumerate(zip(cfg.names, cfg.marginals)):
+            grid = condest.default_grid(m, cfg.grid_points)
+            loop = dists.lognormal_linear_conditional_pf(problem, i, grid)
+            assert np.allclose(est.values[name][j], loop, rtol=1e-14, atol=0.0)
+
+
+def test_design_reference_row_is_the_sweep_row():
+    # the reported curves and pf are row a_opt of the sweep, not a new solve
+    cfg = config_mod.validate_config(_design_config("form"))
+    res = pipeline.run_analysis(cfg)
+    j = res.design["prior"]["index"]
+    assert res.pf == res.design["pf_per_design"][j]
+    sweep = pipeline.estimate(cfg, cfg.design.grid)
+    for name in cfg.names:
+        assert np.array_equal(res.curves[name].pf_values, sweep.values[name][j])
+    assert res.diagnostics["form"]["solves"] == cfg.design.grid.size
+
+
+def test_design_mc_row_equals_single_design_run():
+    cfg = config_mod.validate_config(_design_config(
+        "mc", n=50_000, seed=5, grid_points=128,
+        decision={"design": {"c_f": 1e8, "cost": "1e7*a",
+                             "grid": {"start": 0.5, "stop": 1.2, "count": 8}}}))
+    res = pipeline.run_analysis(cfg)
+    a_opt = res.design["prior"]["a_opt"]
+    assert 0.5 < a_opt < 1.2
+    one = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed,
+                          a=a_opt)
+    assert res.pf == one.pf_hat
+    assert res.diagnostics["n_failure_samples"] == len(one.failure_samples)
+    assert res.diagnostics["ci95"] == list(one.ci95)
+    for i, name in enumerate(cfg.names):
+        curve = condest.conditional_pf_from_failure_samples(
+            cfg.marginals[i], i, one.failure_samples[:, i], one.pf_hat,
+            res.curves[name].grid)
+        assert np.array_equal(res.curves[name].pf_values, curve.pf_values)
+    counts = res.diagnostics["n_failure_samples_per_design"]
+    assert len(counts) == 8 and counts == sorted(counts, reverse=True)
+    assert counts[res.design["prior"]["index"]] == len(one.failure_samples)
+
+
+def test_starved_designs_are_named():
+    cfg = config_mod.validate_config(_design_config("mc", 1.0, 2.0, 11,
+                                                    n=20_000, seed=3))
+    with pytest.raises(DomainError) as info:
+        pipeline.run_analysis(cfg)
+    msg = str(info.value)
+    assert "need at least 20 failure values" in msg
+    mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed,
+                         a=cfg.design.grid)
+    starved = [(a, int(c)) for a, c in zip(cfg.design.grid.tolist(), mc.n_fail)
+               if c < 20]
+    assert starved and starved[-1][0] == 2.0
+    assert msg.endswith(", ".join(f"a = {a!r} ({c})" for a, c in starved))
+
+
+def test_cli_design_report_has_details_and_counts(tmp_path):
+    cfg_path = tmp_path / "subset.json"
+    cfg_path.write_text(json.dumps(_design_config(
+        "subset", 0.8, 1.2, 3, n_per_level=500, seed=4, grid_points=64)))
+    out = tmp_path / "run"
+    assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["diagnostics"]["n_failure_samples_per_design"] == [500] * 3
+    details = report["design"]["details"]
+    assert list(details) == ["R", "S", "XR", "XS"]
+    for entry, detail in zip(report["design"]["report"]["entries"],
+                             details.values()):
+        assert set(detail) == {"raw", "negative_clipped"}
+        assert detail["negative_clipped"] == (detail["raw"] < 0.0)
+        assert entry["absolute"] == max(0.0, detail["raw"])
+    assert math.isfinite(report["pf"])

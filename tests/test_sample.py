@@ -151,3 +151,19 @@ def test_subset_stagnation_detected(ex1_joint):
     stuck = LimitState.from_expression("0*R + 1", ("R", "S", "XR", "XS"))
     with pytest.raises(StagnationError):
         subset_simulation(ex1_joint, stuck, n_per_level=500, p0=0.1, seed=0)
+
+
+def test_crude_mc_over_designs_matches_single_design_runs(ex1_joint,
+                                                          ex1_design_lsf):
+    # 11 designs span two bytes of the packed failure bits
+    designs = np.linspace(0.8, 1.8, 11)
+    sweep = crude_mc(ex1_joint, ex1_design_lsf, 30_000, 9, a=designs)
+    assert sweep.pf_hat.shape == (11,)
+    for j, a in enumerate(designs):
+        one = crude_mc(ex1_joint, ex1_design_lsf, 30_000, 9, a=float(a))
+        assert sweep.pf_hat[j] == one.pf_hat
+        assert sweep.n_fail[j] == one.n_fail == len(one.failure_samples)
+        assert (sweep.ci95[0][j], sweep.ci95[1][j]) == one.ci95
+        assert np.array_equal(sweep.failures(j), one.failure_samples)
+    # g rises with a, so a row failing at some design fails at the smallest
+    assert len(sweep.failure_samples) == sweep.n_fail.max()
