@@ -2,7 +2,14 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure. All
 numbers in CSV outputs use the shortest round-trip decimal form, so a
-fixed config and seed reproduce files byte for byte.
+fixed config and seed reproduce files byte for byte. ``report.json`` is
+strict JSON: a non-finite number is written as ``null``.
+
+``main()`` returns the exit code, for callers in the same process. The
+console script and ``python -m relsens.cli`` go through ``entry()``,
+which flushes stdout and stderr and ends the process with ``os._exit``:
+every output file is closed by then, and the interpreter's teardown (its
+final garbage collection over all loaded modules) would add only time.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ import argparse
 import csv
 import hashlib
 import json
+import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -54,6 +63,17 @@ def _report_rows(report):
         rows.append([e.name, _fmt(e.absolute), _fmt(e.normalized),
                      _fmt(e.relative)])
     return rows
+
+
+def _strict_json(obj):
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return obj
 
 
 def _report_dict(report):
@@ -158,7 +178,7 @@ def cmd_run(args):
         }
         report["manifest"] = manifest
         with open(outdir / "report.json", "w") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
         print(f"pf = {result.pf:.6g}; wrote {len(written) + 1} files to {outdir}")
         failed = result.diagnostics.get("form", {}).get("not_converged")
         if failed:
@@ -280,5 +300,17 @@ def main(argv=None):
         return EXIT_NUMERIC
 
 
+def entry():
+    """Run ``main()`` and end the process without interpreter teardown.
+
+    An exception that escapes ``main()`` propagates, so the process still
+    exits with its traceback.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -5,15 +5,28 @@ by native parameters. The limit state is a builtin id or expression
 text. The decision block carries a safety case (design-free limit state)
 or a design case (limit state with the design parameter ``a``), never
 both.
+
+``schema/config.schema.json`` is the single source of the structural
+rules. A small walker in this module checks a config against it with
+JSON Schema semantics for the keywords the schema uses: ``type``
+(``object``, ``array``, ``string``, ``number``, ``integer``; a bool is
+not a number, an integer-valued float is an integer), ``required``,
+``properties``, ``additionalProperties: false``, ``items``,
+``minItems``, ``maxItems``, ``minProperties``, ``maxProperties``,
+``enum``, ``pattern``, ``minimum``, ``exclusiveMinimum`` and
+``exclusiveMaximum``. The schema is read once per process, and any other
+keyword in it raises ``NotImplementedError``, so a schema edit cannot go
+unchecked.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import dists, lsf as lsf_mod
@@ -23,9 +36,109 @@ from .errors import ConfigError, RelsensError
 DEFAULT_GRID_POINTS = 512
 
 
+# ---------------------------------------------------------------------------
+# the schema walker
+# ---------------------------------------------------------------------------
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_KEYWORDS = {
+    "$schema", "title",                   # annotations: nothing to check
+    "type", "required", "properties", "additionalProperties", "items",
+    "minItems", "maxItems", "minProperties", "maxProperties", "enum",
+    "pattern", "minimum", "exclusiveMinimum", "exclusiveMaximum"}
+
+
+def _check_keywords(schema, where="<root>"):
+    """Raise NotImplementedError where ``schema`` asks for more than the walker does."""
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if schema.get("type", "object") not in tuple(_TYPES):    # no hash: may be a list
+        unknown.append(f"type {schema['type']!r}")
+    if schema.get("additionalProperties", False) is not False:
+        unknown.append("additionalProperties other than false")
+    if unknown:
+        raise NotImplementedError(
+            f"config schema at {where}: not implemented: {', '.join(unknown)}")
+    for name, sub in schema.get("properties", {}).items():
+        _check_keywords(sub, f"{where}/properties/{name}")
+    if "items" in schema:
+        _check_keywords(schema["items"], f"{where}/items")
+
+
+@functools.cache
 def _schema():
     text = (resources.files("relsens") / "schema" / "config.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    _check_keywords(schema)
+    return schema
+
+
+def _too_few(bound, message):
+    return "should be non-empty" if bound == 1 else message
+
+
+def _too_many(bound, message):
+    return "is expected to be empty" if bound == 0 else message
+
+
+def _schema_error(value, schema):
+    """(path, message) of the first schema violation in ``value``, or None.
+
+    The path is a list of keys and indices from the root of ``value``.
+    """
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        return [], f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return [], f"{value!r} is not one of {schema['enum']!r}"
+    if _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return [], f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return [], (f"{value!r} is less than or equal to the minimum of "
+                        f"{schema['exclusiveMinimum']!r}")
+        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
+            return [], (f"{value!r} is greater than or equal to the maximum of "
+                        f"{schema['exclusiveMaximum']!r}")
+    elif isinstance(value, str):
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            return [], f"{value!r} does not match {schema['pattern']!r}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return [], f"{value!r} {_too_few(schema['minItems'], 'is too short')}"
+        if len(value) > schema.get("maxItems", len(value)):
+            return [], f"{value!r} {_too_many(schema['maxItems'], 'is too long')}"
+        for i, item in enumerate(value):
+            found = "items" in schema and _schema_error(item, schema["items"])
+            if found:
+                return [i] + found[0], found[1]
+    elif isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                return [], f"{name!r} is a required property"
+        if len(value) < schema.get("minProperties", 0):
+            return [], (f"{value!r} "
+                        f"{_too_few(schema['minProperties'], 'does not have enough properties')}")
+        if len(value) > schema.get("maxProperties", len(value)):
+            return [], (f"{value!r} "
+                        f"{_too_many(schema['maxProperties'], 'has too many properties')}")
+        properties = schema.get("properties", {})
+        extras = sorted(k for k in value if k not in properties)
+        if extras and schema.get("additionalProperties") is False:
+            return [], ("Additional properties are not allowed ("
+                        + ", ".join(map(repr, extras))
+                        + (" was" if len(extras) == 1 else " were")
+                        + " unexpected)")
+        for name, sub in properties.items():
+            found = name in value and _schema_error(value[name], sub)
+            if found:
+                return [name] + found[0], found[1]
+    return None
 
 
 @dataclass(frozen=True)
@@ -65,11 +178,10 @@ def validate_config(raw):
 
     Raises ConfigError with a field path on any violation.
     """
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {exc.message}") from exc
+    found = _schema_error(raw, _schema())
+    if found:
+        path = "/".join(map(str, found[0])) or "<root>"
+        raise ConfigError(f"{path}: {found[1]}")
 
     names = tuple(spec["name"] for spec in raw["inputs"])
     if len(set(names)) != len(names):
@@ -127,7 +239,7 @@ def validate_config(raw):
             raise ConfigError(
                 "decision/design: limit state has no design parameter 'a'")
         g = d["grid"]
-        grid = np.linspace(g["start"], g["stop"], g["count"])
+        grid = np.linspace(g["start"], g["stop"], int(g["count"]))
         try:
             design = DesignDecision(c_f=d["c_f"], cost_model=d["cost"], grid=grid)
         except RelsensError as exc:
@@ -147,14 +259,21 @@ def validate_config(raw):
             as_lognormal_linear(limit_state, marginals)
         except RelsensError as exc:
             raise ConfigError(f"method analytic: {exc}") from exc
+    if method == "form" and not joint.independent:
+        raise ConfigError(
+            "method form: the FORM conditional pf needs independent inputs, "
+            "and this config correlates them; use method mc or subset")
 
+    # the schema admits integer-valued floats such as 1e6 as integers
+    n, n_per_level = (int(raw[k]) if k in raw else None
+                      for k in ("n", "n_per_level"))
     return RunConfig(
         names=names, marginals=marginals, joint=joint, limit_state=limit_state,
         safety=safety, design=design, method=method,
-        n=raw.get("n"), n_per_level=raw.get("n_per_level"),
-        p0=raw.get("p0", 0.1), seed=raw["seed"],
+        n=n, n_per_level=n_per_level,
+        p0=raw.get("p0", 0.1), seed=int(raw["seed"]),
         kde_transform=raw.get("kde_transform", "marginal-standard-normal"),
-        grid_points=raw.get("grid_points", DEFAULT_GRID_POINTS),
+        grid_points=int(raw.get("grid_points", DEFAULT_GRID_POINTS)),
         outputs=raw.get("outputs", "out"), raw=raw)
 
 

@@ -44,39 +44,51 @@ def test_shipped_configs_valid():
         assert len(cfg.names) == 4
 
 
-_LOAD_AND_LIST_SCIPY = """
+_LOAD_AND_LIST_MODULES = """
 import sys
 import relsens.cli
 from relsens.config import load_config
 load_config(sys.argv[1])
-print(" ".join(m for m in ("scipy.optimize", "scipy.integrate")
+print(" ".join(m for m in ("scipy.optimize", "scipy.integrate", "jsonschema")
                if m in sys.modules))
 """
 
 
-def _scipy_modules_after_load(config_name, prelude=""):
+def _child_env():
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)   # buffered pipes, as users get them
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def _modules_after_load(config_name, prelude=""):
     out = subprocess.run(
-        [sys.executable, "-c", prelude + _LOAD_AND_LIST_SCIPY,
+        [sys.executable, "-c", prelude + _LOAD_AND_LIST_MODULES,
          str(CONFIG_DIR / config_name)],
-        env=env, capture_output=True, text=True, check=True)
+        env=_child_env(), capture_output=True, text=True, check=True)
     return out.stdout.split()
 
 
 @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
 def test_configs_load_without_scipy_optimize(name):
     # lognormal fits are closed form; the Weibull shape and the other Nataf
-    # pairs of example 2 are bisected in relsens.dists
-    assert _scipy_modules_after_load(name) == []
+    # pairs of example 2 are bisected in relsens.dists; the schema is
+    # checked by relsens.config's own walker, not by jsonschema
+    assert _modules_after_load(name) == []
 
 
 def test_scipy_module_probe_sees_an_imported_module():
     # positive control: the probe above does report a module once loaded
-    found = _scipy_modules_after_load("example2_safety.json",
-                                      prelude="import scipy.optimize\n")
+    found = _modules_after_load("example2_safety.json",
+                                prelude="import scipy.optimize\n")
     assert "scipy.optimize" in found
+
+
+def test_module_probe_sees_jsonschema_once_imported():
+    found = _modules_after_load("example1_safety.json",
+                                prelude="import jsonschema\n")
+    assert found == ["jsonschema"]
 
 
 def test_undeclared_lsf_variable_named():
@@ -137,6 +149,19 @@ def test_schema_violation_has_field_path():
     raw = _base_config(method="magic")
     with pytest.raises(ConfigError, match="method"):
         validate_config(raw)
+
+
+@pytest.mark.parametrize("name", ["example1_safety_dependent.json",
+                                  "example2_safety.json"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_form_on_dependent_inputs_rejected_as_config_error(
+        tmp_path, capsys, name, command):
+    code = cli.main([command, str(CONFIG_DIR / name), "--method", "form",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "method form" in err and "mc or subset" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_native_params_accepted():
@@ -367,3 +392,125 @@ def test_cli_form_curves_design_mode(tmp_path):
 def test_cli_form_curves_rejects_bad_beta(tmp_path):
     assert cli.main(["form-curves", "--betas", "-1.0",
                      "--out", str(tmp_path)]) == 2
+
+
+def _write_config(path, raw):
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("base, overrides", [
+    (_base_config(method="mc"), {"n": 1e5, "seed": 5.0}),
+    (_base_config(), {"grid_points": 64.0}),
+])
+def test_float_written_integers_run_like_their_integer_twins(
+        tmp_path, base, overrides):
+    # JSON Schema counts 1e5 and 5.0 as integers, so the schema admits them
+    twin = {k: int(v) for k, v in overrides.items()}
+    outs = []
+    for sub, values in (("float", overrides), ("int", twin)):
+        cfg_path = _write_config(tmp_path / f"{sub}.json", dict(base, **values))
+        outs.append(tmp_path / sub)
+        assert cli.main(["run", str(cfg_path), "--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert len(names) == 9
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_float_written_design_count_runs_like_its_integer_twin(tmp_path):
+    raw = json.loads((CONFIG_DIR / "example1_design.json").read_text())
+    raw["decision"]["design"]["grid"]["count"] = 151.0
+    cfg_path = _write_config(tmp_path / "design.json", raw)
+    float_out, int_out = tmp_path / "float", tmp_path / "int"
+    assert cli.main(["run", str(cfg_path), "--out", str(float_out)]) == 0
+    assert cli.main(["run", str(CONFIG_DIR / "example1_design.json"),
+                     "--out", str(int_out)]) == 0
+    for path in sorted(int_out.glob("*.csv")):
+        assert (float_out / path.name).read_bytes() == path.read_bytes()
+
+
+def _reject_constant(token):
+    raise ValueError(f"report.json holds the non-JSON token {token}")
+
+
+@pytest.mark.parametrize("name", ["example1_safety.json", "example1_design.json"])
+def test_report_json_is_strict_json(tmp_path, name):
+    out = tmp_path / "run"
+    assert cli.main(["run", str(CONFIG_DIR / name), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    if report["design"] is not None:
+        # the design stage has no EVPI, so no relative EVPPI either
+        block = report["design"]["report"]
+        assert block["evpi"] is None
+        assert [e["relative"] for e in block["entries"]] == [None] * 4
+        table = (out / "evppi_table.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in table] == ["nan"] * 4
+
+
+# -- the CLI as a separate process ------------------------------------------------
+
+def _relsens(*args, cwd):
+    return subprocess.run([sys.executable, "-m", "relsens.cli", *args],
+                          env=_child_env(), cwd=cwd, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_process_exit_codes_and_streams(tmp_path):
+    done = _relsens("run", str(CONFIG_DIR / "example1_safety.json"),
+                    "--out", "ok", cwd=tmp_path)
+    assert done.returncode == 0
+    report = json.loads((tmp_path / "ok" / "report.json").read_text())
+    assert done.stdout == f"pf = {report['pf']:.6g}; wrote 10 files to ok\n"
+    assert done.stderr == ""
+    outputs = report["manifest"]["outputs"]
+    assert len(outputs) == 9
+    for fname, digest in outputs.items():
+        data = (tmp_path / "ok" / fname).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    bad = _write_config(tmp_path / "bad.json", _base_config(method="magic"))
+    done = _relsens("validate", str(bad), cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("invalid: method: 'magic' is not one of "
+                           "['analytic', 'form', 'mc', 'subset']\n")
+
+    # about 7 failures in 1000 draws: too few for the KDE
+    starved = _write_config(tmp_path / "starved.json",
+                            _base_config(method="mc", n=1000))
+    done = _relsens("run", str(starved), "--out", "starved", cwd=tmp_path)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("numeric failure in run: ")
+    assert done.stderr.endswith("\n") and done.stderr.count("\n") == 1
+    assert list((tmp_path / "starved").iterdir()) == []
+
+
+def test_cli_module_skips_interpreter_teardown(tmp_path):
+    # an atexit hook runs at teardown; os._exit skips it once main() is done
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(print, 'teardown ran')\n"
+            "sys.argv = ['relsens', 'validate', sys.argv[1]]\n"
+            "runpy.run_module('relsens.cli', run_name='__main__')\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIG_DIR / "example1_safety.json")],
+        env=_child_env(), cwd=tmp_path, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0
+    assert done.stdout == ("valid: 4 inputs, method analytic, "
+                           "decision blocks: safety\n")
+
+
+def test_cli_process_exception_still_exits_with_traceback(tmp_path):
+    code = ("import relsens.cli as cli\n"
+            "def boom(argv=None): raise RuntimeError('escaped main')\n"
+            "cli.main = boom\n"
+            "cli.entry()\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" in done.stderr
+    assert done.stderr.rstrip().endswith("RuntimeError: escaped main")
