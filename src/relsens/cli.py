@@ -34,8 +34,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-THREADS_HELP = ("accepted for compatibility; the analysis runs in one thread "
-                "and its results never depend on this value")
+THREADS_HELP = ("accepted for compatibility and not used; crude MC runs on "
+                "the CPUs in the process's affinity mask, and results never "
+                "depend on either")
 
 
 def _fmt(x):
@@ -98,8 +99,7 @@ def _apply_overrides(raw, args):
 
 
 def _load(args):
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    raw = config_mod.read_config(args.config)
     return config_mod.validate_config(_apply_overrides(raw, args))
 
 
@@ -108,7 +108,7 @@ def _load(args):
 def cmd_validate(args):
     try:
         cfg = config_mod.load_config(args.config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"valid: {len(cfg.names)} inputs, method {cfg.method}, "
@@ -289,10 +289,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RelsensError as exc:

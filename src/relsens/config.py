@@ -277,15 +277,28 @@ def validate_config(raw):
         outputs=raw.get("outputs", "out"), raw=raw)
 
 
-def load_config(path):
+def _reject_constant(token):
+    raise ConfigError(f"config is not valid JSON: {token} is not a number")
+
+
+def read_config(path):
+    """The raw config object of a JSON file, not yet validated.
+
+    Python's JSON reader accepts the non-standard tokens NaN, Infinity and
+    -Infinity; they are rejected here, since no bound in the schema can
+    catch a NaN.
+    """
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(raw)
+
+
+def load_config(path):
+    return validate_config(read_config(path))
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def _mc(cfg, grids, designs):
 
     def row_diagnostics(j):
         return {"n": mc.n, "ci95": [float(lo[j]), float(hi[j])],
-                "n_failure_samples": int(n_fail[j])}
+                "n_failure_samples": int(n_fail[j]), "workers": mc.workers}
 
     return _kde_estimate(cfg, grids, designs, pf, n_fail, mc.failures,
                          [1] * len(pf), row_diagnostics)

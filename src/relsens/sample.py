@@ -3,11 +3,21 @@
 Crude Monte Carlo and subset simulation. All randomness flows through
 the counter-based Philox generator with an explicit seed; subset
 simulation draws a dedicated substream per level, so runs are exactly
-reproducible in sequential mode.
+reproducible.
+
+Crude MC draws its sample in chunks, in order, from one stream, and
+maps and evaluates the chunks on worker threads (numpy's and scipy's
+array kernels release the GIL). Its results depend on neither the
+chunk size nor the number of workers: split Philox draws give the same
+values as one draw, the copula map and g act row by row (and give the
+same bits for any chunk of two rows or more), and the chunks are
+collected in draw order.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +25,7 @@ import numpy as np
 from . import lsf as lsf_mod
 from .errors import DomainError, StagnationError
 
-MC_BATCH = 200_000
+MC_BATCH = 50_000
 
 
 def make_rng(seed_or_stream):
@@ -39,6 +49,7 @@ class McResult:
     seed: int
     n_fail: int = 0
     failed_at: np.ndarray = field(repr=False, default=None)
+    workers: int = 1                   # threads that mapped and evaluated
 
     def failures(self, j):
         """The failure rows of design j, in draw order."""
@@ -60,6 +71,14 @@ class SubsetResult:
     n_chains: int = 1                  # chains interleaved in last_level_samples
 
 
+def _available_cpus():
+    """CPUs this process may run on: its affinity mask where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def crude_mc(joint, limit_state, n, seed, a=None):
     """Direct Monte Carlo estimate of P(g <= 0).
 
@@ -69,27 +88,63 @@ def crude_mc(joint, limit_state, n, seed, a=None):
     that of a run at that design alone. Deterministic for a given seed;
     failure_samples holds exactly the physical rows with g <= 0 (at some
     design), in draw order.
+
+    The sample is drawn in chunks of MC_BATCH rows, in order, on the
+    calling thread from the one Philox stream of ``seed``. Each chunk's
+    copula map and g evaluations run on one of ``workers`` threads (one
+    per available CPU, at most one per chunk; with one worker there is
+    no pool), at most ``workers + 1`` chunks are in flight, and the
+    chunks are collected in draw order. An error raised on a worker is
+    re-raised here: the one of the earliest chunk that failed.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     designs = np.asarray(a, dtype=float) if np.ndim(a) else [a]
     rng = make_rng(seed)
+    sizes = [min(MC_BATCH, n - start) for start in range(0, n, MC_BATCH)]
+    if len(sizes) > 1 and sizes[-1] == 1:
+        # numpy multiplies a one-row matrix by another kernel, whose last
+        # bits differ: a lone last row joins the chunk before it
+        sizes[-2:] = [MC_BATCH + 1]
+    workers = min(_available_cpus(), len(sizes))
     n_fail = np.zeros(len(designs), dtype=np.int64)
     fail_rows = []
     fail_bits = []
-    done = 0
-    while done < n:
-        m = min(MC_BATCH, n - done)
-        x, _ = joint.sample(m, rng)
-        mask = np.empty((m, len(designs)), dtype=bool)
+
+    def evaluate(u):
+        x = joint.to_physical(u)
+        mask = np.empty((len(x), len(designs)), dtype=bool)
         for j, a_j in enumerate(designs):
             mask[:, j] = lsf_mod.evaluate(limit_state, x, a_j) <= 0.0
+        return x, mask
+
+    def collect(x, mask):
+        nonlocal n_fail
         n_fail += np.count_nonzero(mask, axis=0)
         hit = mask.any(axis=1)
         if hit.any():
             fail_rows.append(x[hit])
             fail_bits.append(np.packbits(mask[hit], axis=1))
-        done += m
+
+    draws = (rng.standard_normal((m, joint.dim)) for m in sizes)
+    if workers == 1:
+        for u in draws:
+            collect(*evaluate(u))
+    else:
+        from concurrent.futures.thread import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+        try:
+            pending = deque()
+            for u in draws:
+                pending.append(pool.submit(evaluate, u))
+                if len(pending) > workers:
+                    collect(*pending.popleft().result())
+            while pending:
+                collect(*pending.popleft().result())
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     pf = n_fail / n
     half = 1.96 * np.sqrt(np.maximum(pf * (1.0 - pf), 0.0) / n)
     lo, hi = np.maximum(0.0, pf - half), np.minimum(1.0, pf + half)
@@ -98,9 +153,11 @@ def crude_mc(joint, limit_state, n, seed, a=None):
         bits = (np.vstack(fail_bits) if fail_bits else
                 np.empty((0, (len(designs) + 7) // 8), dtype=np.uint8))
         return McResult(pf_hat=pf, n=n, ci95=(lo, hi), failure_samples=samples,
-                        seed=seed, n_fail=n_fail, failed_at=bits)
+                        seed=seed, n_fail=n_fail, failed_at=bits,
+                        workers=workers)
     return McResult(pf_hat=float(pf[0]), n=n, ci95=(float(lo[0]), float(hi[0])),
-                    failure_samples=samples, seed=seed, n_fail=int(n_fail[0]))
+                    failure_samples=samples, seed=seed, n_fail=int(n_fail[0]),
+                    workers=workers)
 
 
 def _conditional_level(G, seeds_u, seeds_g, threshold, n_out, rng, lam):

@@ -8,7 +8,7 @@ import pytest
 from relsens import (conditional_pf_from_failure_samples, crude_mc,
                      default_grid, kde_fit, lognormal_linear_conditional_pf,
                      lognormal_linear_pf, marginal_from_params)
-from relsens import cli, config as config_mod, pipeline
+from relsens import cli, config as config_mod, pipeline, sample
 from relsens.condest import (TRANSFORM_IDENTITY, effective_sample_size,
                              silverman_bandwidth, write_curve_csv)
 from relsens.errors import DegenerateSampleError, DomainError
@@ -314,14 +314,16 @@ def test_subset_ess_sees_chain_correlation():
         assert diag["ess"] < 10_000, name
 
 
-def test_kde_curves_do_not_depend_on_threads(tmp_path):
+def test_kde_curves_do_not_depend_on_threads(tmp_path, monkeypatch):
     raw = json.loads((ROOT / "configs" / "example1_safety_dependent.json")
                      .read_text())
     cfg_path = tmp_path / "mc.json"
-    cfg_path.write_text(json.dumps(dict(raw, method="mc", n=100_000, seed=3)))
+    # five crude-MC chunks, the last one ragged
+    cfg_path.write_text(json.dumps(dict(raw, method="mc", n=230_017, seed=3)))
     outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
+    for cpus, threads in ((1, "2"), (4, "1")):
+        monkeypatch.setattr(sample, "_available_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
         assert cli.main(["run", str(cfg_path), "--out", str(out),
                          "--threads", threads]) == 0
         outs.append(out)
@@ -331,6 +333,7 @@ def test_kde_curves_do_not_depend_on_threads(tmp_path):
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     reports = [json.loads((out / "report.json").read_text()) for out in outs]
+    assert [r["diagnostics"]["workers"] for r in reports] == [1, 4]
     kde_inputs = [r["diagnostics"]["kde_inputs"] for r in reports]
     assert kde_inputs[0] == kde_inputs[1]
 

@@ -182,6 +182,34 @@ def test_cli_validate_exit_codes(tmp_path):
     assert cli.main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+def _nan_cost(raw):
+    raw["decision"]["safety"]["c_f"] = float("nan")
+
+
+def _infinite_cov(raw):
+    raw["inputs"][0]["cov"] = float("inf")
+
+
+# json.dumps writes these floats as the non-standard tokens NaN and Infinity,
+# which no bound in the schema can catch
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("token, edit", [("NaN", _nan_cost),
+                                         ("Infinity", _infinite_cov)],
+                         ids=["nan_cost", "infinite_cov"])
+def test_cli_rejects_nan_and_infinity(tmp_path, capsys, command, token, edit):
+    raw = _base_config()
+    edit(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert token in path.read_text()
+    out = tmp_path / "out"
+    args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert f"config is not valid JSON: {token} is not a number" in err
+    assert not out.exists()
+
+
 def test_cli_run_outputs(tmp_path):
     out = tmp_path / "run"
     code = cli.main(["run", str(CONFIG_DIR / "example1_safety.json"),

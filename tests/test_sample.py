@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from relsens import (LimitState, crude_mc, evaluate, lognormal_linear_pf,
-                     subset_simulation)
-from relsens.errors import DomainError, StagnationError
+                     sample, subset_simulation)
+from relsens.errors import DomainError, EvalError, StagnationError
 from conftest import PF_IND
 
 
@@ -167,3 +170,101 @@ def test_crude_mc_over_designs_matches_single_design_runs(ex1_joint,
         assert np.array_equal(sweep.failures(j), one.failure_samples)
     # g rises with a, so a row failing at some design fails at the smallest
     assert len(sweep.failure_samples) == sweep.n_fail.max()
+
+
+# -- crude MC chunks and worker threads ------------------------------------------
+
+def _mc_bytes(res):
+    """Everything a crude-MC result reports, as bytes."""
+    bits = None if res.failed_at is None else res.failed_at.tobytes()
+    return (np.asarray(res.pf_hat).tobytes(), np.asarray(res.ci95).tobytes(),
+            np.asarray(res.n_fail).tobytes(), res.failure_samples.tobytes(),
+            bits)
+
+
+def _mc_at(monkeypatch, cpus, joint, limit_state, n, seed, a=None):
+    monkeypatch.setattr(sample, "_available_cpus", lambda: cpus)
+    return crude_mc(joint, limit_state, n, seed, a=a)
+
+
+@pytest.mark.parametrize("case", ["column", "designs"])
+def test_crude_mc_does_not_depend_on_worker_count(monkeypatch, case, ex2_joint,
+                                                  ex2_lsf, ex1_joint,
+                                                  ex1_design_lsf):
+    # three full chunks and a ragged tail
+    n = 3 * sample.MC_BATCH + 1234
+    args = ((ex2_joint, ex2_lsf, n, 31) if case == "column" else
+            (ex1_joint, ex1_design_lsf, n, 32, np.linspace(0.5, 1.5, 11)))
+    # switch threads often, with more workers than this machine may have CPUs
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = {cpus: _mc_at(monkeypatch, cpus, *args) for cpus in (1, 2, 4)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert {cpus: r.workers for cpus, r in runs.items()} == {1: 1, 2: 2, 4: 4}
+    assert len(runs[1].failure_samples) > 0
+    for cpus in (2, 4):
+        assert _mc_bytes(runs[cpus]) == _mc_bytes(runs[1])
+
+
+def test_crude_mc_worker_count_is_capped_at_the_chunk_count(monkeypatch,
+                                                            ex1_joint, ex1_lsf):
+    for n, chunks in ((1000, 1), (sample.MC_BATCH + 1, 1),
+                      (sample.MC_BATCH + 2, 2), (5 * sample.MC_BATCH, 5)):
+        assert _mc_at(monkeypatch, 8, ex1_joint, ex1_lsf, n, 3).workers == chunks
+
+
+@pytest.mark.parametrize("case", ["column", "designs"])
+def test_crude_mc_does_not_depend_on_chunk_size(monkeypatch, case, ex2_joint,
+                                                ex2_lsf, ex1_joint,
+                                                ex1_design_lsf):
+    n = 430_017
+    args = ((ex2_joint, ex2_lsf, n, 33) if case == "column" else
+            (ex1_joint, ex1_design_lsf, n, 34, np.linspace(0.5, 1.5, 11)))
+    runs = []
+    for batch in (50_000, 200_000):
+        monkeypatch.setattr(sample, "MC_BATCH", batch)
+        runs.append(crude_mc(*args))
+    assert _mc_bytes(runs[0]) == _mc_bytes(runs[1])
+
+
+def test_crude_mc_sample_equals_one_draw_mapped_at_once(monkeypatch,
+                                                        ex2_joint):
+    # every row fails, so failure_samples is the whole physical sample
+    always = LimitState.from_expression("0*M1 - 1", ("M1", "M2", "P", "Y"))
+    batch, seed = 1000, 44
+    monkeypatch.setattr(sample, "MC_BATCH", batch)
+    for n in (3 * batch, 3 * batch + 1, 3 * batch + 2):
+        u = sample.make_rng(seed).standard_normal((n, 4))
+        x = ex2_joint.to_physical(u)
+        for cpus in (1, 2):
+            res = _mc_at(monkeypatch, cpus, ex2_joint, always, n, seed)
+            assert res.failure_samples.tobytes() == x.tobytes()
+    # at this seed a lone last row would map to other bits
+    assert not np.array_equal(ex2_joint.to_physical(u[-2:-1]), x[-2:-1])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_crude_mc_raises_the_earliest_worker_error(monkeypatch, cpus,
+                                                   ex1_joint, ex1_lsf):
+    batch, n, seed = 1000, 8000, 35
+    monkeypatch.setattr(sample, "MC_BATCH", batch)
+    rng = sample.make_rng(seed)
+    first_rows = [ex1_joint.to_physical(rng.standard_normal((batch, 4)))[0]
+                  for _ in range(n // batch)]
+    evaluate_g = sample.lsf_mod.evaluate
+
+    def failing(limit_state, x, a=None):
+        for k in (2, 4):
+            if np.array_equal(x[0], first_rows[k]):
+                if k == 2:
+                    time.sleep(0.05)      # let the later chunk fail first
+                raise EvalError(f"chunk {k}")
+        return evaluate_g(limit_state, x, a)
+
+    monkeypatch.setattr(sample.lsf_mod, "evaluate", failing)
+    before = threading.active_count()
+    with pytest.raises(EvalError, match="chunk 2"):
+        _mc_at(monkeypatch, cpus, ex1_joint, ex1_lsf, n, seed)
+    assert threading.active_count() == before
