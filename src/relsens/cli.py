@@ -34,9 +34,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-THREADS_HELP = ("accepted for compatibility and not used; crude MC runs on "
-                "the CPUs in the process's affinity mask, and results never "
-                "depend on either")
+THREADS_HELP = ("accepted for compatibility and not used: crude MC runs one "
+                "worker thread per CPU in the process's affinity mask "
+                "(restrict it with taskset), whatever this value; results "
+                "never depend on either")
 
 
 def _fmt(x):

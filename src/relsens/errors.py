@@ -41,6 +41,15 @@ class EvalError(RelsensError, ValueError):
     """Limit-state evaluation failed (domain error, NaN, bad arity)."""
 
 
+class NonFiniteGError(EvalError):
+    """g is NaN or infinite at a sample row; carries the row and its inputs."""
+
+    def __init__(self, row, inputs):
+        super().__init__(f"non-finite g at sample {row}; inputs {inputs}")
+        self.row = row
+        self.inputs = inputs
+
+
 class SingularPointError(RelsensError, RuntimeError):
     """Design-point search hit a zero gradient."""
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalError, LsfSyntaxError, UnknownIdentifierError
+from .errors import (EvalError, LsfSyntaxError, NonFiniteGError,
+                     UnknownIdentifierError)
 
 DESIGN_SYMBOL = "a"
 
@@ -274,7 +275,7 @@ def evaluate(limit_state, x, a=None):
         i = int(np.argmax(bad))
         values = {name: float(x2[i, j])
                   for j, name in enumerate(limit_state.input_names)}
-        raise EvalError(f"non-finite g at sample {i}; inputs {values}")
+        raise NonFiniteGError(i, values)
     return float(g[0]) if squeeze else g
 
 

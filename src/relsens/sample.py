@@ -7,11 +7,15 @@ reproducible.
 
 Crude MC draws its sample in chunks, in order, from one stream, and
 maps and evaluates the chunks on worker threads (numpy's and scipy's
-array kernels release the GIL). Its results depend on neither the
-chunk size nor the number of workers: split Philox draws give the same
-values as one draw, the copula map and g act row by row (and give the
-same bits for any chunk of two rows or more), and the chunks are
-collected in draw order.
+array kernels release the GIL). Its results do not depend on the number
+of workers, by construction: the chunk sizes are fixed, each chunk is
+mapped and evaluated alone, and the chunks are collected in draw order.
+They do not depend on the chunk size either, and match a run with
+larger chunks, as far as tested: split Philox draws give the same values
+as one draw, and the copula map and g act row by row; that the copula
+matmul gives the same bits for any chunk of two rows or more was seen
+on the BLAS it was tested with (2 to 39 rows against the full product),
+but is a property of that BLAS, not a guarantee.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lsf as lsf_mod
-from .errors import DomainError, StagnationError
+from .errors import DomainError, NonFiniteGError, StagnationError
 
 MC_BATCH = 50_000
 
@@ -92,10 +96,11 @@ def crude_mc(joint, limit_state, n, seed, a=None):
     The sample is drawn in chunks of MC_BATCH rows, in order, on the
     calling thread from the one Philox stream of ``seed``. Each chunk's
     copula map and g evaluations run on one of ``workers`` threads (one
-    per available CPU, at most one per chunk; with one worker there is
-    no pool), at most ``workers + 1`` chunks are in flight, and the
-    chunks are collected in draw order. An error raised on a worker is
-    re-raised here: the one of the earliest chunk that failed.
+    per available CPU, at most one per chunk), at most ``workers + 1``
+    chunks are in flight, and the chunks are collected in draw order.
+    An error raised on a worker is re-raised here: the one of the
+    earliest chunk that failed, with a non-finite g reported at its
+    row's index in the whole sample.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -111,11 +116,14 @@ def crude_mc(joint, limit_state, n, seed, a=None):
     fail_rows = []
     fail_bits = []
 
-    def evaluate(u):
+    def evaluate(start, u):
         x = joint.to_physical(u)
         mask = np.empty((len(x), len(designs)), dtype=bool)
         for j, a_j in enumerate(designs):
-            mask[:, j] = lsf_mod.evaluate(limit_state, x, a_j) <= 0.0
+            try:
+                mask[:, j] = lsf_mod.evaluate(limit_state, x, a_j) <= 0.0
+            except NonFiniteGError as exc:
+                raise NonFiniteGError(start + exc.row, exc.inputs) from None
         return x, mask
 
     def collect(x, mask):
@@ -126,24 +134,21 @@ def crude_mc(joint, limit_state, n, seed, a=None):
             fail_rows.append(x[hit])
             fail_bits.append(np.packbits(mask[hit], axis=1))
 
-    draws = (rng.standard_normal((m, joint.dim)) for m in sizes)
-    if workers == 1:
-        for u in draws:
-            collect(*evaluate(u))
-    else:
-        from concurrent.futures.thread import ThreadPoolExecutor
+    # imported here, so that importing relsens loads no thread pool
+    from concurrent.futures.thread import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(workers)
-        try:
-            pending = deque()
-            for u in draws:
-                pending.append(pool.submit(evaluate, u))
-                if len(pending) > workers:
-                    collect(*pending.popleft().result())
-            while pending:
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for start, m in zip(range(0, n, MC_BATCH), sizes):
+            u = rng.standard_normal((m, joint.dim))
+            pending.append(pool.submit(evaluate, start, u))
+            if len(pending) > workers:
                 collect(*pending.popleft().result())
-        finally:
-            pool.shutdown(cancel_futures=True)
+        while pending:
+            collect(*pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     pf = n_fail / n
     half = 1.96 * np.sqrt(np.maximum(pf * (1.0 - pf), 0.0) / n)

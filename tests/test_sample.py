@@ -231,7 +231,11 @@ def test_crude_mc_does_not_depend_on_chunk_size(monkeypatch, case, ex2_joint,
 
 def test_crude_mc_sample_equals_one_draw_mapped_at_once(monkeypatch,
                                                         ex2_joint):
-    # every row fails, so failure_samples is the whole physical sample
+    # every row fails, so failure_samples is the whole physical sample; at
+    # seed 44 the last row, mapped alone, got other bits than in its batch
+    # on the BLAS this was written on, so there the 3 * batch + 1 case shows
+    # that a lone last row joins the chunk before it (where a BLAS maps a
+    # lone row as it maps a batch, that case adds nothing)
     always = LimitState.from_expression("0*M1 - 1", ("M1", "M2", "P", "Y"))
     batch, seed = 1000, 44
     monkeypatch.setattr(sample, "MC_BATCH", batch)
@@ -241,8 +245,6 @@ def test_crude_mc_sample_equals_one_draw_mapped_at_once(monkeypatch,
         for cpus in (1, 2):
             res = _mc_at(monkeypatch, cpus, ex2_joint, always, n, seed)
             assert res.failure_samples.tobytes() == x.tobytes()
-    # at this seed a lone last row would map to other bits
-    assert not np.array_equal(ex2_joint.to_physical(u[-2:-1]), x[-2:-1])
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
@@ -268,3 +270,18 @@ def test_crude_mc_raises_the_earliest_worker_error(monkeypatch, cpus,
     with pytest.raises(EvalError, match="chunk 2"):
         _mc_at(monkeypatch, cpus, ex1_joint, ex1_lsf, n, seed)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_crude_mc_reports_a_non_finite_g_at_its_draw_index(monkeypatch, cpus,
+                                                          ex1_joint):
+    batch, n, seed = 1000, 5000, 37
+    monkeypatch.setattr(sample, "MC_BATCH", batch)
+    x = ex1_joint.to_physical(sample.make_rng(seed).standard_normal((n, 4)))
+    row = int(np.argmin(x[:, 0]))
+    assert row >= batch                       # not in the first chunk
+    # ln(0) at the smallest R, a finite g at every other row
+    only_row = LimitState.from_expression(f"ln(R - {float(x[row, 0])!r})",
+                                          ("R", "S", "XR", "XS"))
+    with pytest.raises(EvalError, match=f"non-finite g at sample {row};"):
+        _mc_at(monkeypatch, cpus, ex1_joint, only_row, n, seed)
