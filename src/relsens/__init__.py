@@ -20,9 +20,8 @@ from .dists import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
                     lognormal_linear_pf, marginal_from_params, nataf_fit,
                     validate_correlation)
 from .form import (FormResult, conditional_pf_u, conditional_pf_x,
-                   correlated_importance, evppi_form_design,
-                   evppi_form_safety, find_design_point, solve_form,
-                   threshold_u, threshold_x)
+                   evppi_form_design, evppi_form_safety, solve_form,
+                   threshold_u)
 from .lsf import LimitState, builtin, evaluate, parse
 from .sample import McResult, SubsetResult, crude_mc, subset_simulation
 from .special import (bivariate_normal_cdf, std_normal_cdf, std_normal_inv,

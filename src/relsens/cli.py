@@ -198,17 +198,20 @@ def cmd_sweep(args):
     if cfg.safety is None:
         print("sweep requires a safety decision block", file=sys.stderr)
         return EXIT_CONFIG
-    ratios = np.geomspace(args.ratio_min, args.ratio_max, args.ratio_count)
-    if np.any((ratios <= 0.0) | (ratios >= 1.0)):
+    if args.ratio_count < 1:
+        print("--ratio-count must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if not (0.0 < args.ratio_min < 1.0 and 0.0 < args.ratio_max < 1.0):
         print("ratio grid must lie inside (0, 1)", file=sys.stderr)
         return EXIT_CONFIG
+    ratios = np.geomspace(args.ratio_min, args.ratio_max, args.ratio_count)
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         result = pipeline.run_analysis(cfg)
         rows = dec.threshold_sweep([result.curves[n] for n in cfg.names],
-                                   cfg.marginals, cfg.names, cfg.safety.c_f,
-                                   ratios, result.pf)
+                                   cfg.names, cfg.safety.c_f, ratios,
+                                   result.pf)
         header = ["ratio"]
         for n in cfg.names:
             header += [f"{n}_absolute", f"{n}_relative", f"{n}_normalized"]

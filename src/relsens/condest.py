@@ -139,10 +139,12 @@ def kde_fit(values, marginal, transform=TRANSFORM_STANDARD_NORMAL):
 
 @dataclass(frozen=True)
 class ConditionalPfCurve:
-    """pf(x_i) on a grid, with the densities that produced it.
+    """pf(x_i) on a grid, with the prior density f(x_i) on that grid.
 
-    A design sweep's curve has one row of pf_values per design value,
-    with pf_uncond then holding one value per design.
+    The decision layer integrates against ``density_prior``, so every
+    curve carries it. A design sweep's curve has one row of pf_values per
+    design value, with pf_uncond then holding one value per design.
+    ``density_conditional`` is f(x_i | F) where a KDE produced the curve.
     """
 
     input_index: int
@@ -150,7 +152,7 @@ class ConditionalPfCurve:
     pf_values: np.ndarray
     source: str                      # analytic | form | kde
     pf_uncond: float
-    density_prior: np.ndarray = field(repr=False, default=None)
+    density_prior: np.ndarray = field(repr=False)
     density_conditional: np.ndarray = field(repr=False, default=None)
     clip_fraction: float = 0.0
     n_failure_samples: int = 0
@@ -259,14 +261,14 @@ def curve_from_function(marginal, i, pf_of_x, pf_uncond, grid=None,
 
 
 def write_curve_csv(path, curve):
-    """CSV export: x, pf, density_prior, density_conditional."""
-    prior = (curve.density_prior if curve.density_prior is not None
-             else np.full_like(curve.grid, np.nan))
+    """CSV export: x, pf, density_prior, density_conditional (NaN where
+    the curve has no conditional density)."""
     cond = (curve.density_conditional if curve.density_conditional is not None
             else np.full_like(curve.grid, np.nan))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "pf", "density_prior", "density_conditional"])
-        for xv, pv, dp, dc in zip(curve.grid, curve.pf_values, prior, cond):
+        for xv, pv, dp, dc in zip(curve.grid, curve.pf_values,
+                                  curve.density_prior, cond):
             writer.writerow([repr(float(xv)), repr(float(pv)),
                              repr(float(dp)), repr(float(dc))])

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -157,7 +157,6 @@ class RunConfig:
     kde_transform: str = "marginal-standard-normal"
     grid_points: int = DEFAULT_GRID_POINTS
     outputs: str = "out"
-    raw: dict = field(repr=False, default=None)
 
 
 def _build_marginal(spec):
@@ -274,7 +273,7 @@ def validate_config(raw):
         p0=raw.get("p0", 0.1), seed=int(raw["seed"]),
         kde_transform=raw.get("kde_transform", "marginal-standard-normal"),
         grid_points=int(raw.get("grid_points", DEFAULT_GRID_POINTS)),
-        outputs=raw.get("outputs", "out"), raw=raw)
+        outputs=raw.get("outputs", "out"))
 
 
 def _reject_constant(token):

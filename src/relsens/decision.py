@@ -6,20 +6,21 @@ as the probability threshold. The reliability-based design picks a value
 of the design parameter from a discrete grid, trading design cost
 against expected failure cost.
 
-Quadratures are trapezoidal over the curve grids; the decision-change
-region is detected pointwise, so non-monotone curves need no special
-treatment.
+Every EVPPI is a quadrature of a conditional-pf curve against the prior
+density the curve carries, so no model is evaluated here. A safety EVPPI
+takes one curve per input; a design EVPPI takes one curve per input with
+a row of pf values per design value. Quadratures are trapezoidal over
+the curve grids; the decision-change region is detected pointwise, so
+non-monotone curves need no special treatment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import lsf as lsf_mod
-from .condest import ConditionalPfCurve
 from .errors import ConfigError, DomainError
 
 DO_NOTHING = "do_nothing"
@@ -94,12 +95,10 @@ def cvppi_curve(curve, decision):
                     0.0)
 
 
-def evppi_safety(curve, marginal, decision):
+def evppi_safety(curve, decision):
     """Expected value of learning X_i, integrated over its prior."""
     values = cvppi_curve(curve, decision)
-    density = (curve.density_prior if curve.density_prior is not None
-               else np.asarray(marginal.pdf(curve.grid), dtype=float))
-    return float(np.trapezoid(values * density, curve.grid))
+    return float(np.trapezoid(values * curve.density_prior, curve.grid))
 
 
 def evpi_safety(pf, decision):
@@ -128,49 +127,27 @@ def prior_design(pf_per_design, decision):
             "pf": float(pf[j])}
 
 
-def _design_rows(curves_by_design):
-    """One curve holding a row of pf values per design.
-
-    Takes that curve itself or a sequence of one curve per design, whose
-    grids must agree.
-    """
-    if isinstance(curves_by_design, ConditionalPfCurve):
-        return curves_by_design
-    grid0 = curves_by_design[0].grid
-    for c in curves_by_design[1:]:
-        if c.grid is grid0:            # curves built on one grid array
-            continue
-        if len(c.grid) != len(grid0) or not np.allclose(c.grid, grid0):
-            raise ConfigError("conditional curves must share one grid")
-    return replace(curves_by_design[0], pf_values=np.vstack(
-        [c.pf_values for c in curves_by_design]))
-
-
-def posterior_loss_curve(curves_by_design, decision):
-    """min_j [c_d(a_j) + c_f pf_j(x)] on the shared curve grid."""
-    values = _design_rows(curves_by_design).pf_values
+def posterior_loss_curve(curve, decision):
+    """min_j [c_d(a_j) + c_f pf_j(x)] on the curve grid, from a curve with
+    a row of pf values per design value."""
     costs = decision.design_cost(decision.grid)
-    return (costs[:, None] + decision.c_f * values).min(axis=0)
+    return (costs[:, None] + decision.c_f * curve.pf_values).min(axis=0)
 
 
-def evppi_design(curves_by_design, pf_per_design, decision, marginal):
+def evppi_design(curve, pf_per_design, decision):
     """Expected value of learning X_i before choosing the design.
 
-    ``curves_by_design`` is one curve with a row of pf values per design
-    value, or a sequence of one curve per design value. The prior density
-    is taken from that curve, or evaluated once on its grid.
+    ``curve`` holds a row of pf values per design value, on one grid with
+    one prior density.
 
     Sampling noise can push the raw estimate slightly negative; the
     value is floored at zero and the raw difference is reported.
     """
-    curve = _design_rows(curves_by_design)
     if len(curve.pf_values) != decision.grid.size:
-        raise ConfigError("need one conditional curve per design value")
+        raise ConfigError("need one conditional curve row per design value")
     prior = prior_design(pf_per_design, decision)["expected_loss"]
     post = posterior_loss_curve(curve, decision)
-    density = (curve.density_prior if curve.density_prior is not None
-               else np.asarray(marginal.pdf(curve.grid), dtype=float))
-    posterior = float(np.trapezoid(post * density, curve.grid))
+    posterior = float(np.trapezoid(post * curve.density_prior, curve.grid))
     raw = prior - posterior
     return {"evppi": max(0.0, raw), "raw": raw, "prior_loss": prior,
             "posterior_loss": posterior, "negative_clipped": raw < 0.0}
@@ -198,12 +175,6 @@ class EvppiReport:
     def absolute(self):
         return np.array([e.absolute for e in self.entries])
 
-    def by_name(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 def normalize(report):
     """Fill normalized values (shares of the EVPPI sum)."""
@@ -227,13 +198,13 @@ def relativize(report, evpi):
     return replace(report, entries=entries, evpi=float(evpi))
 
 
-def safety_report(curves, marginals, names, decision, method,
-                  pf=None, diagnostics=None):
+def safety_report(curves, names, decision, method, pf=None,
+                  diagnostics=None):
     """EVPPI report for the safety case from per-input curves."""
     entries = []
-    for name, curve, marginal in zip(names, curves, marginals):
+    for name, curve in zip(names, curves):
         entries.append(EvppiEntry(name=name,
-                                  absolute=evppi_safety(curve, marginal, decision)))
+                                  absolute=evppi_safety(curve, decision)))
     report = EvppiReport(entries=tuple(entries), method=method,
                          diagnostics=diagnostics or {})
     report = normalize(report)
@@ -242,7 +213,7 @@ def safety_report(curves, marginals, names, decision, method,
     return report
 
 
-def threshold_sweep(curves, marginals, names, c_f, ratios, pf):
+def threshold_sweep(curves, names, c_f, ratios, pf):
     """EVPPI versus the cost ratio, holding the pf curves fixed.
 
     Returns one row per ratio: the absolute, relative and normalized
@@ -254,7 +225,7 @@ def threshold_sweep(curves, marginals, names, c_f, ratios, pf):
     rows = []
     for ratio in ratios:
         decision = SafetyDecision(c_f=c_f, c_r=ratio * c_f)
-        report = safety_report(curves, marginals, names, decision,
-                               method="sweep", pf=pf)
+        report = safety_report(curves, names, decision, method="sweep",
+                               pf=pf)
         rows.append({"ratio": float(ratio), "report": report})
     return rows

@@ -7,7 +7,8 @@ over a set of independent problems, one per row, such as the values of
 a design grid: every round makes one G call that holds each unconverged
 row's trial point with its central-difference gradient stencil in
 standard-normal space, and a trial the Armijo test rejects is retried at
-half the step for that row alone. A single problem is the one-row case.
+half the step for that row alone. Results always have one row per
+problem; a design-free limit state is the one-row case.
 
 Sign convention: alpha = -grad G(u*)/||grad G(u*)||, so the linearized
 limit state is G1(U) = beta0 - alpha.U and beta0 = alpha.u*.
@@ -16,7 +17,7 @@ limit state is G1(U) = beta0 - alpha.U and beta0 = alpha.u*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +28,19 @@ from .errors import DomainError, SingularPointError
 
 @dataclass(frozen=True)
 class FormResult:
-    """Design point of one problem, or of each row of a lockstep search.
+    """Design points of a lockstep search, one row per problem.
 
-    For a lockstep search over several design values, beta0, alpha,
-    u_star, x_star and grad_norm have one row per design, ``iterations``
-    is the total over rows and ``converged`` is true when every row
-    converged. ``row_iterations`` and ``row_converged`` always hold one
-    entry per row.
+    ``beta0`` has one entry per row, and ``alpha`` and ``u_star`` have one
+    row of n values per row. ``row_iterations`` and ``row_converged`` hold
+    each row's iteration count and convergence flag; ``iterations`` is
+    their total and ``converged`` is true when every row converged.
     """
 
-    beta0: float
+    beta0: np.ndarray
     alpha: np.ndarray
     u_star: np.ndarray
-    x_star: np.ndarray
     iterations: int
     converged: bool
-    grad_norm: float
     row_iterations: np.ndarray
     row_converged: np.ndarray
 
@@ -50,14 +48,14 @@ class FormResult:
 def standard_space_lsf(joint, limit_state, a=None):
     """G(u, rows) = g(to_physical(u), a) on rows of u.
 
-    ``a`` is None, one design value, or a 1-D array of design values; with
-    an array, point k of u belongs to design rows[k].
+    ``a`` is None for a design-free limit state, or a 1-D array of design
+    values; point k of u then belongs to design rows[k].
     """
-    designs = np.asarray(a, dtype=float) if np.ndim(a) else None
+    designs = None if a is None else np.asarray(a, dtype=float)
 
     def G(u, rows):
         return lsf_mod.evaluate(limit_state, joint.to_physical(u),
-                                a if designs is None else designs[rows])
+                                None if designs is None else designs[rows])
     return G
 
 
@@ -75,7 +73,7 @@ def find_design_points(G, u0, max_iterations=100, fd_step=1e-5, tol_u=1e-6,
     to one value per point. A row that has not converged after
     ``max_iterations`` keeps its last iterate with row_converged False; a
     vanishing gradient in any row raises SingularPointError. Returns a
-    FormResult with one row per problem and an empty x_star.
+    FormResult with one row per problem.
     """
     u = np.array(u0, dtype=float)
     m, n = u.shape
@@ -141,67 +139,29 @@ def find_design_points(G, u0, max_iterations=100, fd_step=1e-5, tol_u=1e-6,
         if not active.size:
             break
 
-    grad_norm = np.sqrt(_rowdot(gr, gr))
-    alpha = -gr / grad_norm[:, None]
+    alpha = -gr / np.sqrt(_rowdot(gr, gr))[:, None]
     return FormResult(beta0=_rowdot(alpha, u), alpha=alpha, u_star=u,
-                      x_star=np.empty((m, 0)),
                       iterations=int(row_iterations.sum()),
-                      converged=bool(converged.all()), grad_norm=grad_norm,
+                      converged=bool(converged.all()),
                       row_iterations=row_iterations, row_converged=converged)
 
 
-def _first_row(res, x_star):
-    return FormResult(beta0=float(res.beta0[0]), alpha=res.alpha[0],
-                      u_star=res.u_star[0], x_star=x_star,
-                      iterations=res.iterations, converged=res.converged,
-                      grad_norm=float(res.grad_norm[0]),
-                      row_iterations=res.row_iterations,
-                      row_converged=res.row_converged)
-
-
-def find_design_point(G, n, u0=None, **kwargs):
-    """Most likely failure point of G in n-dimensional standard space.
-
-    G takes a 2-D array of points (one per row) and returns one value per
-    row. The one-row case of ``find_design_points``.
-    """
-    start = np.zeros((1, n)) if u0 is None else np.reshape(u0, (1, n))
-    res = find_design_points(lambda u, rows: G(u), start, **kwargs)
-    return _first_row(res, np.array([]))
-
-
 def solve_form(joint, limit_state, a=None, u0=None, **kwargs):
-    """Design point of a physical problem, with x_star filled in.
+    """Design points of a physical problem, one row per design.
 
-    With ``a`` a 1-D array of design values, the searches for all of them
-    run in lockstep and every field of the result has one row per design
-    (see FormResult); ``u0`` then gives one start for every row or one
-    row per design.
+    ``a`` is None for a design-free limit state (one row) or a 1-D array
+    of design values, whose searches run in lockstep. ``u0`` gives one
+    start for every row or one row per design; the default is the origin.
     """
-    m = np.size(a) if np.ndim(a) else 1
+    m = 1 if a is None else len(a)
     start = (np.zeros((m, joint.dim)) if u0 is None else
              np.broadcast_to(np.asarray(u0, dtype=float), (m, joint.dim)))
-    res = find_design_points(standard_space_lsf(joint, limit_state, a),
-                             start, **kwargs)
-    x_star = np.asarray(joint.to_physical(res.u_star))
-    if np.ndim(a):
-        return replace(res, x_star=x_star)
-    return _first_row(res, x_star[0])
-
-
-def correlated_importance(alpha, chol_z):
-    """Input-importance factors for dependent inputs.
-
-    Maps the standard-space sensitivities back through the copula factor
-    (gamma = alpha L^-1, normalized); reduces to alpha itself when the
-    inputs are independent.
-    """
-    g = np.asarray(alpha, dtype=float) @ np.linalg.inv(chol_z)
-    return g / np.linalg.norm(g)
+    return find_design_points(standard_space_lsf(joint, limit_state, a),
+                              start, **kwargs)
 
 
 # ---------------------------------------------------------------------------
-# conditional failure probabilities and thresholds
+# conditional failure probabilities and the threshold
 # ---------------------------------------------------------------------------
 
 def conditional_pf_u(beta0, alpha_i, u_i):
@@ -223,11 +183,11 @@ def conditional_pf_u(beta0, alpha_i, u_i):
 
 
 def conditional_pf_x(joint, i, x_i, form_result):
-    """FORM failure probability conditional on X_i = x_i.
+    """FORM failure probability conditional on X_i = x_i: one row per row
+    of ``form_result`` and one column per value of ``x_i``.
 
     Only valid when the inputs are independent (the marginal map then
-    equals the full transform for component i). A lockstep result gives
-    one row per design.
+    equals the full transform for component i).
     """
     if not joint.independent:
         raise DomainError(
@@ -245,14 +205,6 @@ def threshold_u(beta0, alpha_i, cr_over_cf):
         raise DomainError("cost ratio must lie in (0, 1)")
     s = math.sqrt(max(0.0, 1.0 - alpha_i * alpha_i))
     return (s * special.std_normal_inv(cr_over_cf) + beta0) / alpha_i
-
-
-def threshold_x(joint, i, beta0, alpha_i, cr_over_cf):
-    """Physical threshold on X_i (independent inputs)."""
-    if not joint.independent:
-        raise DomainError("threshold_x requires independent inputs")
-    u = threshold_u(beta0, alpha_i, cr_over_cf)
-    return float(joint.marginals[i].from_standard_normal(u))
 
 
 # ---------------------------------------------------------------------------

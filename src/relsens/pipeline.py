@@ -107,20 +107,18 @@ def _analytic(cfg, grids, designs):
 
 def _form(cfg, grids, designs):
     res = form.solve_form(cfg.joint, cfg.limit_state, designs)
-    beta = np.atleast_1d(res.beta0)
-    alpha = np.atleast_2d(res.alpha)
-    pf = special.std_normal_cdf(-beta)
-    values = {name: np.atleast_2d(form.conditional_pf_x(cfg.joint, i,
-                                                        grids[name], res))
+    pf = special.std_normal_cdf(-res.beta0)
+    values = {name: form.conditional_pf_x(cfg.joint, i, grids[name], res)
               for i, name in enumerate(cfg.names)}
     labels = ["reliability"] if designs is None else designs.tolist()
     diagnostics = {"form": {
-        "solves": len(beta), "iterations": res.iterations,
+        "solves": len(res.beta0), "iterations": res.iterations,
         "not_converged": [label for label, ok in zip(labels, res.row_converged)
                           if not ok]}}
 
     def row_diagnostics(j):
-        return {"beta0": float(beta[j]), "alpha_sq": (alpha[j] ** 2).tolist(),
+        return {"beta0": float(res.beta0[j]),
+                "alpha_sq": (res.alpha[j] ** 2).tolist(),
                 "form_iterations": int(res.row_iterations[j])}
 
     return _function_estimate(cfg, grids, pf, values, "form", row_diagnostics,
@@ -236,8 +234,8 @@ def run_analysis(cfg):
                 "clip_fraction": max(c.clip_fraction for c in curve_list),
             }
             safety_report = dec.safety_report(
-                curve_list, cfg.marginals, cfg.names, cfg.safety,
-                method=method_label, pf=pf, diagnostics=extra)
+                curve_list, cfg.names, cfg.safety, method=method_label,
+                pf=pf, diagnostics=extra)
 
     diagnostics["stage_seconds"] = dict(timer.stages)
     return AnalysisResult(pf=pf, curves=curves, safety_report=safety_report,
@@ -248,14 +246,14 @@ def _design_evppi(cfg, est, prior, ref_curves):
     """The inner-optimization EVPPI of every input over the design rows."""
     entries = []
     details = {}
-    for name, marginal in zip(cfg.names, cfg.marginals):
+    for name in cfg.names:
         ref = ref_curves[name]
         # one curve with a row per design, on the reference row's grid
         sweep = condest.ConditionalPfCurve(
             input_index=ref.input_index, grid=ref.grid,
             pf_values=est.values[name], source=ref.source, pf_uncond=est.pf,
             density_prior=ref.density_prior)
-        out = dec.evppi_design(sweep, est.pf, cfg.design, marginal)
+        out = dec.evppi_design(sweep, est.pf, cfg.design)
         entries.append(dec.EvppiEntry(name=name, absolute=out["evppi"]))
         details[name] = out
     report = dec.normalize(dec.EvppiReport(entries=tuple(entries),
@@ -280,8 +278,8 @@ def form_evppi_curves(betas, cost_ratio, mode):
         raise ConfigError(f"unknown mode {mode!r}")
     rows = []
     for beta in betas:
-        if beta <= 0.0:
-            raise ConfigError("betas must be positive")
+        if not (beta > 0.0 and np.isfinite(beta)):
+            raise ConfigError("betas must be positive and finite")
         pf = float(special.std_normal_cdf(-beta))
         if mode == "safety":
             values = [form.evppi_form_safety(beta, a, 1.0, cost_ratio)

@@ -246,7 +246,7 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
         seeds_u = u[order[:ns]][perm]
         seeds_g = g[order[:ns]][perm]
         u, g, lam, acc_last = _conditional_level(
-            lambda uu: G(uu), seeds_u, seeds_g, t, n_per_level, rng, lam)
+            G, seeds_u, seeds_g, t, n_per_level, rng, lam)
     else:
         raise StagnationError(f"no failure level within {max_levels} levels")
 
@@ -258,8 +258,7 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
     ns = int(np.count_nonzero(mask))
     perm = rng.permutation(ns)
     u_fail, _, lam, acc = _conditional_level(
-        lambda uu: G(uu), u[mask][perm], g[mask][perm], 0.0,
-        n_per_level, rng, lam)
+        G, u[mask][perm], g[mask][perm], 0.0, n_per_level, rng, lam)
     x_fail = joint.to_physical(u_fail)
     if not np.isnan(acc):
         acc_last = acc

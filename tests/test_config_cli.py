@@ -389,6 +389,17 @@ def test_cli_sweep_bad_ratio_grid(tmp_path):
                      "--ratio-max", "1.5", "--ratio-count", "3"]) == 2
 
 
+@pytest.mark.parametrize("args", [["--ratio-count", "-1"],
+                                  ["--ratio-count", "0"],
+                                  ["--ratio-min", "0"]],
+                         ids=["count-negative", "count-zero", "min-zero"])
+def test_cli_sweep_rejects_bad_ratio_arguments(tmp_path, args):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(CONFIG_DIR / "example1_safety.json"),
+                     "--out", str(out), *args]) == 2
+    assert not (out / "sweep.csv").exists()
+
+
 def test_cli_form_curves(tmp_path):
     code = cli.main(["form-curves", "--betas", "3.0902,2.3263",
                      "--cost-ratio", "1e-3", "--mode", "safety",
@@ -420,6 +431,13 @@ def test_cli_form_curves_design_mode(tmp_path):
 def test_cli_form_curves_rejects_bad_beta(tmp_path):
     assert cli.main(["form-curves", "--betas", "-1.0",
                      "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_cli_form_curves_rejects_non_finite_beta(tmp_path, beta):
+    assert cli.main(["form-curves", "--betas", f"2.0,{beta}",
+                     "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "curves.csv").exists()
 
 
 def _write_config(path, raw):

@@ -36,14 +36,13 @@ def analytic_curves(problem, marginals, grid=None):
 
 
 def design_curves(problem, marginals, i, grid_a, x_grid=None):
-    """One conditional curve per design value, for input i."""
-    curves = []
-    pf_list = []
-    for a in grid_a:
-        p = replace(problem, const_term=math.log(a))
-        curves.append(analytic_curve(p, marginals, i, x_grid))
-        pf_list.append(lognormal_linear_pf(p))
-    return curves, np.asarray(pf_list)
+    """Input i's conditional curve with a row per design value, and the
+    pf of every design."""
+    curves = [analytic_curve(replace(problem, const_term=math.log(a)),
+                             marginals, i, x_grid) for a in grid_a]
+    pf_a = np.array([c.pf_uncond for c in curves])
+    return replace(curves[0], pf_uncond=pf_a, pf_values=np.vstack(
+        [c.pf_values for c in curves])), pf_a
 
 
 # -- prior action and CVPPI -------------------------------------------------------
@@ -62,7 +61,7 @@ def test_cvppi_flat_curve_is_zero(ex1_marginals):
     m = ex1_marginals[0]
     grid = default_grid(m)
     curve = ConditionalPfCurve(0, grid, np.full(grid.size, PF_IND),
-                               "analytic", PF_IND)
+                               "analytic", PF_IND, m.pdf(grid))
     d = SafetyDecision(c_f=1e8, c_r=1e6)
     assert np.all(cvppi_curve(curve, d) == 0.0)
 
@@ -79,7 +78,7 @@ def test_cvppi_zero_at_decision_boundary(ex1_marginals):
     grid = np.array([80.0, 90.0, 100.0])
     d = SafetyDecision(c_f=1e8, c_r=1e6)
     curve = ConditionalPfCurve(0, grid, np.array([0.5, d.ratio, 1e-4]),
-                               "analytic", PF_IND)
+                               "analytic", PF_IND, m.pdf(grid))
     values = cvppi_curve(curve, d)
     assert values[1] == 0.0
     assert values[0] > 0.0
@@ -100,8 +99,8 @@ def test_evpi_dominates_evppi(ex1_problem, ex1_marginals):
     for ratio in (1e-4, 1e-3, 1e-2, 0.1):
         d = SafetyDecision(c_f=CF, c_r=ratio * CF)
         evpi = evpi_safety(PF_IND, d)
-        for curve, m in zip(curves, ex1_marginals):
-            v = evppi_safety(curve, m, d)
+        for curve in curves:
+            v = evppi_safety(curve, d)
             assert 0.0 <= v <= evpi * (1 + 1e-9)
 
 
@@ -110,8 +109,7 @@ def test_evpi_dominates_evppi(ex1_problem, ex1_marginals):
 def test_safety_evppi_reference_values(ex1_problem, ex1_marginals):
     d = SafetyDecision(c_f=CF, c_r=1e6)
     curves = analytic_curves(ex1_problem, ex1_marginals)
-    got = np.array([evppi_safety(c, m, d)
-                    for c, m in zip(curves, ex1_marginals)])
+    got = np.array([evppi_safety(c, d) for c in curves])
     assert np.max(np.abs(got / EXACT_EVPPI - 1.0)) < 5e-3
 
 
@@ -121,8 +119,8 @@ def test_safety_evppi_table3_normalized(ex1_problem, ex1_marginals):
     curves = analytic_curves(ex1_problem, ex1_marginals)
     for ratio, want in expect.items():
         d = SafetyDecision(c_f=CF, c_r=ratio * CF)
-        entries = [EvppiEntry(n, evppi_safety(c, m, d))
-                   for n, c, m in zip(names, curves, ex1_marginals)]
+        entries = [EvppiEntry(n, evppi_safety(c, d))
+                   for n, c in zip(names, curves)]
         report = normalize(EvppiReport(tuple(entries), method="analytic"))
         got = 100 * np.array([e.normalized for e in report.entries])
         assert np.max(np.abs(got - np.array(want))) < 1.5
@@ -134,8 +132,7 @@ def test_safety_evppi_table4_dependent_analytic(ex1_problem_dep,
     expect = {1e-3: (15.0, 61.0, 0.0, 24.0), 1e-2: (26.0, 41.0, 4.0, 29.0)}
     for ratio, want in expect.items():
         d = SafetyDecision(c_f=CF, c_r=ratio * CF)
-        vals = np.array([evppi_safety(c, m, d)
-                         for c, m in zip(curves, ex1_marginals)])
+        vals = np.array([evppi_safety(c, d) for c in curves])
         got = 100 * vals / vals.sum()
         assert np.max(np.abs(got - np.array(want))) < 2.0
 
@@ -148,7 +145,7 @@ def test_safety_evppi_table4_dependent_mc_kde(ex1_joint_dep, ex1_lsf,
     for i, m in enumerate(ex1_marginals):
         curve = conditional_pf_from_failure_samples(
             m, i, mc.failure_samples[:, i], mc.pf_hat)
-        vals.append(evppi_safety(curve, m, d))
+        vals.append(evppi_safety(curve, d))
     got = 100 * np.array(vals) / np.sum(vals)
     assert np.max(np.abs(got - np.array([26.0, 41.0, 4.0, 29.0]))) < 2.0
 
@@ -160,10 +157,11 @@ def test_safety_evppi_closed_form_agreement(ex1_joint, ex1_lsf, ex1_marginals):
     for i, m in enumerate(ex1_marginals):
         grid = default_grid(m, n=65536, p_lo=1e-12)
         curve = curve_from_function(
-            m, i, lambda x: conditional_pf_x(ex1_joint, i, x, res),
+            m, i, lambda x: conditional_pf_x(ex1_joint, i, x, res)[0],
             PF_IND, grid, source="form")
-        quadr = evppi_safety(curve, m, d)
-        closed = evppi_form_safety(res.beta0, res.alpha[i], d.c_f, d.c_r)
+        quadr = evppi_safety(curve, d)
+        closed = evppi_form_safety(res.beta0[0], res.alpha[0, i], d.c_f,
+                                   d.c_r)
         assert quadr == pytest.approx(closed, rel=1e-6)
 
 
@@ -172,9 +170,9 @@ def test_scaling_invariance(ex1_problem, ex1_marginals):
     lam = 7.5
     d1 = SafetyDecision(c_f=CF, c_r=1e6)
     d2 = SafetyDecision(c_f=lam * CF, c_r=lam * 1e6)
-    for curve, m in zip(curves, ex1_marginals):
-        v1 = evppi_safety(curve, m, d1)
-        v2 = evppi_safety(curve, m, d2)
+    for curve in curves:
+        v1 = evppi_safety(curve, d1)
+        v2 = evppi_safety(curve, d2)
         assert v2 == pytest.approx(lam * v1, rel=1e-12)
     assert evpi_safety(PF_IND, d2) == pytest.approx(
         lam * evpi_safety(PF_IND, d1), rel=1e-12)
@@ -207,8 +205,8 @@ def test_normalize_all_zero_flagged():
 def test_relativize_bounds(ex1_problem, ex1_marginals):
     d = SafetyDecision(c_f=CF, c_r=1e6)
     curves = analytic_curves(ex1_problem, ex1_marginals)
-    entries = tuple(EvppiEntry(str(i), evppi_safety(c, m, d))
-                    for i, (c, m) in enumerate(zip(curves, ex1_marginals)))
+    entries = tuple(EvppiEntry(str(i), evppi_safety(c, d))
+                    for i, c in enumerate(curves))
     report = relativize(EvppiReport(entries, method="analytic"),
                         evpi_safety(PF_IND, d))
     for e in report.entries:
@@ -240,8 +238,8 @@ def test_prior_design_tie_and_constant_pf():
 
 def test_design_evppi_single_choice_is_zero(ex1_problem, ex1_marginals):
     d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=np.array([1.57]))
-    curves, pf_a = design_curves(ex1_problem, ex1_marginals, 1, d.grid)
-    out = evppi_design(curves, pf_a, d, ex1_marginals[1])
+    curve, pf_a = design_curves(ex1_problem, ex1_marginals, 1, d.grid)
+    out = evppi_design(curve, pf_a, d)
     # residue bounded by the clipped tail mass of the default grid times c_f
     assert abs(out["raw"]) < 2e-6 * CF
     assert out["evppi"] < 2e-6 * CF
@@ -253,9 +251,9 @@ def test_design_evppi_table3_columns(ex1_problem, ex1_marginals):
     for c_delta, want in expect.items():
         d = DesignDecision(c_f=CF, cost_model=f"{c_delta}*a", grid=grid)
         vals = []
-        for i, m in enumerate(ex1_marginals):
-            curves, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
-            vals.append(evppi_design(curves, pf_a, d, m)["evppi"])
+        for i in range(len(ex1_marginals)):
+            curve, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
+            vals.append(evppi_design(curve, pf_a, d)["evppi"])
         got = 100 * np.array(vals) / np.sum(vals)
         assert np.max(np.abs(got - np.array(want))) < 1.5
 
@@ -267,9 +265,9 @@ def test_design_evppi_discretization_table6(ex1_problem, ex1_marginals):
         grid = np.linspace(0.5, 2.0, m_count)
         d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=grid)
         vals = []
-        for i, marg in enumerate(ex1_marginals):
-            curves, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
-            vals.append(evppi_design(curves, pf_a, d, marg)["evppi"])
+        for i in range(len(ex1_marginals)):
+            curve, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
+            vals.append(evppi_design(curve, pf_a, d)["evppi"])
         got = 100 * np.array(vals) / np.sum(vals)
         assert np.max(np.abs(got - np.array(want))) < 2.0
 
@@ -298,8 +296,8 @@ def test_design_refinement_bounds_and_convergence(ex1_problem, ex1_marginals):
     def terms(m_count, i=1):
         grid = np.linspace(0.5, 2.0, m_count)
         d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=grid)
-        curves, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
-        out = evppi_design(curves, pf_a, d, ex1_marginals[i])
+        curve, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
+        out = evppi_design(curve, pf_a, d)
         return out["prior_loss"], out["posterior_loss"], out["evppi"]
 
     res = {m: terms(m) for m in (3, 6, 11, 21, 151)}
@@ -316,19 +314,18 @@ def test_design_evppi_takes_one_curve_with_a_row_per_design(ex1_problem,
                                                             ex1_marginals):
     grid = np.linspace(0.5, 2.0, 31)
     d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=grid)
-    for i, m in enumerate(ex1_marginals):
-        curves, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
-        sweep = replace(curves[0], pf_values=np.vstack(
-            [c.pf_values for c in curves]))
-        assert evppi_design(sweep, pf_a, d, m) == evppi_design(curves, pf_a,
-                                                               d, m)
-        # without a stored density the prior is evaluated on the grid
-        bare = replace(sweep, density_prior=None)
-        assert evppi_design(bare, pf_a, d, m) == evppi_design(curves, pf_a,
-                                                              d, m)
-    with pytest.raises(ConfigError, match="one conditional curve per design"):
-        evppi_design(replace(sweep, pf_values=sweep.pf_values[:-1]),
-                     pf_a, d, ex1_marginals[-1])
+    for i in range(len(ex1_marginals)):
+        sweep, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
+        out = evppi_design(sweep, pf_a, d)
+        # the posterior loss is integrated against the curve's own density
+        post = posterior_loss_curve(sweep, d)
+        assert out["posterior_loss"] == float(
+            np.trapezoid(post * sweep.density_prior, sweep.grid))
+        doubled = replace(sweep, density_prior=2.0 * sweep.density_prior)
+        assert evppi_design(doubled, pf_a, d)["posterior_loss"] == (
+            2.0 * out["posterior_loss"])
+    with pytest.raises(ConfigError, match="curve row per design"):
+        evppi_design(replace(sweep, pf_values=sweep.pf_values[:-1]), pf_a, d)
 
 
 def test_design_evppi_negative_floor(ex1_marginals):
@@ -338,40 +335,13 @@ def test_design_evppi_negative_floor(ex1_marginals):
     pf_a = np.array([1e-4])
     # conditional curve systematically above the unconditional pf: the
     # raw difference goes negative and must be floored, with a flag
-    curve = ConditionalPfCurve(0, grid_x, np.full(grid_x.size, 2e-4),
-                               "kde", 1e-4)
-    out = evppi_design([curve], pf_a, d, m)
+    curve = ConditionalPfCurve(0, grid_x, np.full((1, grid_x.size), 2e-4),
+                               "kde", pf_a, m.pdf(grid_x))
+    out = evppi_design(curve, pf_a, d)
     assert out["raw"] < 0.0
     assert out["evppi"] == 0.0
     assert out["negative_clipped"]
 
-
-def test_design_grid_mismatch_rejected(ex1_problem, ex1_marginals):
-    d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=np.array([1.0, 1.5]))
-    c1 = analytic_curve(ex1_problem, ex1_marginals, 0)
-    c2 = analytic_curve(ex1_problem, ex1_marginals, 0,
-                        grid=np.linspace(50.0, 200.0, 100))
-    with pytest.raises(ConfigError):
-        evppi_design([c1, c2], np.array([1e-3, 1e-4]), d, ex1_marginals[0])
-
-
-
-def test_design_grid_compared_unless_shared(ex1_problem, ex1_marginals):
-    # curves on one grid array skip the value comparison; a distinct array
-    # is still compared, so an equal-length grid with other values fails
-    d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=np.array([1.0, 1.5]))
-    grid = default_grid(ex1_marginals[0], 64)
-    shared = [analytic_curve(ex1_problem, ex1_marginals, 0, grid=grid)
-              for _ in range(2)]
-    assert shared[0].grid is shared[1].grid
-    copied = [shared[0],
-              analytic_curve(ex1_problem, ex1_marginals, 0, grid=grid.copy())]
-    assert np.array_equal(posterior_loss_curve(shared, d),
-                          posterior_loss_curve(copied, d))
-    shifted = analytic_curve(ex1_problem, ex1_marginals, 0, grid=grid * 1.001)
-    with pytest.raises(ConfigError, match="share one grid"):
-        evppi_design([shared[0], shifted], np.array([1e-3, 1e-4]), d,
-                     ex1_marginals[0])
 
 # -- threshold sweep ------------------------------------------------------------------------
 
@@ -379,7 +349,7 @@ def test_threshold_sweep_peaks_near_pf(ex1_problem_dep, ex1_marginals):
     names = ("R", "S", "XR", "XS")
     curves = analytic_curves(ex1_problem_dep, ex1_marginals)
     ratios = np.geomspace(1e-5, 0.3, 40)
-    rows = threshold_sweep(curves, ex1_marginals, names, CF, ratios, PF_DEP)
+    rows = threshold_sweep(curves, names, CF, ratios, PF_DEP)
     nearest = ratios[np.argmin(np.abs(np.log(ratios) - np.log(PF_DEP)))]
     log_step = np.log(ratios[1] / ratios[0])
     for j, name in enumerate(names):
@@ -393,7 +363,7 @@ def test_threshold_sweep_peaks_near_pf(ex1_problem_dep, ex1_marginals):
 
 def test_threshold_sweep_vanishes_as_ratio_grows(ex1_problem, ex1_marginals):
     curves = analytic_curves(ex1_problem, ex1_marginals)
-    rows = threshold_sweep(curves, ex1_marginals, ("R", "S", "XR", "XS"),
+    rows = threshold_sweep(curves, ("R", "S", "XR", "XS"),
                            CF, [0.9], PF_IND)
     for e in rows[0]["report"].entries:
         assert e.absolute < 1e-3 * CF * PF_IND
@@ -402,10 +372,10 @@ def test_threshold_sweep_vanishes_as_ratio_grows(ex1_problem, ex1_marginals):
 def test_threshold_sweep_single_ratio_matches_direct(ex1_problem,
                                                      ex1_marginals):
     curves = analytic_curves(ex1_problem, ex1_marginals)
-    rows = threshold_sweep(curves, ex1_marginals, ("R", "S", "XR", "XS"),
+    rows = threshold_sweep(curves, ("R", "S", "XR", "XS"),
                            CF, [1e-2], PF_IND)
     d = SafetyDecision(c_f=CF, c_r=1e6)
-    direct = [evppi_safety(c, m, d) for c, m in zip(curves, ex1_marginals)]
+    direct = [evppi_safety(c, d) for c in curves]
     got = [e.absolute for e in rows[0]["report"].entries]
     assert np.allclose(got, direct, rtol=1e-12)
 
@@ -413,5 +383,5 @@ def test_threshold_sweep_single_ratio_matches_direct(ex1_problem,
 def test_threshold_sweep_rejects_bad_grid(ex1_problem, ex1_marginals):
     curves = analytic_curves(ex1_problem, ex1_marginals)
     with pytest.raises(DomainError):
-        threshold_sweep(curves, ex1_marginals, ("R", "S", "XR", "XS"),
+        threshold_sweep(curves, ("R", "S", "XR", "XS"),
                         CF, [0.5, 1.5], PF_IND)

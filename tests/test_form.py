@@ -6,12 +6,12 @@ from scipy.integrate import quad
 from scipy.special import erf as sp_erf
 
 from relsens import (conditional_pf_u, conditional_pf_x, evpi_safety,
-                     evppi_form_design, evppi_form_safety, find_design_point,
+                     evppi_form_design, evppi_form_safety,
                      lognormal_linear_conditional_pf, solve_form,
-                     std_normal_cdf, threshold_u, threshold_x)
+                     std_normal_cdf, threshold_u)
 from relsens.decision import SafetyDecision
 from relsens.errors import DomainError
-from relsens.form import correlated_importance
+from relsens.form import find_design_points, standard_space_lsf
 from conftest import BETA0_IND, EX1_SIGNS
 
 
@@ -56,10 +56,11 @@ def test_linear_lsf_recovered_exactly():
         alpha = rng.standard_normal(n)
         alpha /= np.linalg.norm(alpha)
         beta = rng.uniform(1.0, 4.0)
-        res = find_design_point(lambda u: beta - u @ alpha, n)
+        res = find_design_points(lambda u, rows: beta - u @ alpha,
+                                 np.zeros((1, n)))
         assert res.converged
-        assert res.beta0 == pytest.approx(beta, abs=1e-8)
-        assert np.max(np.abs(res.alpha - alpha)) < 1e-7
+        assert res.beta0[0] == pytest.approx(beta, abs=1e-8)
+        assert np.max(np.abs(res.alpha[0] - alpha)) < 1e-7
         assert res.iterations <= 3
 
 
@@ -72,7 +73,7 @@ def test_restart_at_design_point_converges_at_once(joint, lsf, request):
     again = solve_form(joint, lsf, u0=first.u_star)
     assert again.converged
     assert again.iterations <= 2
-    assert again.beta0 == pytest.approx(first.beta0, abs=1e-10)
+    assert again.beta0[0] == pytest.approx(first.beta0[0], abs=1e-10)
 
 
 # solve_form(ex1_joint, ex1_lsf) at the commit before G took the trial point
@@ -85,21 +86,21 @@ EX1_ALPHA_BITS = ("-0x1.06ab8e1e27e18p-1", "0x1.4692264ef9c6bp-1",
 
 def test_batched_stencil_reproduces_pointwise_search(ex1_joint, ex1_lsf):
     res = solve_form(ex1_joint, ex1_lsf)
-    assert res.beta0 == float.fromhex(EX1_BETA0_BITS)
-    assert res.alpha.tolist() == [float.fromhex(h) for h in EX1_ALPHA_BITS]
+    assert res.beta0[0] == float.fromhex(EX1_BETA0_BITS)
+    assert res.alpha[0].tolist() == [float.fromhex(h) for h in EX1_ALPHA_BITS]
 
 
 def test_lockstep_rows_equal_one_row_solves(ex1_joint, ex1_design_lsf):
     designs = np.linspace(0.5, 2.0, 151)
     sweep = solve_form(ex1_joint, ex1_design_lsf, designs)
     assert sweep.beta0.shape == (151,) and sweep.alpha.shape == (151, 4)
-    assert sweep.x_star.shape == (151, 4)
+    assert sweep.u_star.shape == (151, 4)
     assert sweep.converged and sweep.row_converged.all()
     assert sweep.iterations == sweep.row_iterations.sum()
     for j, a in enumerate(designs):
-        one = solve_form(ex1_joint, ex1_design_lsf, float(a))
-        assert abs(sweep.beta0[j] - one.beta0) <= 1e-12
-        assert np.max(np.abs(sweep.alpha[j] - one.alpha)) <= 1e-10
+        one = solve_form(ex1_joint, ex1_design_lsf, [a])
+        assert abs(sweep.beta0[j] - one.beta0[0]) <= 1e-12
+        assert np.max(np.abs(sweep.alpha[j] - one.alpha[0])) <= 1e-10
         assert sweep.row_converged[j] == one.converged
         assert sweep.row_iterations[j] == one.iterations
 
@@ -117,40 +118,36 @@ def test_lockstep_rows_converge_on_their_own_counts(ex1_joint, ex1_design_lsf):
 
 def test_form_result_invariants(ex1_joint, ex1_lsf):
     res = solve_form(ex1_joint, ex1_lsf)
+    alpha, u_star, beta0 = res.alpha[0], res.u_star[0], res.beta0[0]
     assert res.converged
-    assert np.linalg.norm(res.alpha) == pytest.approx(1.0, abs=1e-8)
-    assert np.linalg.norm(res.u_star) == pytest.approx(res.beta0, abs=1e-8)
-    assert float(res.alpha @ res.u_star) == pytest.approx(res.beta0, abs=1e-6)
+    assert np.linalg.norm(alpha) == pytest.approx(1.0, abs=1e-8)
+    assert np.linalg.norm(u_star) == pytest.approx(beta0, abs=1e-8)
+    assert float(alpha @ u_star) == pytest.approx(beta0, abs=1e-6)
 
 
 def test_example1_form(ex1_joint, ex1_lsf, ex1_marginals):
     res = solve_form(ex1_joint, ex1_lsf)
-    assert res.beta0 == pytest.approx(BETA0_IND, abs=1e-6)
+    assert res.beta0[0] == pytest.approx(BETA0_IND, abs=1e-6)
     expect = _ex1_alpha(ex1_marginals)
-    assert np.max(np.abs(res.alpha - expect)) < 1e-6
+    assert np.max(np.abs(res.alpha[0] - expect)) < 1e-6
     assert res.iterations <= 3          # exactly linear in u
-    sq = 100 * res.alpha**2
+    sq = 100 * res.alpha[0]**2
     assert np.max(np.abs(sq - np.array([26, 41, 7, 26]))) < 0.5
 
 
 def test_example2_form(ex2_joint, ex2_lsf):
     res = solve_form(ex2_joint, ex2_lsf)
     assert res.converged
-    assert res.beta0 == pytest.approx(2.46602125, abs=2e-6)
-    assert np.allclose(res.alpha**2, [0.2406, 0.0802, 0.1453, 0.5339],
+    assert res.beta0[0] == pytest.approx(2.46602125, abs=2e-6)
+    assert np.allclose(res.alpha[0]**2, [0.2406, 0.0802, 0.1453, 0.5339],
                        atol=5e-4)
-    # importance mapped back to the physical inputs
-    gamma = correlated_importance(res.alpha, ex2_joint.chol_z)
-    assert np.max(np.abs(100 * gamma**2 - np.array([7, 7, 20, 65]))) < 2.0
-    # independent inputs: importance collapses to alpha
-    same = correlated_importance(res.alpha, np.eye(4))
-    assert np.allclose(same, res.alpha)
 
 
 def test_x_star_consistent(ex1_joint, ex1_lsf):
-    from relsens import evaluate
+    # the design point lies on the limit state: G(u*) = g(x(u*)) = 0
     res = solve_form(ex1_joint, ex1_lsf)
-    assert abs(evaluate(ex1_lsf, res.x_star)) < 1e-6
+    G = standard_space_lsf(ex1_joint, ex1_lsf)
+    assert abs(G(res.u_star, np.array([0]))[0]) < 1e-6
 
 
 # -- conditional probabilities -----------------------------------------------------
@@ -181,14 +178,15 @@ def test_conditional_pf_x_median_matches_u_zero(ex1_joint, ex1_lsf):
     res = solve_form(ex1_joint, ex1_lsf)
     m = ex1_joint.marginals[0]
     got = conditional_pf_x(ex1_joint, 0, m.median, res)
-    assert got == pytest.approx(conditional_pf_u(res.beta0, res.alpha[0], 0.0),
-                                rel=1e-12)
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(
+        conditional_pf_u(res.beta0[0], res.alpha[0, 0], 0.0), rel=1e-12)
 
 
 def test_conditional_pf_x_monotone_in_resistance(ex1_joint, ex1_lsf):
     res = solve_form(ex1_joint, ex1_lsf)
     r = np.linspace(50.0, 200.0, 200)
-    vals = conditional_pf_x(ex1_joint, 0, r, res)
+    vals = conditional_pf_x(ex1_joint, 0, r, res)[0]
     assert np.all(np.diff(vals) < 0)
 
 
@@ -197,7 +195,7 @@ def test_conditional_pf_x_exact_for_linear(ex1_joint, ex1_lsf, ex1_problem):
     res = solve_form(ex1_joint, ex1_lsf)
     for i, m in enumerate(ex1_joint.marginals):
         x = m.inv_cdf(np.linspace(0.01, 0.99, 50))
-        got = conditional_pf_x(ex1_joint, i, x, res)
+        got = conditional_pf_x(ex1_joint, i, x, res)[0]
         expect = lognormal_linear_conditional_pf(ex1_problem, i, x)
         assert np.max(np.abs(got / expect - 1.0)) < 1e-6
 
@@ -225,15 +223,6 @@ def test_threshold_defining_property():
 def test_threshold_load_value():
     ut = threshold_u(2.4393, 0.6378, 1e-2)
     assert ut == pytest.approx(1.0155, abs=1e-3)
-
-
-def test_threshold_x_is_marginal_map(ex1_joint, ex1_lsf):
-    res = solve_form(ex1_joint, ex1_lsf)
-    i = 1
-    ut = threshold_u(res.beta0, res.alpha[i], 1e-2)
-    xt = threshold_x(ex1_joint, i, res.beta0, res.alpha[i], 1e-2)
-    assert xt == pytest.approx(
-        float(ex1_joint.marginals[i].from_standard_normal(ut)), rel=1e-12)
 
 
 def test_threshold_errors():

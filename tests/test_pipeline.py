@@ -102,3 +102,43 @@ def test_cli_design_report_has_details_and_counts(tmp_path):
         assert detail["negative_clipped"] == (detail["raw"] < 0.0)
         assert entry["absolute"] == max(0.0, detail["raw"])
     assert math.isfinite(report["pf"])
+
+
+# example1_safety and example1_design by FORM, run through
+# pipeline.run_analysis at the commit whose FormResult still had a scalar
+# one-problem shape beside the lockstep rows, and written with json.dumps
+# (shortest round-trip floats): the safety run's pf, normalized EVPPI and
+# pf curves at grid_points 128, and the design run's a_opt, pf there,
+# normalized EVPPI and raw EVPPI differences
+FORM_PINNED = json.loads(
+    (ROOT / "tests" / "data" / "form_runs_pinned.json").read_text())
+
+
+def _pinned_config(run):
+    raw = json.loads((ROOT / "configs" / run["config"]).read_text())
+    raw.update(run["overrides"])
+    return config_mod.validate_config(raw)
+
+
+def test_form_safety_run_reproduces_pinned_values():
+    run = FORM_PINNED["safety"]
+    res = pipeline.run_analysis(_pinned_config(run))
+    assert res.pf == pytest.approx(run["pf"], rel=1e-12, abs=0.0)
+    evppi = {e.name: e.normalized for e in res.safety_report.entries}
+    assert evppi == pytest.approx(run["evppi_normalized"], rel=1e-12, abs=0.0)
+    assert res.curves.keys() == run["pf_curves"].keys()
+    for name, want in run["pf_curves"].items():
+        assert np.allclose(res.curves[name].pf_values, want, rtol=1e-12,
+                           atol=0.0)
+
+
+def test_form_design_run_reproduces_pinned_values():
+    run = FORM_PINNED["design"]
+    res = pipeline.run_analysis(_pinned_config(run))
+    prior = res.design["prior"]
+    assert prior["a_opt"] == run["a_opt"]
+    assert prior["pf"] == pytest.approx(run["pf_at_a_opt"], rel=1e-12, abs=0.0)
+    evppi = {e.name: e.normalized for e in res.design["report"].entries}
+    assert evppi == pytest.approx(run["evppi_normalized"], rel=1e-12, abs=0.0)
+    raw = {name: out["raw"] for name, out in res.design["details"].items()}
+    assert raw == pytest.approx(run["raw"], rel=1e-12, abs=0.0)
