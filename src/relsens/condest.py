@@ -20,6 +20,19 @@ all omitted terms together change each density value by less than
 TRUNCATION_RTOL relative, far-tail values included. Most kernel terms of
 a failure sample lie many bandwidths out, where exp underflows; the
 window skips them instead of computing zeros and subnormals.
+
+The sums run over blocks of consecutive evaluation points, not point by
+point. Evaluation points are taken in sorted order, and a block builds
+the kernel matrix of its rows against the union of their windows in four
+in-place array passes (difference, square, scale by -1/(2 h^2), exp)
+and sums each row. A block grows while rows x union width stays within
+one element budget, KERNEL_BLOCK_TERMS (65 536 terms, 512 KiB); a point
+whose own window is wider forms a block alone. The union contains each
+row's own window, so every row sums at least the terms the truncation
+bound needs and the bound holds as stated; the extra terms are ones it
+allowed to drop. Because the summation is grouped by block, the last
+bits of a value may depend on which points share its call; a given call
+always returns the same values.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ TRANSFORM_IDENTITY = "identity"
 
 DENSITY_FLOOR = 1e-300
 TRUNCATION_RTOL = 1e-16
+KERNEL_BLOCK_TERMS = 65_536          # 512 KiB of float64 per kernel block
 MIN_FAILURE_VALUES = 20
 
 
@@ -59,51 +73,102 @@ def silverman_bandwidth(values):
     return 1.06 * spread * n ** (-0.2)
 
 
+def _kernel_row_sums(t, p, scale, out):
+    """out[k] = sum over j of exp(scale (t[k] - p[j])^2), for one block.
+
+    Four in-place passes over the block; the block is freed on return,
+    so the caller never holds two at once.
+    """
+    block = np.subtract.outer(t, p)
+    np.square(block, out=block)
+    block *= scale
+    np.exp(block, out=block)
+    block.sum(axis=1, out=out)
+
+
 @dataclass(frozen=True)
 class KdeModel:
     """Gaussian KDE of failure-sample values for one input.
 
     ``points`` are kept sorted, which the windowed kernel sum relies on.
+    ``kernel_terms`` counts the kernel terms its density calls evaluated.
     """
 
     points: np.ndarray = field(repr=False)
     bandwidth: float
     transform: str
     marginal: object
+    kernel_terms: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points",
                            np.sort(np.asarray(self.points, dtype=float)))
 
-    def density_transformed(self, t):
-        """Density in the fitting space (z or x depending on transform).
+    def windows(self, t):
+        """Index range [lo, hi) of the sorted points within reach of each t.
 
-        Sums the Gaussian kernel over the points within (d_min + c)
-        bandwidths of each t, where d_min is the distance from t to its
-        nearest point and c = sqrt(2 ln(n / TRUNCATION_RTOL)). The omitted
-        terms total less than TRUNCATION_RTOL (1e-16) times the full sum,
-        so each value equals the direct sum over all n points to within
-        that and summation rounding; a value is exactly zero only where
-        every kernel term underflows.
+        The reach is (d_min + c) bandwidths, where d_min is the distance
+        from t to its nearest point and c = sqrt(2 ln(n / TRUNCATION_RTOL)).
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         p = self.points
         n = len(p)
-        h = self.bandwidth
-        norm = n * h * math.sqrt(2.0 * math.pi)
         c = math.sqrt(2.0 * math.log(n / TRUNCATION_RTOL))
         right = np.searchsorted(p, t)
         d_min = np.minimum(np.abs(t - p[np.maximum(right - 1, 0)]),
                            np.abs(p[np.minimum(right, n - 1)] - t))
-        reach = d_min + c * h
-        lo = np.searchsorted(p, t - reach, side="left")
-        hi = np.searchsorted(p, t + reach, side="right")
-        out = np.empty_like(t)
+        reach = d_min + c * self.bandwidth
+        return (np.searchsorted(p, t - reach, side="left"),
+                np.searchsorted(p, t + reach, side="right"))
+
+    def density_transformed(self, t):
+        """Density in the fitting space (z or x depending on transform).
+
+        Each t sums the Gaussian kernel at least over its window (see
+        ``windows``). The omitted terms total less than TRUNCATION_RTOL
+        (1e-16) times the full sum, so each value equals the direct sum
+        over all n points to within that and summation rounding; a value
+        is exactly zero only where every kernel term underflows.
+
+        The t are summed in sorted order, in blocks of consecutive points
+        that share the union of their windows; a block grows while
+        rows x union width stays within KERNEL_BLOCK_TERMS, so no
+        temporary is larger than that budget or one point's own window.
+        The union holds each point's own window, so the bound above still
+        holds. Since the summation is grouped by block, the last bits of
+        a value may depend on which points share its call; a given call
+        always gives the same values, and a permutation of t the same
+        values permuted. ``kernel_terms`` grows by the number of terms
+        evaluated: rows x union width, summed over the blocks.
+        """
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        p = self.points
+        h = self.bandwidth
+        order = np.argsort(t, kind="stable")
+        ts = t[order]
+        lo, hi = self.windows(ts)
+        lo, hi = lo.tolist(), hi.tolist()
+        m = len(ts)
+        scale = -0.5 / (h * h)
+        sums = np.empty(m)
+        terms = 0
+        k0 = 0
         with np.errstate(under="ignore"):
-            for k, (tk, a, b) in enumerate(zip(t, lo, hi)):
-                d = (tk - p[a:b]) / h
-                out[k] = np.exp(-0.5 * d * d).sum()
-        return out / norm
+            while k0 < m:
+                a, b = lo[k0], hi[k0]
+                k1 = k0 + 1
+                while k1 < m:
+                    a1, b1 = min(a, lo[k1]), max(b, hi[k1])
+                    if (k1 + 1 - k0) * (b1 - a1) > KERNEL_BLOCK_TERMS:
+                        break
+                    a, b = a1, b1
+                    k1 += 1
+                _kernel_row_sums(ts[k0:k1], p[a:b], scale, sums[k0:k1])
+                terms += (k1 - k0) * (b - a)
+                k0 = k1
+        object.__setattr__(self, "kernel_terms", self.kernel_terms + terms)
+        out = np.empty_like(sums)
+        out[order] = sums / (len(p) * h * math.sqrt(2.0 * math.pi))
+        return out
 
     def density_physical(self, x):
         """Estimated conditional density of the input itself."""
@@ -144,7 +209,8 @@ class ConditionalPfCurve:
     The decision layer integrates against ``density_prior``, so every
     curve carries it. A design sweep's curve has one row of pf_values per
     design value, with pf_uncond then holding one value per design.
-    ``density_conditional`` is f(x_i | F) where a KDE produced the curve.
+    ``density_conditional`` is f(x_i | F) where a KDE produced the curve,
+    and ``kernel_terms`` the number of kernel terms its KDE evaluated.
     """
 
     input_index: int
@@ -157,6 +223,7 @@ class ConditionalPfCurve:
     clip_fraction: float = 0.0
     n_failure_samples: int = 0
     ess: float = float("nan")
+    kernel_terms: int = 0
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -244,7 +311,8 @@ def conditional_pf_from_failure_samples(marginal, i, failure_values, pf_hat,
         pf_uncond=float(pf_hat), density_prior=prior,
         density_conditional=cond, clip_fraction=clip_fraction,
         n_failure_samples=len(np.asarray(failure_values)),
-        ess=effective_sample_size(failure_values, stride=n_chains))
+        ess=effective_sample_size(failure_values, stride=n_chains),
+        kernel_terms=model.kernel_terms)
 
 
 def curve_from_function(marginal, i, pf_of_x, pf_uncond, grid=None,

@@ -213,7 +213,8 @@ def run_analysis(cfg):
     pf = float(est.pf[j])
     diagnostics["pf"] = pf
     kde_inputs = {name: {"n_failure_samples": c.n_failure_samples,
-                         "ess": c.ess, "clip_fraction": c.clip_fraction}
+                         "ess": c.ess, "clip_fraction": c.clip_fraction,
+                         "kernel_terms": c.kernel_terms}
                   for name, c in curves.items() if c.source == "kde"}
     if kde_inputs:
         diagnostics["kde_inputs"] = kde_inputs
@@ -272,7 +273,9 @@ def form_evppi_curves(betas, cost_ratio, mode):
 
     Safety mode evaluates the accept/replace closed form with c_f = 1;
     design mode evaluates the affine-design closed form normalized by its
-    value at alpha^2 = 1.
+    value at alpha^2 = 1. A beta whose pf Phi(-beta) underflows to zero
+    (beta above about 37.7) is rejected: its safety curve would be all
+    zeros and its design curve a ratio of underflowed values.
     """
     if mode not in ("safety", "design"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -281,11 +284,13 @@ def form_evppi_curves(betas, cost_ratio, mode):
         if not (beta > 0.0 and np.isfinite(beta)):
             raise ConfigError("betas must be positive and finite")
         pf = float(special.std_normal_cdf(-beta))
+        if pf == 0.0:
+            raise ConfigError(f"beta {beta!r}: pf = Phi(-beta) underflows to 0")
         if mode == "safety":
             values = [form.evppi_form_safety(beta, a, 1.0, cost_ratio)
                       for a in ALPHA_GRID]
         else:
-            ref = form.evppi_form_design(beta, 1.0, 1.0)
+            ref = form.evppi_form_design(beta, 1.0, 1.0)   # >= pf > 0
             values = [form.evppi_form_design(beta, a, 1.0) / ref
                       for a in ALPHA_GRID]
         for a, v in zip(ALPHA_GRID, values):

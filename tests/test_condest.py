@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ from relsens import (conditional_pf_from_failure_samples, crude_mc,
                      default_grid, kde_fit, lognormal_linear_conditional_pf,
                      lognormal_linear_pf, marginal_from_params)
 from relsens import cli, config as config_mod, pipeline, sample
-from relsens.condest import (TRANSFORM_IDENTITY, effective_sample_size,
-                             silverman_bandwidth, write_curve_csv)
+from relsens.condest import (KERNEL_BLOCK_TERMS, TRANSFORM_IDENTITY,
+                             effective_sample_size, silverman_bandwidth,
+                             write_curve_csv)
 from relsens.errors import DegenerateSampleError, DomainError
 from conftest import PF_IND
 
@@ -84,6 +86,65 @@ def test_windowed_kernel_matches_direct_sum(sample):
     assert np.array_equal(got == 0.0, ref == 0.0)
     nz = ref != 0.0
     assert np.allclose(got[nz], ref[nz], rtol=1e-13, atol=0.0)
+
+
+def test_one_row_blocks_where_a_window_exceeds_the_block_budget():
+    # 100 000 points: every window around the centre holds more points than
+    # one block may hold terms, so each such point is a block of its own
+    v = np.random.default_rng(14).standard_normal(100_000)
+    m = marginal_from_params("normal", 0.0, 1.0)
+    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    t = np.linspace(-0.25, 0.25, 11)
+    lo, hi = model.windows(t)
+    assert (hi - lo).min() > KERNEL_BLOCK_TERMS
+    got = model.density_transformed(t)
+    assert model.kernel_terms == int((hi - lo).sum())
+    assert np.allclose(got, direct_density(v, model.bandwidth, t),
+                       rtol=1e-13, atol=0.0)
+
+
+def test_empty_and_single_point_evaluation():
+    v = np.random.default_rng(15).standard_normal(3000)
+    m = marginal_from_params("normal", 0.0, 1.0)
+    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    empty = model.density_transformed(np.array([]))
+    assert empty.shape == (0,)
+    assert model.kernel_terms == 0
+    for t in (0.3, v.max() + 38.2 * model.bandwidth, v.max() + 60.0):
+        got = model.density_transformed(t)
+        ref = direct_density(v, model.bandwidth, [t])
+        assert got.shape == (1,)
+        assert (got[0] == 0.0) == (ref[0] == 0.0)
+        assert got[0] == pytest.approx(ref[0], rel=1e-13, abs=0.0)
+
+
+def test_unsorted_points_evaluate_as_sorted_and_repeat_exactly():
+    rng = np.random.default_rng(16)
+    v = np.r_[rng.normal(-3.0, 1.0, 4000), rng.normal(4.0, 0.3, 1000)]
+    m = marginal_from_params("normal", 0.0, 1.0)
+    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    t = np.r_[np.linspace(-12.0, 12.0, 700), far_points(v, model.bandwidth)]
+    shuffled = rng.permutation(len(t))
+    ref = model.density_transformed(t)
+    # t is summed in sorted order, so a permutation changes no bit
+    got = model.density_transformed(t[shuffled])
+    assert np.array_equal(got, ref[shuffled])
+    assert np.array_equal(got, model.density_transformed(t[shuffled]))
+
+
+def test_kernel_blocks_stay_within_their_memory_budget():
+    v = np.random.default_rng(18).standard_normal(20_000)
+    m = marginal_from_params("normal", 0.0, 1.0)
+    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    t = np.linspace(-6.0, 6.0, 512)
+    tracemalloc.start()
+    try:
+        model.density_transformed(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the full 512 x 20 000 kernel matrix would take 80 MiB
+    assert peak < 1 << 20
 
 
 def test_kde_density_unchanged_by_shuffling():
@@ -314,6 +375,24 @@ def test_subset_ess_sees_chain_correlation():
         assert diag["ess"] < 10_000, name
 
 
+def test_kernel_terms_count_the_block_sums():
+    # the benchmark's dependent-subset workload at seed 1
+    cfg = _pipeline_config("example1_safety_dependent.json",
+                           {"method": "subset", "n_per_level": 20_000,
+                            "seed": 1})
+    res = pipeline.run_analysis(cfg)
+    samples = sample.subset_simulation(cfg.joint, cfg.limit_state,
+                                       cfg.n_per_level, cfg.p0,
+                                       cfg.seed).last_level_samples
+    for i, (name, m) in enumerate(zip(cfg.names, cfg.marginals)):
+        model = kde_fit(samples[:, i], m)
+        lo, hi = model.windows(m.to_standard_normal(res.curves[name].grid))
+        own = int((hi - lo).sum())
+        terms = res.diagnostics["kde_inputs"][name]["kernel_terms"]
+        assert terms == res.curves[name].kernel_terms
+        assert own <= terms <= 1.25 * own, name
+
+
 def test_kde_curves_do_not_depend_on_threads(tmp_path, monkeypatch):
     raw = json.loads((ROOT / "configs" / "example1_safety_dependent.json")
                      .read_text())
@@ -361,7 +440,8 @@ def test_kde_runs_reproduce_pinned_values(run):
     for name, diag in res.diagnostics["kde_inputs"].items():
         curve = res.curves[name]
         assert diag == {"n_failure_samples": curve.n_failure_samples,
-                        "ess": curve.ess, "clip_fraction": curve.clip_fraction}
+                        "ess": curve.ess, "clip_fraction": curve.clip_fraction,
+                        "kernel_terms": curve.kernel_terms}
 
 
 

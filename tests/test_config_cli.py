@@ -279,6 +279,7 @@ def test_cli_run_reports_kde_diagnostics_per_input(tmp_path):
         assert diag["n_failure_samples"] == n_fail
         assert 0.0 < diag["ess"] <= n_fail
         assert 0.0 <= diag["clip_fraction"] <= 1.0
+        assert diag["kernel_terms"] > 0
 
 
 def test_cli_run_seed_override_changes_mc(tmp_path):
@@ -438,6 +439,17 @@ def test_cli_form_curves_rejects_non_finite_beta(tmp_path, beta):
     assert cli.main(["form-curves", "--betas", f"2.0,{beta}",
                      "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["safety", "design"])
+@pytest.mark.parametrize("beta", ["38.5", "40"])
+def test_cli_form_curves_rejects_beta_whose_pf_underflows(tmp_path, capsys,
+                                                         mode, beta):
+    # Phi(-beta) is 0 in double precision beyond beta 37.7
+    assert cli.main(["form-curves", "--betas", f"2.0,{beta}", "--mode", mode,
+                     "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "curves.csv").exists()
+    assert f"beta {float(beta)!r}" in capsys.readouterr().err
 
 
 def _write_config(path, raw):
