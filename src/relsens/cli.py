@@ -104,6 +104,13 @@ def _load(args):
     return config_mod.validate_config(_apply_overrides(raw, args))
 
 
+def _warn_form_non_convergence(result):
+    failed = result.diagnostics.get("form", {}).get("not_converged")
+    if failed:
+        print("warning: FORM search did not converge for: "
+              + ", ".join(map(str, failed)), file=sys.stderr)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_validate(args):
@@ -181,10 +188,7 @@ def cmd_run(args):
         with open(outdir / "report.json", "w") as fh:
             json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
         print(f"pf = {result.pf:.6g}; wrote {len(written) + 1} files to {outdir}")
-        failed = result.diagnostics.get("form", {}).get("not_converged")
-        if failed:
-            print("warning: FORM search did not converge for: "
-                  + ", ".join(map(str, failed)), file=sys.stderr)
+        _warn_form_non_convergence(result)
         return EXIT_OK
     except RelsensError as exc:
         for p in written:
@@ -224,6 +228,7 @@ def cmd_sweep(args):
             out_rows.append(vals)
         _write_csv(outdir / "sweep.csv", header, out_rows)
         print(f"wrote sweep.csv ({len(out_rows)} ratios) to {outdir}")
+        _warn_form_non_convergence(result)
         return EXIT_OK
     except RelsensError as exc:
         print(f"numeric failure in sweep: {exc}", file=sys.stderr)

@@ -88,7 +88,8 @@ def _kernel_row_sums(t, p, scale, out):
 
 @dataclass(frozen=True)
 class KdeModel:
-    """Gaussian KDE of failure-sample values for one input.
+    """Gaussian KDE of failure-sample values for one input, in the space
+    the values were fitted in (z or x, as the transform of ``kde_fit``).
 
     ``points`` are kept sorted, which the windowed kernel sum relies on.
     ``kernel_terms`` counts the kernel terms its density calls evaluated.
@@ -96,8 +97,6 @@ class KdeModel:
 
     points: np.ndarray = field(repr=False)
     bandwidth: float
-    transform: str
-    marginal: object
     kernel_terms: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
@@ -170,20 +169,6 @@ class KdeModel:
         out[order] = sums / (len(p) * h * math.sqrt(2.0 * math.pi))
         return out
 
-    def density_physical(self, x):
-        """Estimated conditional density of the input itself."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.transform == TRANSFORM_IDENTITY:
-            return self.density_transformed(x)
-        lo, hi = self.marginal.support
-        inside = (x > lo) & (x < hi)
-        out = np.zeros_like(x)
-        if inside.any():
-            z = self.marginal.to_standard_normal(x[inside])
-            jac = self.marginal.pdf(x[inside]) / special.std_normal_pdf(z)
-            out[inside] = self.density_transformed(z) * jac
-        return out
-
 
 def kde_fit(values, marginal, transform=TRANSFORM_STANDARD_NORMAL):
     """Fit the conditional-density KDE for one input's failure values."""
@@ -198,8 +183,7 @@ def kde_fit(values, marginal, transform=TRANSFORM_STANDARD_NORMAL):
     else:
         raise DomainError(f"unknown transform mode {transform!r}")
     # bandwidth from the unsorted values: sorting would reorder the sd sum
-    return KdeModel(points=pts, bandwidth=silverman_bandwidth(pts),
-                    transform=transform, marginal=marginal)
+    return KdeModel(points=pts, bandwidth=silverman_bandwidth(pts))
 
 
 @dataclass(frozen=True)

@@ -258,10 +258,6 @@ def validate_config(raw):
             as_lognormal_linear(limit_state, marginals)
         except RelsensError as exc:
             raise ConfigError(f"method analytic: {exc}") from exc
-    if method == "form" and not joint.independent:
-        raise ConfigError(
-            "method form: the FORM conditional pf needs independent inputs, "
-            "and this config correlates them; use method mc or subset")
 
     # the schema admits integer-valued floats such as 1e6 as integers
     n, n_per_level = (int(raw[k]) if k in raw else None
@@ -384,6 +380,5 @@ def analytic_problem(cfg, a=None):
             raise ConfigError("analytic design values must be positive")
         const = design_sign * np.log(a)
         const = const if const.ndim else float(const)
-    corr = None if cfg.joint.independent else cfg.joint.r_xx
     return dists.LognormalLinearProblem.from_marginals(
-        cfg.marginals, corr, coeffs, const)
+        cfg.marginals, cfg.joint.r_xx, coeffs, const)

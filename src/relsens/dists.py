@@ -13,7 +13,6 @@ scipy.optimize.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -114,10 +113,6 @@ class Marginal:
         if self.kind == NORMAL or self.kind == GUMBEL:
             return (-math.inf, math.inf)
         return (0.0, math.inf)
-
-    @property
-    def median(self):
-        return self.inv_cdf(0.5)
 
     # -- density / distribution -------------------------------------------
 
@@ -411,10 +406,6 @@ class GaussianCopulaJoint:
     def dim(self):
         return len(self.marginals)
 
-    @functools.cached_property
-    def independent(self):
-        return bool(np.allclose(self.r_z, np.eye(self.dim)))
-
     def to_physical(self, u):
         """Map standard-normal coordinates to physical space (rows = points)."""
         u = np.asarray(u, dtype=float)
@@ -477,7 +468,7 @@ class LognormalLinearProblem:
         object.__setattr__(self, "c_ln", cov)
 
     @classmethod
-    def from_marginals(cls, marginals, r_xx=None, coeffs=None, const_term=0.0):
+    def from_marginals(cls, marginals, r_xx, coeffs=None, const_term=0.0):
         """Build from lognormal marginals plus a physical correlation matrix."""
         if any(m.kind != LOGNORMAL for m in marginals):
             raise DomainError("analytic problem requires lognormal marginals")
@@ -485,13 +476,10 @@ class LognormalLinearProblem:
         coeffs = np.ones(n) if coeffs is None else np.asarray(coeffs, float)
         mu = np.array([m.params[0] for m in marginals])
         sig = np.array([m.params[1] for m in marginals])
-        if r_xx is None:
-            cov = np.diag(sig ** 2)
-        else:
-            r_xx = validate_correlation(r_xx)
-            deltas = np.array([m.cov for m in marginals])
-            cov = np.log1p(r_xx * np.outer(deltas, deltas))
-            np.fill_diagonal(cov, sig ** 2)
+        r_xx = validate_correlation(r_xx)
+        deltas = np.array([m.cov for m in marginals])
+        cov = np.log1p(r_xx * np.outer(deltas, deltas))
+        np.fill_diagonal(cov, sig ** 2)
         return cls(const_term, coeffs, mu, cov)
 
 

@@ -12,6 +12,14 @@ problem; a design-free limit state is the one-row case.
 
 Sign convention: alpha = -grad G(u*)/||grad G(u*)||, so the linearized
 limit state is G1(U) = beta0 - alpha.U and beta0 = alpha.u*.
+
+Conditioning on one input happens in copula space. The copula maps U to
+Z = L U (L the Cholesky factor of the copula correlation), and X_i is a
+monotone function of Z_i alone, so conditioning on X_i = x_i is
+conditioning on Z_i = z_i. Z_i and alpha.U are standard normals with
+correlation rho_i = (L alpha)_i, which gives every joint model the one
+formula pf(z_i) = Phi((rho_i z_i - beta0) / sqrt(1 - rho_i^2)). With
+independent inputs L = I and rho_i = alpha_i.
 """
 
 from __future__ import annotations
@@ -186,15 +194,14 @@ def conditional_pf_x(joint, i, x_i, form_result):
     """FORM failure probability conditional on X_i = x_i: one row per row
     of ``form_result`` and one column per value of ``x_i``.
 
-    Only valid when the inputs are independent (the marginal map then
-    equals the full transform for component i).
+    X_i = x_i fixes the copula coordinate z_i, whose correlation with the
+    linearized margin's alpha.U is rho_i = (L alpha)_i for L =
+    ``joint.chol_z``; for independent inputs L = I and rho_i = alpha_i
+    exactly.
     """
-    if not joint.independent:
-        raise DomainError(
-            "conditional_pf_x requires independent inputs; "
-            "use the failure-sample estimator for dependent models")
     z = joint.marginals[i].to_standard_normal(x_i)
-    return conditional_pf_u(form_result.beta0, form_result.alpha[..., i], z)
+    return conditional_pf_u(form_result.beta0,
+                            form_result.alpha @ joint.chol_z[i], z)
 
 
 def threshold_u(beta0, alpha_i, cr_over_cf):

@@ -184,6 +184,7 @@ def _subset(cfg, grids, designs):
     def row_diagnostics(j):
         return {"levels": [list(t) for t in runs[j].levels],
                 "n_failure_samples": len(runs[j].last_level_samples),
+                "accept_rate": runs[j].accept_rate,
                 "samples_correlated": True}
 
     return _kde_estimate(cfg, grids, designs, pf,

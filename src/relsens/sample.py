@@ -50,7 +50,6 @@ class McResult:
     n: int
     ci95: tuple
     failure_samples: np.ndarray = field(repr=False)
-    seed: int
     n_fail: int = 0
     failed_at: np.ndarray = field(repr=False, default=None)
     workers: int = 1                   # threads that mapped and evaluated
@@ -68,10 +67,7 @@ class SubsetResult:
     pf_hat: float
     levels: tuple                      # (threshold, conditional probability)
     last_level_samples: np.ndarray = field(repr=False)
-    correlated: bool
-    seed: int
-    n_per_level: int = 0
-    accept_rate: float = float("nan")
+    accept_rate: float                 # of the last conditional pass
     n_chains: int = 1                  # chains interleaved in last_level_samples
 
 
@@ -158,10 +154,9 @@ def crude_mc(joint, limit_state, n, seed, a=None):
         bits = (np.vstack(fail_bits) if fail_bits else
                 np.empty((0, (len(designs) + 7) // 8), dtype=np.uint8))
         return McResult(pf_hat=pf, n=n, ci95=(lo, hi), failure_samples=samples,
-                        seed=seed, n_fail=n_fail, failed_at=bits,
-                        workers=workers)
+                        n_fail=n_fail, failed_at=bits, workers=workers)
     return McResult(pf_hat=float(pf[0]), n=n, ci95=(float(lo[0]), float(hi[0])),
-                    failure_samples=samples, seed=seed, n_fail=int(n_fail[0]),
+                    failure_samples=samples, n_fail=int(n_fail[0]),
                     workers=workers)
 
 
@@ -264,6 +259,4 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
         acc_last = acc
     return SubsetResult(pf_hat=pf, levels=tuple(levels),
                         last_level_samples=np.atleast_2d(x_fail),
-                        correlated=True, seed=seed,
-                        n_per_level=n_per_level, accept_rate=acc_last,
-                        n_chains=ns)
+                        accept_rate=acc_last, n_chains=ns)

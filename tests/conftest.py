@@ -46,7 +46,7 @@ def ex1_joint_dep(ex1_marginals):
 
 @pytest.fixture(scope="session")
 def ex1_problem(ex1_marginals):
-    return LognormalLinearProblem.from_marginals(ex1_marginals,
+    return LognormalLinearProblem.from_marginals(ex1_marginals, np.eye(4),
                                                  coeffs=EX1_SIGNS)
 
 

@@ -175,7 +175,7 @@ def test_kde_recovers_normal_density():
     m = marginal_from_params("normal", 0.0, 1.0)
     model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
     phi0 = 1.0 / math.sqrt(2 * math.pi)
-    assert model.density_physical(0.0)[0] == pytest.approx(phi0, rel=0.05)
+    assert model.density_transformed(0.0)[0] == pytest.approx(phi0, rel=0.05)
 
 
 def test_kde_two_cluster_symmetry():
@@ -183,7 +183,7 @@ def test_kde_two_cluster_symmetry():
     v = np.array([1.0] * 10 + [3.0] * 10)
     model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
     x = np.linspace(0.0, 4.0, 41)
-    d = model.density_physical(x)
+    d = model.density_transformed(x)
     assert np.allclose(d, d[::-1], rtol=1e-12)
 
 
@@ -195,33 +195,41 @@ def test_kde_needs_enough_points():
         kde_fit(np.ones(50), m, transform=TRANSFORM_IDENTITY)
 
 
+def _conditional_density(m, values, x):
+    # f(x | F) of the default-transform fit, as a curve reports it; it does
+    # not depend on pf_hat
+    return conditional_pf_from_failure_samples(
+        m, 0, values, 0.5, x).density_conditional
+
+
 def test_transformed_kde_keeps_mass_inside_support():
-    # lognormal support is (0, inf): the default transform cannot leak mass
+    # lognormal support is (0, inf): the default transform cannot leak mass,
+    # while a fit in x puts some of it below 0
     m = marginal_from_params("lognormal", 0.0, 0.6)
     rng = np.random.default_rng(2)
     v = np.exp(0.6 * rng.standard_normal(2000))
-    model = kde_fit(v, m)
-    assert np.all(model.density_physical(np.array([-0.5, -0.1, 0.0])) == 0.0)
+    x = np.linspace(1e-6, 15.0, 20_001)
+    assert np.trapezoid(_conditional_density(m, v, x), x) == pytest.approx(
+        1.0, abs=1e-9)
     ident = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
-    assert np.any(ident.density_physical(np.array([-0.1, -0.05])) > 0.0)
+    assert np.all(ident.density_transformed(np.array([-0.1, -0.05])) > 0.0)
+    assert np.trapezoid(ident.density_transformed(x), x) < 1.0 - 1e-3
 
 
 def test_transformed_kde_density_integrates_to_one():
     m = marginal_from_params("lognormal", 0.0, 0.5)
     rng = np.random.default_rng(3)
     v = np.exp(0.5 * rng.standard_normal(5000))
-    model = kde_fit(v, m)
     x = np.linspace(1e-6, 15.0, 20_001)
-    total = np.trapezoid(model.density_physical(x), x)
+    total = np.trapezoid(_conditional_density(m, v, x), x)
     assert total == pytest.approx(1.0, abs=1e-3)
 
 
 def test_kde_on_short_column_failure_samples(ex2_mc, ex2_marginals):
     # failure pushes the bending moment above its prior mean
     m1_fail = ex2_mc.failure_samples[:, 0]
-    model = kde_fit(m1_fail, ex2_marginals[0])
     grid = default_grid(ex2_marginals[0])
-    dens = model.density_physical(grid)
+    dens = _conditional_density(ex2_marginals[0], m1_fail, grid)
     kde_mean = np.trapezoid(grid * dens, grid)
     assert kde_mean > 250.0
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=5e-3)

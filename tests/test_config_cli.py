@@ -154,14 +154,14 @@ def test_schema_violation_has_field_path():
 @pytest.mark.parametrize("name", ["example1_safety_dependent.json",
                                   "example2_safety.json"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_form_on_dependent_inputs_rejected_as_config_error(
-        tmp_path, capsys, name, command):
+def test_form_runs_on_dependent_inputs(tmp_path, capsys, name, command):
+    out = tmp_path / "out"
     code = cli.main([command, str(CONFIG_DIR / name), "--method", "form",
-                     "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "method form" in err and "mc or subset" in err
-    assert not (tmp_path / "out").exists()
+                     "--out", str(out)])
+    assert code == 0
+    assert "warning" not in capsys.readouterr().err
+    table = "evppi_table.csv" if command == "run" else "sweep.csv"
+    assert (out / table).stat().st_size > 0
 
 
 def test_native_params_accepted():
@@ -354,6 +354,13 @@ def test_cli_reports_form_non_convergence(tmp_path, capsys, monkeypatch):
                 if line.startswith("warning:")]
     assert warnings == ["warning: FORM search did not converge for: "
                         + ", ".join(map(str, failed))]
+    # sweep runs the same analysis and must not hide a capped search either
+    assert cli.main(["sweep", str(CONFIG_DIR / "example1_safety.json"),
+                     "--method", "form", "--out", str(tmp_path / "sweep")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: FORM search did not converge for: "
+                        "reliability"]
 
 
 def test_cli_design_form_threads_byte_identical(tmp_path):

@@ -150,19 +150,22 @@ def test_safety_evppi_table4_dependent_mc_kde(ex1_joint_dep, ex1_lsf,
     assert np.max(np.abs(got - np.array([26.0, 41.0, 4.0, 29.0]))) < 2.0
 
 
-def test_safety_evppi_closed_form_agreement(ex1_joint, ex1_lsf, ex1_marginals):
+def test_safety_evppi_closed_form_agreement(ex1_joint, ex1_joint_dep, ex1_lsf,
+                                            ex1_marginals):
     # exact-in-U problem: quadrature over FORM curves must hit the closed form
-    res = solve_form(ex1_joint, ex1_lsf)
+    # at the correlation rho_i = (L alpha)_i of z_i with the linear margin
     d = SafetyDecision(c_f=CF, c_r=1e6)
-    for i, m in enumerate(ex1_marginals):
-        grid = default_grid(m, n=65536, p_lo=1e-12)
-        curve = curve_from_function(
-            m, i, lambda x: conditional_pf_x(ex1_joint, i, x, res)[0],
-            PF_IND, grid, source="form")
-        quadr = evppi_safety(curve, d)
-        closed = evppi_form_safety(res.beta0[0], res.alpha[0, i], d.c_f,
-                                   d.c_r)
-        assert quadr == pytest.approx(closed, rel=1e-6)
+    for joint, pf in ((ex1_joint, PF_IND), (ex1_joint_dep, PF_DEP)):
+        res = solve_form(joint, ex1_lsf)
+        for i, m in enumerate(ex1_marginals):
+            grid = default_grid(m, n=65536, p_lo=1e-12)
+            curve = curve_from_function(
+                m, i, lambda x: conditional_pf_x(joint, i, x, res)[0],
+                pf, grid, source="form")
+            quadr = evppi_safety(curve, d)
+            rho_i = float(res.alpha[0] @ joint.chol_z[i])
+            closed = evppi_form_safety(res.beta0[0], rho_i, d.c_f, d.c_r)
+            assert quadr == pytest.approx(closed, rel=1e-6)
 
 
 def test_scaling_invariance(ex1_problem, ex1_marginals):

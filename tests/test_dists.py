@@ -193,7 +193,7 @@ def test_standard_normal_maps_match_cdf_inverse():
 
 def test_median_maps_to_zero():
     m = fit_params_from_moments("lognormal", 100.0, 0.2)
-    assert m.to_standard_normal(m.median) == pytest.approx(0.0, abs=1e-12)
+    assert m.to_standard_normal(m.inv_cdf(0.5)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_support_violation_raises():
@@ -284,17 +284,6 @@ def test_round_trip_identity_dependent(ex2_joint):
 
 def test_independent_copula_is_identity(ex1_joint):
     assert np.array_equal(ex1_joint.r_z, np.eye(4))
-    assert ex1_joint.independent
-
-
-@pytest.mark.parametrize("name, expect", [("ex1_joint", True),
-                                          ("ex1_joint_dep", False),
-                                          ("ex2_joint", False)])
-def test_independent_flag_computed_once(name, expect, request):
-    joint = request.getfixturevalue(name)
-    assert joint.independent is expect
-    assert joint.independent is bool(np.allclose(joint.r_z, np.eye(joint.dim)))
-    assert joint.__dict__["independent"] is expect
 
 
 def test_cholesky_transform_example():
@@ -315,7 +304,7 @@ def test_to_standard_names_offending_component(ex1_joint):
 
 
 def test_median_point_maps_to_origin(ex1_joint):
-    x = np.array([m.median for m in ex1_joint.marginals])
+    x = np.array([m.inv_cdf(0.5) for m in ex1_joint.marginals])
     assert np.max(np.abs(ex1_joint.to_standard(x))) < 1e-12
 
 
@@ -351,7 +340,7 @@ def test_pf_zero_variance_raises(ex1_marginals):
 def test_conditional_reduces_to_lower_dimensional_problem(ex1_problem,
                                                           ex1_marginals):
     # conditioning R at any value must equal the 3-input problem shifted by ln r
-    r = ex1_marginals[0].median
+    r = ex1_marginals[0].inv_cdf(0.5)
     got = lognormal_linear_conditional_pf(ex1_problem, 0, r)
     reduced = LognormalLinearProblem(
         const_term=math.log(r), coeffs=EX1_SIGNS[1:],

@@ -177,7 +177,7 @@ def test_conditional_pf_u_degenerate():
 def test_conditional_pf_x_median_matches_u_zero(ex1_joint, ex1_lsf):
     res = solve_form(ex1_joint, ex1_lsf)
     m = ex1_joint.marginals[0]
-    got = conditional_pf_x(ex1_joint, 0, m.median, res)
+    got = conditional_pf_x(ex1_joint, 0, m.inv_cdf(0.5), res)
     assert got.shape == (1, 1)
     assert got[0, 0] == pytest.approx(
         conditional_pf_u(res.beta0[0], res.alpha[0, 0], 0.0), rel=1e-12)
@@ -190,20 +190,19 @@ def test_conditional_pf_x_monotone_in_resistance(ex1_joint, ex1_lsf):
     assert np.all(np.diff(vals) < 0)
 
 
-def test_conditional_pf_x_exact_for_linear(ex1_joint, ex1_lsf, ex1_problem):
-    # FORM is exact here, so the curve must match the analytic oracle
-    res = solve_form(ex1_joint, ex1_lsf)
-    for i, m in enumerate(ex1_joint.marginals):
-        x = m.inv_cdf(np.linspace(0.01, 0.99, 50))
-        got = conditional_pf_x(ex1_joint, i, x, res)[0]
-        expect = lognormal_linear_conditional_pf(ex1_problem, i, x)
-        assert np.max(np.abs(got / expect - 1.0)) < 1e-6
-
-
-def test_conditional_pf_x_rejects_dependent(ex2_joint, ex2_lsf):
-    res = solve_form(ex2_joint, ex2_lsf)
-    with pytest.raises(DomainError):
-        conditional_pf_x(ex2_joint, 0, 250.0, res)
+def test_conditional_pf_x_exact_for_linear(ex1_joint, ex1_problem,
+                                           ex1_joint_dep, ex1_problem_dep,
+                                           ex1_lsf):
+    # FORM is exact here, so the curve must match the analytic oracle; with
+    # dependent inputs it conditions on the copula coordinate z_i
+    for joint, problem in ((ex1_joint, ex1_problem),
+                           (ex1_joint_dep, ex1_problem_dep)):
+        res = solve_form(joint, ex1_lsf)
+        for i, m in enumerate(joint.marginals):
+            x = m.inv_cdf(np.linspace(0.01, 0.99, 50))
+            got = conditional_pf_x(joint, i, x, res)[0]
+            expect = lognormal_linear_conditional_pf(problem, i, x)
+            assert np.max(np.abs(got / expect - 1.0)) < 1e-6
 
 
 # -- thresholds ---------------------------------------------------------------------

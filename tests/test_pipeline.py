@@ -27,13 +27,35 @@ def test_analytic_broadcast_equals_per_design_loop():
                                                          cfg.marginals)
     for j, a in enumerate(cfg.design.grid):
         problem = dists.LognormalLinearProblem.from_marginals(
-            cfg.marginals, None, coeffs, design_sign * math.log(a))
+            cfg.marginals, np.eye(len(cfg.marginals)), coeffs,
+            design_sign * math.log(a))
         pf = dists.lognormal_linear_pf(problem)
         assert est.pf[j] == pytest.approx(pf, rel=1e-14, abs=0.0)
         for i, (name, m) in enumerate(zip(cfg.names, cfg.marginals)):
             grid = condest.default_grid(m, cfg.grid_points)
             loop = dists.lognormal_linear_conditional_pf(problem, i, grid)
             assert np.allclose(est.values[name][j], loop, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("stage", ["safety", "design"])
+def test_form_matches_analytic_on_dependent_inputs(stage):
+    # FORM is exact on the lognormal-linear model with correlated inputs too
+    raw = config_mod.read_config(ROOT / "configs" / "example1_safety_dependent.json")
+    if stage == "design":
+        raw = _design_config("analytic", correlation=raw["correlation"])
+    form_res, exact = (pipeline.run_analysis(config_mod.validate_config(
+                           {**raw, "method": method}))
+                       for method in ("form", "analytic"))
+    assert form_res.pf == pytest.approx(exact.pf, rel=1e-12, abs=0.0)
+    for name, curve in form_res.curves.items():
+        assert np.array_equal(curve.grid, exact.curves[name].grid)
+    got, expect = ((r.safety_report if stage == "safety"
+                    else r.design["report"]).entries
+                   for r in (form_res, exact))
+    assert [e.name for e in got] == [e.name for e in expect]
+    for e_form, e_exact in zip(got, expect):
+        assert e_form.absolute == pytest.approx(e_exact.absolute, rel=1e-7,
+                                                abs=0.0)
 
 
 def test_design_reference_row_is_the_sweep_row():

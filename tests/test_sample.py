@@ -77,7 +77,6 @@ def test_subset_single_level_case(ex1_joint, ex1_design_lsf, ex1_problem):
     assert len(res.levels) == 1
     assert res.levels[0][0] == 0.0
     assert res.pf_hat == pytest.approx(0.5, abs=0.05)
-    assert res.correlated
 
 
 def test_subset_result_invariants(ex1_joint, ex1_lsf):
