@@ -287,7 +287,8 @@ def build_parser():
                        help="closed-form EVPPI against the sensitivity index")
     p.add_argument("--betas", required=True,
                    help="comma-separated reliability indices")
-    p.add_argument("--cost-ratio", type=float, default=1e-3)
+    p.add_argument("--cost-ratio", type=float, default=1e-3,
+                   help="c_r / c_f of the safety mode; design mode ignores it")
     p.add_argument("--mode", choices=["safety", "design"], default="safety")
     p.add_argument("--out")
     p.set_defaults(func=cmd_form_curves)

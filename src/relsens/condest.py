@@ -192,16 +192,15 @@ class ConditionalPfCurve:
 
     The decision layer integrates against ``density_prior``, so every
     curve carries it. A design sweep's curve has one row of pf_values per
-    design value, with pf_uncond then holding one value per design.
+    design value, and its pf_uncond then holds one value per row.
     ``density_conditional`` is f(x_i | F) where a KDE produced the curve,
     and ``kernel_terms`` the number of kernel terms its KDE evaluated.
     """
 
-    input_index: int
     grid: np.ndarray
     pf_values: np.ndarray
     source: str                      # analytic | form | kde
-    pf_uncond: float
+    pf_uncond: float | np.ndarray    # one value per row of a sweep curve
     density_prior: np.ndarray = field(repr=False)
     density_conditional: np.ndarray = field(repr=False, default=None)
     clip_fraction: float = 0.0
@@ -218,11 +217,9 @@ class ConditionalPfCurve:
                            np.asarray(self.pf_values, dtype=float))
 
 
-def default_grid(marginal, n=512, p_lo=1e-6, p_hi=None):
+def default_grid(marginal, n=512, p_lo=1e-6):
     """Uniform grid spanning the [p_lo, 1-p_lo] quantile range."""
-    if p_hi is None:
-        p_hi = 1.0 - p_lo
-    return np.linspace(marginal.inv_cdf(p_lo), marginal.inv_cdf(p_hi), n)
+    return np.linspace(marginal.inv_cdf(p_lo), marginal.inv_cdf(1.0 - p_lo), n)
 
 
 def effective_sample_size(values, stride=1):
@@ -291,7 +288,7 @@ def conditional_pf_from_failure_samples(marginal, i, failure_values, pf_hat,
     pf = np.clip(raw, 0.0, 1.0)
     clip_fraction = float(np.mean(raw > 1.0))
     return ConditionalPfCurve(
-        input_index=i, grid=grid, pf_values=pf, source="kde",
+        grid=grid, pf_values=pf, source="kde",
         pf_uncond=float(pf_hat), density_prior=prior,
         density_conditional=cond, clip_fraction=clip_fraction,
         n_failure_samples=len(np.asarray(failure_values)),
@@ -299,16 +296,15 @@ def conditional_pf_from_failure_samples(marginal, i, failure_values, pf_hat,
         kernel_terms=model.kernel_terms)
 
 
-def curve_from_function(marginal, i, pf_of_x, pf_uncond, grid=None,
+def curve_from_function(marginal, pf_of_x, pf_uncond, grid=None,
                         source="analytic"):
     """Wrap a vectorized pf(x_i) callable as a curve on the default grid."""
     if grid is None:
         grid = default_grid(marginal)
     grid = np.asarray(grid, dtype=float)
     return ConditionalPfCurve(
-        input_index=i, grid=grid,
-        pf_values=np.asarray(pf_of_x(grid), dtype=float), source=source,
-        pf_uncond=float(pf_uncond),
+        grid=grid, pf_values=np.asarray(pf_of_x(grid), dtype=float),
+        source=source, pf_uncond=float(pf_uncond),
         density_prior=np.asarray(marginal.pdf(grid), dtype=float))
 
 

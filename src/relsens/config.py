@@ -251,13 +251,20 @@ def validate_config(raw):
     method = raw["method"]
     if method == "mc" and "n" not in raw:
         raise ConfigError("method mc requires n")
-    if method == "subset" and "n_per_level" not in raw:
-        raise ConfigError("method subset requires n_per_level")
+    if method == "subset":
+        if "n_per_level" not in raw:
+            raise ConfigError("method subset requires n_per_level")
+        if raw["n_per_level"] * raw.get("p0", 0.1) < 10:
+            raise ConfigError("n_per_level: method subset needs "
+                              "n_per_level * p0 of at least 10")
     if method == "analytic":
         try:
             as_lognormal_linear(limit_state, marginals)
         except RelsensError as exc:
             raise ConfigError(f"method analytic: {exc}") from exc
+        if design is not None and np.any(design.grid <= 0.0):
+            raise ConfigError("decision/design/grid: method analytic needs "
+                              "positive design values")
 
     # the schema admits integer-valued floats such as 1e6 as integers
     n, n_per_level = (int(raw[k]) if k in raw else None
@@ -368,10 +375,11 @@ def as_lognormal_linear(limit_state, marginals):
 
 
 def analytic_problem(cfg, a=None):
-    """LognormalLinearProblem for the configured model, at design ``a``
-    (one value, or a 1-D array giving one constant term per design)."""
+    """LognormalLinearProblem for the configured model, with one constant
+    term per row: one row per value of the 1-D design array ``a``, or one
+    row (constant 0) for a design-free limit state and ``a`` None."""
     coeffs, design_sign = as_lognormal_linear(cfg.limit_state, cfg.marginals)
-    const = 0.0
+    const = np.zeros(1)
     if cfg.limit_state.has_design_param:
         if a is None:
             raise ConfigError("this limit state needs a design value")
@@ -379,6 +387,5 @@ def analytic_problem(cfg, a=None):
         if np.any(a <= 0.0):
             raise ConfigError("analytic design values must be positive")
         const = design_sign * np.log(a)
-        const = const if const.ndim else float(const)
     return dists.LognormalLinearProblem.from_marginals(
         cfg.marginals, cfg.joint.r_xx, coeffs, const)

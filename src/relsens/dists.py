@@ -407,29 +407,23 @@ class GaussianCopulaJoint:
         return len(self.marginals)
 
     def to_physical(self, u):
-        """Map standard-normal coordinates to physical space (rows = points)."""
-        u = np.asarray(u, dtype=float)
-        squeeze = u.ndim == 1
-        u2 = np.atleast_2d(u)
-        z = u2 @ self.chol_z.T
-        x = np.column_stack([m.from_standard_normal(z[:, i])
-                             for i, m in enumerate(self.marginals)])
-        return x[0] if squeeze else x
+        """Map a batch of standard-normal points (rows of a 2-D u) to
+        physical space; returns one row per point."""
+        z = np.asarray(u, dtype=float) @ self.chol_z.T
+        return np.column_stack([m.from_standard_normal(z[:, i])
+                                for i, m in enumerate(self.marginals)])
 
     def to_standard(self, x):
-        """Inverse map; raises DomainError naming the offending component."""
+        """Inverse map of a batch of physical points (rows of a 2-D x);
+        raises DomainError naming the offending component."""
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x2 = np.atleast_2d(x)
         cols = []
         for i, m in enumerate(self.marginals):
             try:
-                cols.append(np.atleast_1d(m.to_standard_normal(x2[:, i])))
+                cols.append(m.to_standard_normal(x[:, i]))
             except DomainError as exc:
                 raise DomainError(f"component {i}: {exc}") from exc
-        z = np.column_stack(cols)
-        u = np.linalg.solve(self.chol_z, z.T).T
-        return u[0] if squeeze else u
+        return np.linalg.solve(self.chol_z, np.column_stack(cols).T).T
 
     def sample(self, n, rng):
         """n joint samples; returns (x, u) with matching rows."""

@@ -154,18 +154,15 @@ def find_design_points(G, u0, max_iterations=100, fd_step=1e-5, tol_u=1e-6,
                       row_iterations=row_iterations, row_converged=converged)
 
 
-def solve_form(joint, limit_state, a=None, u0=None, **kwargs):
+def solve_form(joint, limit_state, a=None, **kwargs):
     """Design points of a physical problem, one row per design.
 
     ``a`` is None for a design-free limit state (one row) or a 1-D array
-    of design values, whose searches run in lockstep. ``u0`` gives one
-    start for every row or one row per design; the default is the origin.
+    of design values, whose searches run in lockstep from the origin.
     """
     m = 1 if a is None else len(a)
-    start = (np.zeros((m, joint.dim)) if u0 is None else
-             np.broadcast_to(np.asarray(u0, dtype=float), (m, joint.dim)))
     return find_design_points(standard_space_lsf(joint, limit_state, a),
-                              start, **kwargs)
+                              np.zeros((m, joint.dim)), **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ class LimitState:
 
 
 def evaluate(limit_state, x, a=None):
-    """Evaluate g at one point (1-D x) or a batch (rows of a 2-D x).
+    """Evaluate g on a batch of points, the rows of a 2-D x; returns one
+    value per row. A single point is passed as ``x[None]``.
 
     ``a`` must be given iff the limit state declares a design parameter:
     one value for every row, or a 1-D array with one value per row.
@@ -255,28 +256,27 @@ def evaluate(limit_state, x, a=None):
     if not limit_state.has_design_param and a is not None:
         raise EvalError("limit state does not take a design parameter")
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != len(limit_state.input_names):
+    n_inputs = len(limit_state.input_names)
+    if x.ndim != 2 or x.shape[1] != n_inputs:
         raise EvalError(
-            f"expected {len(limit_state.input_names)} inputs, got {x2.shape[1]}")
-    env = {name: x2[:, i] for i, name in enumerate(limit_state.input_names)}
+            f"expected rows of {n_inputs} inputs, got shape {x.shape}")
+    env = {name: x[:, i] for i, name in enumerate(limit_state.input_names)}
     if a is not None:
         a = np.asarray(a, dtype=float)
-        if a.ndim and a.shape != (x2.shape[0],):
+        if a.ndim and a.shape != (x.shape[0],):
             raise EvalError(f"design parameter a: expected one value or "
-                            f"{x2.shape[0]} (one per row), got shape {a.shape}")
+                            f"{x.shape[0]} (one per row), got shape {a.shape}")
         env[DESIGN_SYMBOL] = a if a.ndim else float(a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = np.asarray(_eval(limit_state.ast, env), dtype=float)
-    g = np.broadcast_to(g, (x2.shape[0],)).copy() if g.ndim == 0 else g
+    g = np.broadcast_to(g, (x.shape[0],)).copy() if g.ndim == 0 else g
     bad = ~np.isfinite(g)
     if np.any(bad):
         i = int(np.argmax(bad))
-        values = {name: float(x2[i, j])
+        values = {name: float(x[i, j])
                   for j, name in enumerate(limit_state.input_names)}
         raise NonFiniteGError(i, values)
-    return float(g[0]) if squeeze else g
+    return g
 
 
 # -- built-in limit states -----------------------------------------------------

@@ -87,9 +87,9 @@ def _function_estimate(cfg, grids, pf, values, source, row_diagnostics,
     """Estimate of a closed-form method: row curves wrap the value rows."""
     def at_row(j):
         curves = {name: condest.curve_from_function(
-                      cfg.marginals[i], i, lambda x, row=values[name][j]: row,
-                      pf[j], grids[name], source=source)
-                  for i, name in enumerate(cfg.names)}
+                      m, lambda x, row=values[name][j]: row, pf[j],
+                      grids[name], source=source)
+                  for name, m in zip(cfg.names, cfg.marginals)}
         return curves, row_diagnostics(j)
 
     return Estimate(pf, values, at_row, diagnostics)
@@ -97,9 +97,9 @@ def _function_estimate(cfg, grids, pf, values, source, row_diagnostics,
 
 def _analytic(cfg, grids, designs):
     problem = config_mod.analytic_problem(cfg, designs)
-    pf = np.atleast_1d(dists.lognormal_linear_pf(problem))
-    values = {name: np.atleast_2d(dists.lognormal_linear_conditional_pf(
-                  problem, i, grids[name]))
+    pf = dists.lognormal_linear_pf(problem)
+    values = {name: dists.lognormal_linear_conditional_pf(problem, i,
+                                                          grids[name])
               for i, name in enumerate(cfg.names)}
     return _function_estimate(cfg, grids, pf, values, "analytic",
                               lambda j: {}, {})
@@ -160,16 +160,14 @@ def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
 def _mc(cfg, grids, designs):
     mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed,
                          a=designs)
-    pf = np.atleast_1d(mc.pf_hat)
-    n_fail = np.atleast_1d(mc.n_fail)
-    lo, hi = np.atleast_1d(mc.ci95[0]), np.atleast_1d(mc.ci95[1])
+    lo, hi = mc.ci95
 
     def row_diagnostics(j):
         return {"n": mc.n, "ci95": [float(lo[j]), float(hi[j])],
-                "n_failure_samples": int(n_fail[j]), "workers": mc.workers}
+                "n_failure_samples": int(mc.n_fail[j]), "workers": mc.workers}
 
-    return _kde_estimate(cfg, grids, designs, pf, n_fail, mc.failures,
-                         [1] * len(pf), row_diagnostics)
+    return _kde_estimate(cfg, grids, designs, mc.pf_hat, mc.n_fail,
+                         mc.failures, [1] * len(mc.pf_hat), row_diagnostics)
 
 
 def _subset(cfg, grids, designs):
@@ -252,9 +250,8 @@ def _design_evppi(cfg, est, prior, ref_curves):
         ref = ref_curves[name]
         # one curve with a row per design, on the reference row's grid
         sweep = condest.ConditionalPfCurve(
-            input_index=ref.input_index, grid=ref.grid,
-            pf_values=est.values[name], source=ref.source, pf_uncond=est.pf,
-            density_prior=ref.density_prior)
+            grid=ref.grid, pf_values=est.values[name], source=ref.source,
+            pf_uncond=est.pf, density_prior=ref.density_prior)
         out = dec.evppi_design(sweep, est.pf, cfg.design)
         entries.append(dec.EvppiEntry(name=name, absolute=out["evppi"]))
         details[name] = out

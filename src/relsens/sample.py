@@ -30,6 +30,7 @@ from . import lsf as lsf_mod
 from .errors import DomainError, NonFiniteGError, StagnationError
 
 MC_BATCH = 50_000
+MAX_LEVELS = 30                 # subset levels before giving up
 
 
 def make_rng(seed_or_stream):
@@ -38,26 +39,25 @@ def make_rng(seed_or_stream):
 
 @dataclass(frozen=True)
 class McResult:
-    """Crude Monte Carlo at one design value, or at several on one sample.
+    """Crude Monte Carlo at one or more design values on one sample.
 
-    With several designs, pf_hat, ci95 and n_fail hold one value per
-    design, failure_samples holds the rows that fail at any design and
-    ``failed_at`` marks, as bits packed along the design axis
-    (``np.packbits(..., axis=1)``), the designs each row fails at.
+    pf_hat, n_fail and both ci95 bounds hold one value per design (one
+    for a design-free limit state). failure_samples holds the rows that
+    fail at any design, and ``failed_at`` marks, as bits packed along
+    the design axis (``np.packbits(..., axis=1)``), the designs each row
+    fails at.
     """
 
-    pf_hat: float
+    pf_hat: np.ndarray
     n: int
-    ci95: tuple
+    ci95: tuple                        # (lower, upper)
     failure_samples: np.ndarray = field(repr=False)
-    n_fail: int = 0
-    failed_at: np.ndarray = field(repr=False, default=None)
+    n_fail: np.ndarray
+    failed_at: np.ndarray = field(repr=False)
     workers: int = 1                   # threads that mapped and evaluated
 
     def failures(self, j):
         """The failure rows of design j, in draw order."""
-        if self.failed_at is None:
-            return self.failure_samples
         bit = (self.failed_at[:, j // 8] >> (7 - j % 8)) & 1
         return self.failure_samples[bit.astype(bool)]
 
@@ -82,10 +82,11 @@ def _available_cpus():
 def crude_mc(joint, limit_state, n, seed, a=None):
     """Direct Monte Carlo estimate of P(g <= 0).
 
-    ``a`` is one design value (or None for a design-free limit state) or a
-    1-D array of design values; g is then evaluated at every design on the
-    same sample (common random numbers), so each design's result equals
-    that of a run at that design alone. Deterministic for a given seed;
+    ``a`` is None for a design-free limit state, or a 1-D array of design
+    values; g is then evaluated at every design on the same sample (common
+    random numbers), so each design's result equals that of a run at that
+    design alone. The result has one row per design either way: a single
+    design is passed as ``[a]``. Deterministic for a given seed;
     failure_samples holds exactly the physical rows with g <= 0 (at some
     design), in draw order.
 
@@ -100,7 +101,7 @@ def crude_mc(joint, limit_state, n, seed, a=None):
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    designs = np.asarray(a, dtype=float) if np.ndim(a) else [a]
+    designs = [None] if a is None else np.asarray(a, dtype=float)
     rng = make_rng(seed)
     sizes = [min(MC_BATCH, n - start) for start in range(0, n, MC_BATCH)]
     if len(sizes) > 1 and sizes[-1] == 1:
@@ -150,15 +151,10 @@ def crude_mc(joint, limit_state, n, seed, a=None):
     half = 1.96 * np.sqrt(np.maximum(pf * (1.0 - pf), 0.0) / n)
     lo, hi = np.maximum(0.0, pf - half), np.minimum(1.0, pf + half)
     samples = np.vstack(fail_rows) if fail_rows else np.empty((0, joint.dim))
-    if np.ndim(a):
-        bits = (np.vstack(fail_bits) if fail_bits else
-                np.empty((0, (len(designs) + 7) // 8), dtype=np.uint8))
-        return McResult(pf_hat=pf, n=n, ci95=(lo, hi), failure_samples=samples,
-                        n_fail=n_fail, failed_at=bits, workers=workers)
-    return McResult(pf_hat=float(pf[0]), n=n, ci95=(float(lo[0]), float(hi[0])),
-                    failure_samples=samples, n_fail=int(n_fail[0]),
-                    workers=workers)
-
+    bits = (np.vstack(fail_bits) if fail_bits else
+            np.empty((0, (len(designs) + 7) // 8), dtype=np.uint8))
+    return McResult(pf_hat=pf, n=n, ci95=(lo, hi), failure_samples=samples,
+                    n_fail=n_fail, failed_at=bits, workers=workers)
 
 def _conditional_level(G, seeds_u, seeds_g, threshold, n_out, rng, lam):
     """Adaptive conditional sampling: grow chains from the seeds until
@@ -196,8 +192,7 @@ def _conditional_level(G, seeds_u, seeds_g, threshold, n_out, rng, lam):
     return u, g, lam, (acc_sum / acc_n if acc_n else float("nan"))
 
 
-def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
-                      max_levels=30):
+def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None):
     """Subset-simulation estimate of a small failure probability.
 
     Thresholds sit at the p0-quantile of g per level; conditional moves
@@ -212,7 +207,7 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
     if n_per_level * p0 < 10:
         raise DomainError("n_per_level * p0 must be at least 10")
     root = np.random.SeedSequence(seed)
-    streams = root.spawn(max_levels + 2)
+    streams = root.spawn(MAX_LEVELS + 2)
     G = lambda u: lsf_mod.evaluate(limit_state, joint.to_physical(u), a)
 
     rng = make_rng(streams[0])
@@ -222,7 +217,7 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
     lam = 0.6
     acc_last = float("nan")
     prev_thresholds = []
-    for level in range(1, max_levels + 1):
+    for level in range(1, MAX_LEVELS + 1):
         t = float(np.quantile(g, p0))
         if t <= 0.0:
             levels.append((0.0, float(np.mean(g <= 0.0))))
@@ -243,7 +238,7 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
         u, g, lam, acc_last = _conditional_level(
             G, seeds_u, seeds_g, t, n_per_level, rng, lam)
     else:
-        raise StagnationError(f"no failure level within {max_levels} levels")
+        raise StagnationError(f"no failure level within {MAX_LEVELS} levels")
 
     pf = float(np.prod([p for _, p in levels]))
 
@@ -258,5 +253,5 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None,
     if not np.isnan(acc):
         acc_last = acc
     return SubsetResult(pf_hat=pf, levels=tuple(levels),
-                        last_level_samples=np.atleast_2d(x_fail),
+                        last_level_samples=x_fail,
                         accept_rate=acc_last, n_chains=ns)

@@ -11,7 +11,12 @@ on p outside (0, 1).
 
 scipy has no bivariate normal CDF to 1e-12, so ``bivariate_normal_cdf``
 is Genz's reformulation of the Drezner-Wesolowsky integral, absolute
-error below 1e-12 (in practice ~5e-16).
+error below 1e-12 (in practice ~5e-16). ``scipy.special.owens_t``
+(through Owen's 1956 formula) was checked as a replacement against
+60-digit mpmath quadrature and is less accurate: at h = 1, k = 1.0000001,
+rho = 0.9999999 its worst absolute error was 1.7e-15 against Genz's
+1.1e-16, and where the true value is below 1e-50 it returns about 1e-17
+to 1e-20, where Genz returns 1e-27 or less.
 """
 
 from __future__ import annotations

@@ -210,6 +210,32 @@ def test_cli_rejects_nan_and_infinity(tmp_path, capsys, command, token, edit):
     assert not out.exists()
 
 
+def _negative_analytic_design(raw):
+    raw["decision"]["design"]["grid"]["start"] = -0.5
+
+
+def _starved_subset_level(raw):
+    raw.update(method="subset", n_per_level=100, p0=0.05)
+
+
+# both configs used to pass validate and fail in run with exit 3
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name, edit, field", [
+    ("example1_design.json", _negative_analytic_design, "decision/design/grid"),
+    ("example1_safety.json", _starved_subset_level, "n_per_level"),
+], ids=["analytic_negative_design", "subset_n_per_level_times_p0"])
+def test_cli_rejects_configs_that_fail_at_run_time(tmp_path, capsys, command,
+                                                   name, edit, field):
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    edit(raw)
+    path = _write_config(tmp_path / "bad.json", raw)
+    out = tmp_path / "out"
+    args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert cli.main(args) == 2
+    assert f"{field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_outputs(tmp_path):
     out = tmp_path / "run"
     code = cli.main(["run", str(CONFIG_DIR / "example1_safety.json"),

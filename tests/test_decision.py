@@ -25,7 +25,7 @@ CF = 1e8
 def analytic_curve(problem, marginals, i, grid=None):
     pf = lognormal_linear_pf(problem)
     return curve_from_function(
-        marginals[i], i,
+        marginals[i],
         lambda x: lognormal_linear_conditional_pf(problem, i, x),
         pf, grid=grid)
 
@@ -60,7 +60,7 @@ def test_prior_action_cases():
 def test_cvppi_flat_curve_is_zero(ex1_marginals):
     m = ex1_marginals[0]
     grid = default_grid(m)
-    curve = ConditionalPfCurve(0, grid, np.full(grid.size, PF_IND),
+    curve = ConditionalPfCurve(grid, np.full(grid.size, PF_IND),
                                "analytic", PF_IND, m.pdf(grid))
     d = SafetyDecision(c_f=1e8, c_r=1e6)
     assert np.all(cvppi_curve(curve, d) == 0.0)
@@ -77,7 +77,7 @@ def test_cvppi_zero_at_decision_boundary(ex1_marginals):
     m = ex1_marginals[0]
     grid = np.array([80.0, 90.0, 100.0])
     d = SafetyDecision(c_f=1e8, c_r=1e6)
-    curve = ConditionalPfCurve(0, grid, np.array([0.5, d.ratio, 1e-4]),
+    curve = ConditionalPfCurve(grid, np.array([0.5, d.ratio, 1e-4]),
                                "analytic", PF_IND, m.pdf(grid))
     values = cvppi_curve(curve, d)
     assert values[1] == 0.0
@@ -144,7 +144,7 @@ def test_safety_evppi_table4_dependent_mc_kde(ex1_joint_dep, ex1_lsf,
     vals = []
     for i, m in enumerate(ex1_marginals):
         curve = conditional_pf_from_failure_samples(
-            m, i, mc.failure_samples[:, i], mc.pf_hat)
+            m, i, mc.failure_samples[:, i], mc.pf_hat[0])
         vals.append(evppi_safety(curve, d))
     got = 100 * np.array(vals) / np.sum(vals)
     assert np.max(np.abs(got - np.array([26.0, 41.0, 4.0, 29.0]))) < 2.0
@@ -160,7 +160,7 @@ def test_safety_evppi_closed_form_agreement(ex1_joint, ex1_joint_dep, ex1_lsf,
         for i, m in enumerate(ex1_marginals):
             grid = default_grid(m, n=65536, p_lo=1e-12)
             curve = curve_from_function(
-                m, i, lambda x: conditional_pf_x(joint, i, x, res)[0],
+                m, lambda x: conditional_pf_x(joint, i, x, res)[0],
                 pf, grid, source="form")
             quadr = evppi_safety(curve, d)
             rho_i = float(res.alpha[0] @ joint.chol_z[i])
@@ -338,7 +338,7 @@ def test_design_evppi_negative_floor(ex1_marginals):
     pf_a = np.array([1e-4])
     # conditional curve systematically above the unconditional pf: the
     # raw difference goes negative and must be floored, with a flag
-    curve = ConditionalPfCurve(0, grid_x, np.full((1, grid_x.size), 2e-4),
+    curve = ConditionalPfCurve(grid_x, np.full((1, grid_x.size), 2e-4),
                                "kde", pf_a, m.pdf(grid_x))
     out = evppi_design(curve, pf_a, d)
     assert out["raw"] < 0.0

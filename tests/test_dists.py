@@ -291,20 +291,20 @@ def test_cholesky_transform_example():
     a = fit_params_from_moments("normal", 0.0 + 1.0, 1.0)  # mean 1, sd 1
     b = fit_params_from_moments("normal", 1.0, 1.0)
     joint = GaussianCopulaJoint.fit((a, b), [[1.0, 0.5], [0.5, 1.0]])
-    x = np.array([2.0, 2.0])         # z = (1, 1)
-    u = joint.to_standard(x)
+    x = np.array([[2.0, 2.0]])       # z = (1, 1)
+    u = joint.to_standard(x)[0]
     assert u[0] == pytest.approx(1.0, abs=1e-12)
     assert u[1] == pytest.approx((1.0 - 0.5) / math.sqrt(0.75), abs=1e-12)
 
 
 def test_to_standard_names_offending_component(ex1_joint):
-    x = np.array([100.0, 40.0, -1.0, 1.0])
+    x = np.array([[100.0, 40.0, -1.0, 1.0]])
     with pytest.raises(DomainError, match="component 2"):
         ex1_joint.to_standard(x)
 
 
 def test_median_point_maps_to_origin(ex1_joint):
-    x = np.array([m.inv_cdf(0.5) for m in ex1_joint.marginals])
+    x = np.array([[m.inv_cdf(0.5) for m in ex1_joint.marginals]])
     assert np.max(np.abs(ex1_joint.to_standard(x))) < 1e-12
 
 

@@ -51,20 +51,20 @@ def test_design_symbol_detection():
 # -- evaluation ------------------------------------------------------------------
 
 def test_example1_safety_at_means(ex1_lsf):
-    x = np.array([100.0, 40.0, 1.0, 1.0])
-    assert evaluate(ex1_lsf, x) == pytest.approx(math.log(2.5), rel=1e-12)
+    x = np.array([[100.0, 40.0, 1.0, 1.0]])
+    assert evaluate(ex1_lsf, x)[0] == pytest.approx(math.log(2.5), rel=1e-12)
 
 
 def test_example1_design_at_means(ex1_design_lsf):
-    x = np.array([100.0, 40.0, 1.0, 1.0])
-    assert evaluate(ex1_design_lsf, x, a=1.0) == pytest.approx(60.0, rel=1e-12)
+    x = np.array([[100.0, 40.0, 1.0, 1.0]])
+    assert evaluate(ex1_design_lsf, x, a=1.0)[0] == pytest.approx(60.0, rel=1e-12)
 
 
 def test_example2_at_means(ex2_lsf):
-    x = np.array([250.0, 125.0, 2500.0, 40.0])
+    x = np.array([[250.0, 125.0, 2500.0, 40.0]])
     expect = 1 - 250 / 1200 - 125 / 600 - (2500 / 7600) ** 2
-    assert evaluate(ex2_lsf, x) == pytest.approx(expect, rel=1e-12)
-    assert evaluate(ex2_lsf, x) == pytest.approx(0.4751270, abs=1e-6)
+    assert evaluate(ex2_lsf, x)[0] == pytest.approx(expect, rel=1e-12)
+    assert evaluate(ex2_lsf, x)[0] == pytest.approx(0.4751270, abs=1e-6)
 
 
 def test_failure_event_equivalence(ex1_lsf):
@@ -78,14 +78,14 @@ def test_failure_event_equivalence(ex1_lsf):
 
 
 def test_safety_lsf_monotone_in_load(ex1_lsf):
-    base = np.array([100.0, 40.0, 1.0, 1.0])
+    base = np.array([[100.0, 40.0, 1.0, 1.0]])
     doubled = base.copy()
-    doubled[1] *= 2
+    doubled[0, 1] *= 2
     assert evaluate(ex1_lsf, doubled) < evaluate(ex1_lsf, base)
 
 
 def test_design_param_arity_errors(ex1_lsf, ex1_design_lsf):
-    x = np.array([100.0, 40.0, 1.0, 1.0])
+    x = np.array([[100.0, 40.0, 1.0, 1.0]])
     with pytest.raises(EvalError):
         evaluate(ex1_design_lsf, x)          # missing a
     with pytest.raises(EvalError):
@@ -104,7 +104,7 @@ def test_batch_evaluation_matches_scalar(ex2_lsf):
     xs = np.column_stack([rng.normal(250, 75, 50), rng.normal(125, 37.5, 50),
                           rng.normal(2500, 500, 50), rng.uniform(30, 50, 50)])
     batch = evaluate(ex2_lsf, xs)
-    single = [evaluate(ex2_lsf, row) for row in xs]
+    single = [evaluate(ex2_lsf, row[None])[0] for row in xs]
     assert np.allclose(batch, single, rtol=0, atol=0)
 
 
@@ -113,9 +113,10 @@ def test_per_row_design_values_match_scalar_calls(ex1_design_lsf):
     xs = np.exp(rng.normal(0.0, 0.3, (40, 4))) * [100.0, 40.0, 1.0, 1.0]
     a = rng.uniform(0.5, 2.0, 40)
     batch = evaluate(ex1_design_lsf, xs, a)
-    single = [evaluate(ex1_design_lsf, row, a_k) for row, a_k in zip(xs, a)]
+    single = [evaluate(ex1_design_lsf, row[None], a_k)[0]
+              for row, a_k in zip(xs, a)]
     assert batch.tolist() == single
-    assert evaluate(ex1_design_lsf, xs[0], a[:1]) == single[0]
+    assert evaluate(ex1_design_lsf, xs[:1], a[:1])[0] == single[0]
     for wrong in (a[:39], np.append(a, 1.0), a.reshape(20, 2)):
         with pytest.raises(EvalError, match="design parameter a"):
             evaluate(ex1_design_lsf, xs, wrong)

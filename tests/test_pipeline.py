@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relsens import cli, condest, config as config_mod, dists, pipeline, sample
-from relsens.errors import DomainError
+from relsens import cli, condest, config as config_mod, dists, lsf, pipeline, sample
+from relsens.errors import DomainError, EvalError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +35,37 @@ def test_analytic_broadcast_equals_per_design_loop():
             grid = condest.default_grid(m, cfg.grid_points)
             loop = dists.lognormal_linear_conditional_pf(problem, i, grid)
             assert np.allclose(est.values[name][j], loop, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("case", ["design_free", "design_grid"])
+@pytest.mark.parametrize("method", ["analytic", "form", "mc", "subset"])
+def test_every_estimator_returns_one_row_per_design(method, case):
+    overrides = {"n": 200_000, "n_per_level": 500, "grid_points": 64}
+    if case == "design_free":
+        raw = json.loads((ROOT / "configs" / "example1_safety.json").read_text())
+        raw.update(method=method, **overrides)
+    else:
+        raw = _design_config(method, 0.5, 1.5, 5, **overrides)
+    cfg = config_mod.validate_config(raw)
+    designs = None if cfg.design is None else cfg.design.grid
+    m = 1 if designs is None else len(designs)
+    est = pipeline.estimate(cfg, designs)
+    assert est.pf.shape == (m,)
+    assert all(est.values[name].shape == (m, 64) for name in cfg.names)
+    if method == "analytic":
+        problem = config_mod.analytic_problem(cfg, designs)
+        assert np.shape(problem.const_term) == (m,)
+    if method == "mc":
+        mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed,
+                             a=designs)
+        assert mc.pf_hat.shape == mc.n_fail.shape == (m,)
+        assert mc.ci95[0].shape == mc.ci95[1].shape == (m,)
+        assert mc.failed_at.shape == (len(mc.failure_samples), (m + 7) // 8)
+        assert np.array_equal(mc.pf_hat, est.pf)
+    # g takes row batches only
+    with pytest.raises(EvalError, match="expected rows of 4 inputs"):
+        lsf.evaluate(cfg.limit_state, np.ones(4),
+                     None if designs is None else 1.0)
 
 
 @pytest.mark.parametrize("stage", ["safety", "design"])
@@ -79,13 +110,13 @@ def test_design_mc_row_equals_single_design_run():
     a_opt = res.design["prior"]["a_opt"]
     assert 0.5 < a_opt < 1.2
     one = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed,
-                          a=a_opt)
-    assert res.pf == one.pf_hat
+                          a=[a_opt])
+    assert res.pf == one.pf_hat[0]
     assert res.diagnostics["n_failure_samples"] == len(one.failure_samples)
-    assert res.diagnostics["ci95"] == list(one.ci95)
+    assert res.diagnostics["ci95"] == [one.ci95[0][0], one.ci95[1][0]]
     for i, name in enumerate(cfg.names):
         curve = condest.conditional_pf_from_failure_samples(
-            cfg.marginals[i], i, one.failure_samples[:, i], one.pf_hat,
+            cfg.marginals[i], i, one.failure_samples[:, i], one.pf_hat[0],
             res.curves[name].grid)
         assert np.array_equal(res.curves[name].pf_values, curve.pf_values)
     counts = res.diagnostics["n_failure_samples_per_design"]

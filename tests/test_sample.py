@@ -35,35 +35,35 @@ def test_mc_reproducible_bitwise(ex1_joint, ex1_lsf):
 def test_mc_certain_failure(ex1_joint):
     always = LimitState.from_expression("0*R - 1", ("R", "S", "XR", "XS"))
     res = crude_mc(ex1_joint, always, n=500, seed=1)
-    assert res.pf_hat == 1.0
+    assert res.pf_hat[0] == 1.0
     assert res.failure_samples.shape == (500, 4)
-    assert res.ci95 == (1.0, 1.0)
+    assert (res.ci95[0][0], res.ci95[1][0]) == (1.0, 1.0)
 
 
 def test_mc_failure_rows_are_failures(ex1_joint, ex1_lsf):
     res = crude_mc(ex1_joint, ex1_lsf, n=300_000, seed=5)
     g = evaluate(ex1_lsf, res.failure_samples)
     assert np.all(g <= 0.0)
-    assert len(res.failure_samples) == round(res.pf_hat * res.n)
+    assert len(res.failure_samples) == round(res.pf_hat[0] * res.n)
 
 
 def test_mc_example1_value(ex1_joint, ex1_lsf):
     res = crude_mc(ex1_joint, ex1_lsf, n=10**6, seed=123)
     se = math.sqrt(PF_IND * (1 - PF_IND) / 10**6)
-    assert abs(res.pf_hat - PF_IND) < 3 * se
-    assert res.ci95[0] < PF_IND < res.ci95[1]
+    assert abs(res.pf_hat[0] - PF_IND) < 3 * se
+    assert res.ci95[0][0] < PF_IND < res.ci95[1][0]
 
 
 def test_mc_example2_value(ex2_mc):
-    assert 0.0092 <= ex2_mc.pf_hat <= 0.0096
-    assert len(ex2_mc.failure_samples) == round(ex2_mc.pf_hat * 10**6)
+    assert 0.0092 <= ex2_mc.pf_hat[0] <= 0.0096
+    assert len(ex2_mc.failure_samples) == round(ex2_mc.pf_hat[0] * 10**6)
 
 
 def test_mc_ci_coverage(ex1_joint, ex1_lsf):
     hits = 0
     for seed in range(200):
         res = crude_mc(ex1_joint, ex1_lsf, n=100_000, seed=10_000 + seed)
-        hits += res.ci95[0] <= PF_IND <= res.ci95[1]
+        hits += res.ci95[0][0] <= PF_IND <= res.ci95[1][0]
     assert hits >= 180           # nominal 95%, required >= 90%
 
 
@@ -162,10 +162,11 @@ def test_crude_mc_over_designs_matches_single_design_runs(ex1_joint,
     sweep = crude_mc(ex1_joint, ex1_design_lsf, 30_000, 9, a=designs)
     assert sweep.pf_hat.shape == (11,)
     for j, a in enumerate(designs):
-        one = crude_mc(ex1_joint, ex1_design_lsf, 30_000, 9, a=float(a))
-        assert sweep.pf_hat[j] == one.pf_hat
-        assert sweep.n_fail[j] == one.n_fail == len(one.failure_samples)
-        assert (sweep.ci95[0][j], sweep.ci95[1][j]) == one.ci95
+        one = crude_mc(ex1_joint, ex1_design_lsf, 30_000, 9, a=[a])
+        assert sweep.pf_hat[j] == one.pf_hat[0]
+        assert sweep.n_fail[j] == one.n_fail[0] == len(one.failure_samples)
+        assert (sweep.ci95[0][j], sweep.ci95[1][j]) == (one.ci95[0][0],
+                                                        one.ci95[1][0])
         assert np.array_equal(sweep.failures(j), one.failure_samples)
     # g rises with a, so a row failing at some design fails at the smallest
     assert len(sweep.failure_samples) == sweep.n_fail.max()
@@ -175,10 +176,9 @@ def test_crude_mc_over_designs_matches_single_design_runs(ex1_joint,
 
 def _mc_bytes(res):
     """Everything a crude-MC result reports, as bytes."""
-    bits = None if res.failed_at is None else res.failed_at.tobytes()
-    return (np.asarray(res.pf_hat).tobytes(), np.asarray(res.ci95).tobytes(),
-            np.asarray(res.n_fail).tobytes(), res.failure_samples.tobytes(),
-            bits)
+    return (res.pf_hat.tobytes(), np.asarray(res.ci95).tobytes(),
+            res.n_fail.tobytes(), res.failure_samples.tobytes(),
+            res.failed_at.tobytes())
 
 
 def _mc_at(monkeypatch, cpus, joint, limit_state, n, seed, a=None):
