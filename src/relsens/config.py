@@ -239,6 +239,12 @@ def validate_config(raw):
                 "decision/design: limit state has no design parameter 'a'")
         g = d["grid"]
         grid = np.linspace(g["start"], g["stop"], int(g["count"]))
+        if np.any(grid <= 0.0) and any(
+                nm == lsf_mod.DESIGN_SYMBOL
+                for nm, _ in _log_linear_terms(limit_state) or ()):
+            raise ConfigError("decision/design/grid: the design value enters "
+                              "the limit state as a factor or as ln(a), so it "
+                              "must be positive")
         try:
             design = DesignDecision(c_f=d["c_f"], cost_model=d["cost"], grid=grid)
         except RelsensError as exc:
@@ -262,9 +268,6 @@ def validate_config(raw):
             as_lognormal_linear(limit_state, marginals)
         except RelsensError as exc:
             raise ConfigError(f"method analytic: {exc}") from exc
-        if design is not None and np.any(design.grid <= 0.0):
-            raise ConfigError("decision/design/grid: method analytic needs "
-                              "positive design values")
 
     # the schema admits integer-valued floats such as 1e6 as integers
     n, n_per_level = (int(raw[k]) if k in raw else None
@@ -336,26 +339,34 @@ def _product_factors(node):
     return None
 
 
+def _log_linear_terms(limit_state):
+    """Signed (name, sign) terms of a limit state that is a signed sum of
+    ln(var) terms, or a difference of two variable products; both share
+    the failure event with sum sign * ln(name) <= 0. None when the shape
+    differs. A name may be the design parameter."""
+    terms = _ln_terms(limit_state.ast)
+    node = limit_state.ast
+    if terms is None and isinstance(node, lsf_mod.BinOp) and node.op == "-":
+        pos = _product_factors(node.left)
+        neg = _product_factors(node.right)
+        if pos is not None and neg is not None:
+            terms = [(nm, 1.0) for nm in pos] + [(nm, -1.0) for nm in neg]
+    return terms
+
+
 def as_lognormal_linear(limit_state, marginals):
     """Map a limit state onto the linear-in-logs analytic family.
 
-    Recognizes a signed sum of ln(X_i) terms, or a difference of two
-    variable products (optionally carrying the design factor), both of
-    which share the failure event with const + sum_i c_i ln X_i <= 0.
-    Returns (coeffs, design_in_const) or raises ConfigError.
+    Needs all-lognormal inputs and a limit state of the shape
+    ``_log_linear_terms`` recognizes, so that failure is
+    const + sum_i c_i ln X_i <= 0, the design factor (if any) going into
+    the constant. Returns (coeffs, design_in_const) or raises ConfigError.
     """
     if any(m.kind != dists.LOGNORMAL for m in marginals):
         raise ConfigError("the analytic method requires all-lognormal inputs")
     names = limit_state.input_names
-    terms = _ln_terms(limit_state.ast)
+    terms = _log_linear_terms(limit_state)
     design = lsf_mod.DESIGN_SYMBOL
-    if terms is None:
-        node = limit_state.ast
-        if isinstance(node, lsf_mod.BinOp) and node.op == "-":
-            pos = _product_factors(node.left)
-            neg = _product_factors(node.right)
-            if pos is not None and neg is not None:
-                terms = ([(nm, 1.0) for nm in pos] + [(nm, -1.0) for nm in neg])
     if terms is None:
         raise ConfigError(
             "limit state is not linear in the logs; "

@@ -9,24 +9,26 @@ two-dimensional Gauss-Hermite correlation integral otherwise. Both
 root-finds (that one and the Weibull shape from its cov) bisect to
 adjacent floats (``_bisect``), so loading a config never imports
 scipy.optimize.
+
+Every estimator works in standard-normal space, so a marginal is its
+density plus one exact pair of maps x <-> z with F(x) = Phi(z). The
+Gumbel and Weibull maps go through log Phi and its inverse, because
+log F(x) = -exp(-(x-a)/b) and log(1 - F(x)) = -(x/lam)^k are exact
+where F itself rounds to 0 or 1; no probability is formed or clamped on
+the way. Quantiles are the same map applied to Phi^{-1}(p).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import special
-from .errors import (DomainError, FitError, InvalidCorrelationError,
-                     NatafError, TransformClampWarning)
+from .errors import DomainError, FitError, InvalidCorrelationError, NatafError
 
 EULER_GAMMA = 0.5772156649015328606
-
-P_FLOOR = 1e-300
-P_CEIL = 1.0 - 1e-16
 
 NORMAL = "normal"
 LOGNORMAL = "lognormal"
@@ -35,22 +37,10 @@ WEIBULL = "weibull"
 KINDS = (NORMAL, LOGNORMAL, GUMBEL, WEIBULL)
 
 
-def _clamp_probability(p, context):
-    """Clamp to [1e-300, 1 - 1e-16]; warn so clamping never passes silently."""
-    p = np.asarray(p, dtype=float)
-    clipped = (p < P_FLOOR) | (p > P_CEIL)
-    if np.any(clipped):
-        warnings.warn(
-            f"{context}: {int(np.count_nonzero(clipped))} probability value(s) "
-            "clamped to [1e-300, 1-1e-16]",
-            TransformClampWarning, stacklevel=3)
-        p = np.clip(p, P_FLOOR, P_CEIL)
-    return p
-
-
 @dataclass(frozen=True)
 class Marginal:
-    """A univariate distribution with native parameters.
+    """A univariate distribution with native parameters, given by its
+    density and its exact maps to and from standard-normal space.
 
     Parameter conventions (all scales strictly positive):
       normal    (mu, sigma)
@@ -139,60 +129,6 @@ class Marginal:
                     0.0)
         return out if out.ndim else float(out)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        p1, p2 = self.params
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            if self.kind == NORMAL:
-                out = special.std_normal_cdf((x - p1) / p2)
-            elif self.kind == LOGNORMAL:
-                out = np.where(
-                    x > 0,
-                    special.std_normal_cdf((np.log(np.where(x > 0, x, 1.0)) - p1) / p2),
-                    0.0)
-            elif self.kind == GUMBEL:
-                out = np.exp(-np.exp(-(x - p1) / p2))
-            else:
-                out = np.where(x > 0, -np.expm1(-(np.where(x > 0, x, 0.0) / p2) ** p1), 0.0)
-        out = np.asarray(out)
-        return out if out.ndim else float(out)
-
-    def sf(self, x):
-        """Survival function 1 - F(x), accurate in the upper tail."""
-        x = np.asarray(x, dtype=float)
-        p1, p2 = self.params
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            if self.kind == NORMAL:
-                out = special.std_normal_cdf(-(x - p1) / p2)
-            elif self.kind == LOGNORMAL:
-                out = np.where(
-                    x > 0,
-                    special.std_normal_cdf(-(np.log(np.where(x > 0, x, 1.0)) - p1) / p2),
-                    1.0)
-            elif self.kind == GUMBEL:
-                out = -np.expm1(-np.exp(-(x - p1) / p2))
-            else:
-                out = np.where(x > 0,
-                               np.exp(-(np.where(x > 0, x, 0.0) / p2) ** p1), 1.0)
-        out = np.asarray(out)
-        return out if out.ndim else float(out)
-
-    def inv_cdf(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any((p <= 0.0) | (p >= 1.0)):
-            raise DomainError("inv_cdf requires 0 < p < 1")
-        p1, p2 = self.params
-        if self.kind == NORMAL:
-            out = p1 + p2 * np.asarray(special.std_normal_inv(p))
-        elif self.kind == LOGNORMAL:
-            out = np.exp(p1 + p2 * np.asarray(special.std_normal_inv(p)))
-        elif self.kind == GUMBEL:
-            out = p1 - p2 * np.log(-np.log(p))
-        else:
-            out = p2 * (-np.log1p(-p)) ** (1.0 / p1)
-        out = np.asarray(out)
-        return out if out.ndim else float(out)
-
     # -- standard-normal maps ----------------------------------------------
     # Written in terms of log Phi so that tail z values stay finite.
 
@@ -212,7 +148,9 @@ class Marginal:
         return out if out.ndim else float(out)
 
     def to_standard_normal(self, x):
-        """z = Phi^{-1}(F(x)), with the documented probability clamp."""
+        """z with Phi(z) = F(x): the algebraic inverse of
+        ``from_standard_normal``, through the exact log F (Gumbel) or
+        log(1 - F) (Weibull). Raises DomainError outside the support."""
         x = np.asarray(x, dtype=float)
         lo, _ = self.support
         if np.any(x <= lo):
@@ -223,21 +161,17 @@ class Marginal:
             out = (x - p1) / p2
         elif self.kind == LOGNORMAL:
             out = (np.log(x) - p1) / p2
+        elif self.kind == GUMBEL:
+            out = special.std_normal_inv_log_cdf(-np.exp(-(x - p1) / p2))
         else:
-            # route each tail through whichever of F and 1-F is accurate
-            p = np.atleast_1d(np.asarray(self.cdf(x)))
-            q = np.atleast_1d(np.asarray(self.sf(x)))
-            out = np.empty_like(p)
-            lower = p <= 0.5
-            if lower.any():
-                out[lower] = special.std_normal_inv(
-                    _clamp_probability(p[lower], "to_standard_normal"))
-            if (~lower).any():
-                out[~lower] = -np.asarray(special.std_normal_inv(
-                    _clamp_probability(q[~lower], "to_standard_normal")))
-            out = out.reshape(np.shape(x))
+            out = -special.std_normal_inv_log_cdf(-(x / p2) ** p1)
         out = np.asarray(out)
         return out if out.ndim else float(out)
+
+    def inv_cdf(self, p):
+        """Quantile: ``from_standard_normal`` at Phi^{-1}(p); raises
+        DomainError unless 0 < p < 1."""
+        return self.from_standard_normal(special.std_normal_inv(p))
 
 
 def _bisect(f, lo, hi):

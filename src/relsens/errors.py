@@ -66,9 +66,5 @@ class ConfigError(RelsensError, ValueError):
     """Run configuration is invalid."""
 
 
-class TransformClampWarning(UserWarning):
-    """Probability clamped to [1e-300, 1 - 1e-16] inside a transform."""
-
-
 class CurvePointWarning(UserWarning):
     """Grid point dropped or clipped while building a conditional curve."""

@@ -33,6 +33,10 @@ from . import lsf as lsf_mod
 from . import special
 from .errors import DomainError, SingularPointError
 
+FD_STEP = 1e-5                  # central-difference step in standard space
+TOL_U = 1e-6                    # converged: step length at most this
+TOL_G = 1e-6                    # ... and |G| at most this times 1 + |G(0)|
+
 
 @dataclass(frozen=True)
 class FormResult:
@@ -72,8 +76,7 @@ def _rowdot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def find_design_points(G, u0, max_iterations=100, fd_step=1e-5, tol_u=1e-6,
-                       tol_g=1e-6):
+def find_design_points(G, u0, max_iterations=100):
     """Most likely failure points of m problems in n-dimensional standard
     space, searched in lockstep from the rows of ``u0`` (shape (m, n)).
 
@@ -85,13 +88,13 @@ def find_design_points(G, u0, max_iterations=100, fd_step=1e-5, tol_u=1e-6,
     """
     u = np.array(u0, dtype=float)
     m, n = u.shape
-    offsets = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)]) * fd_step
+    offsets = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)]) * FD_STEP
     k = len(offsets)
 
     def g_and_grad(points, rows):
         vals = np.asarray(G((points[:, None, :] + offsets).reshape(-1, n),
                             np.repeat(rows, k)), dtype=float).reshape(-1, k)
-        return vals[:, 0], (vals[:, 1:n + 1] - vals[:, n + 1:]) / (2.0 * fd_step)
+        return vals[:, 0], (vals[:, 1:n + 1] - vals[:, n + 1:]) / (2.0 * FD_STEP)
 
     rows = np.arange(m)
     g0_scale = 1.0 + np.abs(np.asarray(G(np.zeros((m, n)), rows), dtype=float))
@@ -140,7 +143,7 @@ def find_design_points(G, u0, max_iterations=100, fd_step=1e-5, tol_u=1e-6,
         u[active], gu[active], gr[active] = u_new, g_new, gr_new
         if np.any(np.sqrt(_rowdot(gr_new, gr_new)) < 1e-14):
             raise SingularPointError("zero gradient during iteration")
-        done = (du <= tol_u) & (np.abs(g_new) <= tol_g * g0_scale[active])
+        done = (du <= TOL_U) & (np.abs(g_new) <= TOL_G * g0_scale[active])
         converged[active[done]] = True
         row_iterations[active[done]] = iteration
         active = active[~done]

@@ -1,13 +1,15 @@
 """Standard-normal special functions.
 
-Phi, log Phi and Phi^{-1} are thin wrappers over ``scipy.special``'s
-``ndtr``, ``log_ndtr`` and ``ndtri``. Against 50-digit mpmath, ``ndtr``
-and ``log_ndtr`` are accurate to a few ulp times the condition number
-(about 1 + x^2), ``log_ndtr`` stays accurate far below where Phi itself
-underflows, and ``ndtri`` is within an ulp from p = 1e-300 to
-1 - 1e-16. The wrappers add the conventions the rest of the package
-relies on: a scalar argument gives a Python float, and Phi^{-1} signals
-on p outside (0, 1).
+Phi, log Phi, Phi^{-1} and the inverse of log Phi are thin wrappers over
+``scipy.special``'s ``ndtr``, ``log_ndtr``, ``ndtri`` and ``ndtri_exp``.
+Against 50-digit mpmath, ``ndtr`` and ``log_ndtr`` are accurate to a few
+ulp times the condition number (about 1 + x^2), ``log_ndtr`` stays
+accurate far below where Phi itself underflows, and ``ndtri`` is within
+an ulp from p = 1e-300 to 1 - 1e-16. Against 60-digit mpmath over
+log p from -727 to -1e-307 (z from -38 to 37.5), ``ndtri_exp`` is within
+4.3e-16 max(1, |z|). The wrappers add the conventions the rest of the
+package relies on: a scalar argument gives a Python float, and Phi^{-1}
+signals on p outside (0, 1).
 
 scipy has no bivariate normal CDF to 1e-12, so ``bivariate_normal_cdf``
 is Genz's reformulation of the Drezner-Wesolowsky integral, absolute
@@ -22,7 +24,7 @@ to 1e-20, where Genz returns 1e-27 or less.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import DomainError
 
@@ -48,6 +50,16 @@ def std_normal_log_cdf(x):
     itself rounds to 0 or 1 long before log Phi loses meaning.
     """
     out = log_ndtr(np.asarray(x, dtype=float))
+    return out if out.ndim else float(out)
+
+
+def std_normal_inv_log_cdf(log_p):
+    """z with log Phi(z) = log_p: the inverse of ``std_normal_log_cdf``.
+
+    Needed by the Gumbel/Weibull maps to standard-normal space, which
+    know log F or log(1 - F) exactly where F itself rounds to 0 or 1.
+    """
+    out = ndtri_exp(np.asarray(log_p, dtype=float))
     return out if out.ndim else float(out)
 
 

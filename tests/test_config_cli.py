@@ -214,16 +214,30 @@ def _negative_analytic_design(raw):
     raw["decision"]["design"]["grid"]["start"] = -0.5
 
 
+def _negative_design_at(method, **sizes):
+    # a*XR*R - XS*S fails with certainty at a <= 0, whatever the estimator
+    def edit(raw):
+        _negative_analytic_design(raw)
+        raw.update(method=method, **sizes)
+    return edit
+
+
 def _starved_subset_level(raw):
     raw.update(method="subset", n_per_level=100, p0=0.05)
 
 
-# both configs used to pass validate and fail in run with exit 3
+# these configs used to pass validate and fail in run with exit 3
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("name, edit, field", [
     ("example1_design.json", _negative_analytic_design, "decision/design/grid"),
+    ("example1_design.json", _negative_design_at("form"), "decision/design/grid"),
+    ("example1_design.json", _negative_design_at("mc", n=200_000),
+     "decision/design/grid"),
+    ("example1_design.json", _negative_design_at("subset", n_per_level=2000),
+     "decision/design/grid"),
     ("example1_safety.json", _starved_subset_level, "n_per_level"),
-], ids=["analytic_negative_design", "subset_n_per_level_times_p0"])
+], ids=["analytic_negative_design", "form_negative_design", "mc_negative_design",
+        "subset_negative_design", "subset_n_per_level_times_p0"])
 def test_cli_rejects_configs_that_fail_at_run_time(tmp_path, capsys, command,
                                                    name, edit, field):
     raw = json.loads((CONFIG_DIR / name).read_text())

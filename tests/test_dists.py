@@ -1,18 +1,20 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.stats import gumbel_r, lognorm, norm, weibull_min
 
 import relsens.dists as dists
 from relsens import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
-                     fit_params_from_moments, lognormal_linear_conditional_pf,
-                     lognormal_linear_pf, nataf_fit, validate_correlation)
+                     default_grid, fit_params_from_moments,
+                     lognormal_linear_conditional_pf, lognormal_linear_pf,
+                     nataf_fit, validate_correlation)
 from relsens.errors import (DomainError, FitError, InvalidCorrelationError,
-                            NatafError, TransformClampWarning)
+                            NatafError)
 from conftest import EX1_RXX, EX1_SIGNS, PF_DEP, PF_IND
 
 
@@ -161,7 +163,19 @@ def test_nan_residual_raises_instead_of_looping(monkeypatch):
     with pytest.raises(NatafError):
         dists.nataf_pair(mi, mj, 0.3)
 
-# -- cdf / inverse -------------------------------------------------------------
+# -- quantiles and standard-normal maps ----------------------------------------
+
+def _scipy_reference(m):
+    """The scipy.stats distribution with the marginal's native parameters."""
+    p1, p2 = m.params
+    if m.kind == "normal":
+        return norm(loc=p1, scale=p2)
+    if m.kind == "lognormal":
+        return lognorm(s=p2, scale=math.exp(p1))
+    if m.kind == "gumbel":
+        return gumbel_r(loc=p1, scale=p2)
+    return weibull_min(c=p1, scale=p2)
+
 
 @pytest.mark.parametrize("kind,mean,cov", [
     ("normal", 250.0, 0.3), ("lognormal", 100.0, 0.2),
@@ -172,14 +186,14 @@ def test_cdf_inverse_round_trip(kind, mean, cov):
     p = np.linspace(5e-7, 1 - 5e-7, 801)
     x = m.inv_cdf(p)
     assert np.all(np.diff(x) > 0)
-    back = m.inv_cdf(m.cdf(x))
+    back = m.inv_cdf(_scipy_reference(m).cdf(x))
     assert np.max(np.abs(back - x) / np.abs(x)) < 1e-10
 
 
 def test_pdf_integrates_to_cdf():
     m = fit_params_from_moments("weibull", 40.0, 0.1)
     val, _ = quad(m.pdf, 1e-9, 45.0, limit=200)
-    assert val == pytest.approx(m.cdf(45.0), rel=1e-8)
+    assert val == pytest.approx(_scipy_reference(m).cdf(45.0), rel=1e-8)
 
 
 def test_standard_normal_maps_match_cdf_inverse():
@@ -187,7 +201,8 @@ def test_standard_normal_maps_match_cdf_inverse():
         m = fit_params_from_moments(kind, mean, cov)
         z = np.linspace(-7, 7, 101)
         x = m.from_standard_normal(z)
-        assert np.allclose(m.cdf(x), norm.cdf(z), rtol=1e-10, atol=1e-12)
+        assert np.allclose(_scipy_reference(m).cdf(x), norm.cdf(z),
+                           rtol=1e-10, atol=1e-12)
         assert np.max(np.abs(m.to_standard_normal(x) - z)) < 1e-7
 
 
@@ -202,10 +217,78 @@ def test_support_violation_raises():
         m.to_standard_normal(-1.0)
 
 
-def test_clamp_warns():
+def _mp_to_standard_normal(m, x):
+    """Phi^{-1}(F(x)) at 60 digits, solved in the tail where F or 1 - F
+    is small, so no digit is lost to 1 - tiny."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(float(x))
+        p1, p2 = m.params
+        if m.kind == "gumbel":
+            log_f = -mpmath.exp(-(x - p1) / p2)
+            log_q = mpmath.log(-mpmath.expm1(log_f))
+        else:
+            log_q = -(x / p2) ** p1
+            log_f = mpmath.log(-mpmath.expm1(log_q))
+        if log_f < mpmath.log(0.5):
+            z = mpmath.findroot(lambda z: mpmath.log(mpmath.ncdf(z)) - log_f,
+                                -mpmath.sqrt(-2 * log_f))
+        else:
+            z = mpmath.findroot(lambda z: mpmath.log(mpmath.ncdf(-z)) - log_q,
+                                mpmath.sqrt(-2 * log_q))
+        return float(z)
+
+
+@pytest.mark.parametrize("kind,mean,cov", [("gumbel", 2500.0, 0.2),
+                                           ("weibull", 40.0, 0.1)])
+def test_to_standard_normal_is_exact_inverse_in_the_tails(kind, mean, cov):
+    m = fit_params_from_moments(kind, mean, cov)
+    z = np.linspace(-38.0, 38.0, 153)
+    # Phi(-38) is below the smallest normal double, so log Phi rounds to 0
+    # there and that one end of the grid maps to the edge of the support
+    with np.errstate(divide="ignore"):
+        x = m.from_standard_normal(z)
+    inside = np.isfinite(x) & (x > m.support[0])
+    assert np.count_nonzero(~inside) == 1
+    x, z = x[inside], z[inside]
+    ref = np.array([_mp_to_standard_normal(m, v) for v in x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = m.to_standard_normal(x)
+    assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(1.0, np.abs(z)))
+
+
+def test_weibull_far_lower_tail_is_finite_without_warning():
+    # F(1e-25) is 3.0e-324 and rounds to the smallest subnormal double, so
+    # z loses digits, but nothing is clamped and nothing warns
     m = fit_params_from_moments("weibull", 40.0, 0.1)
-    with pytest.warns(TransformClampWarning):
-        m.to_standard_normal(1e-25)     # cdf underflows below 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = m.to_standard_normal(1e-25)
+    assert math.isfinite(got)
+    assert got == pytest.approx(_mp_to_standard_normal(m, 1e-25), abs=0.02)
+
+
+# endpoints of default_grid for the shipped marginals, recorded with the
+# closed-form quantiles inv_cdf used before it became the standard-normal map
+_SHIPPED_GRID_ENDS = [
+    ("lognormal", 100.0, 0.2, "0x1.3202f33c9ca44p+5", "0x1.f6bf0be389cf6p+7"),
+    ("lognormal", 40.0, 0.25, "0x1.8141e544c0784p+3", "0x1.f4528e3ae8c0dp+6"),
+    ("lognormal", 1.0, 0.1, "0x1.3d174fc3d7eb3p-1", "0x1.9943d3d0d53c2p+0"),
+    ("lognormal", 1.0, 0.2, "0x1.87b1db2edcfadp-2", "0x1.41c1f320fc09bp+1"),
+    ("normal", 250.0, 0.3, "-0x1.aa06fca6a1ba0p+6", "0x1.2f40df94d347ap+9"),
+    ("normal", 125.0, 0.3, "-0x1.aa06fca6a1ba0p+5", "0x1.2f40df94d347ap+8"),
+    ("gumbel", 2500.0, 0.2, "0x1.38d401eefec61p+10", "0x1.deced8a97f002p+12"),
+    ("weibull", 40.0, 0.1, "0x1.ac5f8ec480f54p+3", "0x1.9e4477eed1454p+5"),
+]
+
+
+@pytest.mark.parametrize("kind,mean,cov,lo,hi", _SHIPPED_GRID_ENDS)
+def test_default_grid_is_bit_identical_to_closed_form_quantiles(kind, mean, cov,
+                                                                lo, hi):
+    grid = default_grid(fit_params_from_moments(kind, mean, cov))
+    assert grid[0] == float.fromhex(lo)
+    assert grid[-1] == float.fromhex(hi)
+    assert np.array_equal(grid, np.linspace(grid[0], grid[-1], len(grid)))
 
 
 # -- correlation and the Nataf fit ----------------------------------------------

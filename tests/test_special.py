@@ -5,7 +5,7 @@ import pytest
 from relsens import (bivariate_normal_cdf, std_normal_cdf, std_normal_inv,
                      std_normal_pdf)
 from relsens.errors import DomainError
-from relsens.special import std_normal_log_cdf
+from relsens.special import std_normal_inv_log_cdf, std_normal_log_cdf
 
 EPS = np.finfo(float).eps
 
@@ -29,6 +29,20 @@ def _mp_inv(p):
         for _ in range(4):
             x -= (mpmath.ncdf(x) - q) / mpmath.npdf(x)
         return float(x if p < 0.5 else -x)
+
+
+def _mp_inv_log(y):
+    """z with log Phi(z) = y to 60 digits, solved in the tail where Phi or
+    1 - Phi is small."""
+    with mpmath.workdps(60):
+        y = mpmath.mpf(float(y))
+        z0 = mpmath.mpf(float(std_normal_inv_log_cdf(float(y))))
+        if y < mpmath.log(0.5):
+            z = mpmath.findroot(lambda z: mpmath.log(mpmath.ncdf(z)) - y, z0)
+        else:
+            log_q = mpmath.log(-mpmath.expm1(y))
+            z = mpmath.findroot(lambda z: mpmath.log(mpmath.ncdf(-z)) - log_q, z0)
+        return float(z)
 
 
 def _rel_err(got, ref):
@@ -73,9 +87,19 @@ def test_inverse_matches_mpmath():
         assert std_normal_inv(v) == _mp_inv(v)
 
 
+def test_inverse_log_cdf_matches_mpmath():
+    # log p from -727 (z = -38) up to -1e-307 (z = 37.5) and the bulk
+    y = np.concatenate([-np.geomspace(1e-307, 727.0, 300),
+                        -np.linspace(0.01, 5.0, 50)])
+    ref = np.array([_mp_inv_log(v) for v in y])
+    got = std_normal_inv_log_cdf(y)
+    assert np.all(np.abs(got - ref) <= 4.0 * EPS * np.maximum(1.0, np.abs(ref)))
+
+
 def test_scalar_in_float_out():
     for fn, arg in ((std_normal_cdf, 0.3), (std_normal_log_cdf, -40.0),
-                    (std_normal_inv, 0.2), (std_normal_pdf, 1.0)):
+                    (std_normal_inv, 0.2), (std_normal_pdf, 1.0),
+                    (std_normal_inv_log_cdf, -0.5)):
         assert type(fn(arg)) is float
         assert type(fn(np.float64(arg))) is float
         assert fn(np.array([arg, arg])).shape == (2,)
