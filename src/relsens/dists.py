@@ -141,9 +141,17 @@ class Marginal:
         elif self.kind == LOGNORMAL:
             out = np.exp(p1 + p2 * z)
         elif self.kind == GUMBEL:
-            out = p1 - p2 * np.log(-special.std_normal_log_cdf(z))
+            t = -np.asarray(special.std_normal_log_cdf(z))
+            with np.errstate(divide="ignore"):
+                out = p1 - p2 * np.log(t)
+            # there -log Phi(z) ~ Phi(-z), whose log log_ndtr keeps exact
+            out = _far_tail(out, t,
+                            lambda: p1 - p2 * special.std_normal_log_cdf(-z))
         else:
-            out = p2 * (-np.asarray(special.std_normal_log_cdf(-z))) ** (1.0 / p1)
+            t = -np.asarray(special.std_normal_log_cdf(-z))
+            # there -log Phi(-z) ~ Phi(z), so t^(1/k) = exp(log Phi(z) / k)
+            out = _far_tail(p2 * t ** (1.0 / p1), t, lambda: p2 * np.exp(
+                special.std_normal_log_cdf(z) / p1))
         out = np.asarray(out)
         return out if out.ndim else float(out)
 
@@ -162,9 +170,17 @@ class Marginal:
         elif self.kind == LOGNORMAL:
             out = (np.log(x) - p1) / p2
         elif self.kind == GUMBEL:
-            out = special.std_normal_inv_log_cdf(-np.exp(-(x - p1) / p2))
+            y = -(x - p1) / p2
+            t = np.exp(y)
+            # there 1 - F ~ -log F = exp(y), so log(1 - F) = y
+            out = _far_tail(special.std_normal_inv_log_cdf(-t), t,
+                            lambda: -special.std_normal_inv_log_cdf(y))
         else:
-            out = -special.std_normal_inv_log_cdf(-(x / p2) ** p1)
+            t = (x / p2) ** p1
+            # there F ~ -log(1 - F) = t, so log F = k log(x / lam)
+            out = _far_tail(-special.std_normal_inv_log_cdf(-t), t,
+                            lambda: special.std_normal_inv_log_cdf(
+                                p1 * np.log(x / p2)))
         out = np.asarray(out)
         return out if out.ndim else float(out)
 
@@ -172,6 +188,16 @@ class Marginal:
         """Quantile: ``from_standard_normal`` at Phi^{-1}(p); raises
         DomainError unless 0 < p < 1."""
         return self.from_standard_normal(special.std_normal_inv(p))
+
+
+def _far_tail(out, t, tail_value):
+    """``out``, with ``tail_value()`` where t is below the smallest normal
+    double. Each map's t is minus the log of a probability near 1 (Phi, F
+    or 1 - F); below that bound t has lost digits or is 0, while it equals
+    the other tail's probability to within a factor 1 + t, so the tail
+    value is computed from that probability's exact log."""
+    tail = t < np.finfo(float).tiny
+    return np.where(tail, tail_value(), out) if tail.any() else out
 
 
 def _bisect(f, lo, hi):

@@ -7,8 +7,12 @@ over a set of independent problems, one per row, such as the values of
 a design grid: every round makes one G call that holds each unconverged
 row's trial point with its central-difference gradient stencil in
 standard-normal space, and a trial the Armijo test rejects is retried at
-half the step for that row alone. Results always have one row per
-problem; a design-free limit state is the one-row case.
+half the step for that row alone. A row whose full step is already within
+TOL_U and whose |G| is within TOL_G (1 + |G(0)|) is settled: if its
+full-step trial is rejected, it keeps its current point, which already
+meets the convergence test, instead of halving down to the rounding floor.
+Results always have one row per problem; a design-free limit state is the
+one-row case.
 
 Sign convention: alpha = -grad G(u*)/||grad G(u*)||, so the linearized
 limit state is G1(U) = beta0 - alpha.U and beta0 = alpha.u*.
@@ -46,6 +50,8 @@ class FormResult:
     row of n values per row. ``row_iterations`` and ``row_converged`` hold
     each row's iteration count and convergence flag; ``iterations`` is
     their total and ``converged`` is true when every row converged.
+    ``g_calls`` and ``g_rows`` count the G calls of the search and the
+    points they held, the G(0) scale call included.
     """
 
     beta0: np.ndarray
@@ -55,6 +61,8 @@ class FormResult:
     converged: bool
     row_iterations: np.ndarray
     row_converged: np.ndarray
+    g_calls: int
+    g_rows: int
 
 
 def standard_space_lsf(joint, limit_state, a=None):
@@ -85,19 +93,31 @@ def find_design_points(G, u0, max_iterations=100):
     ``max_iterations`` keeps its last iterate with row_converged False; a
     vanishing gradient in any row raises SingularPointError. Returns a
     FormResult with one row per problem.
+
+    Each round tries every active row's full step first. A rejected row
+    halves its step, up to 30 times, unless it is settled: its full step
+    is at most TOL_U long and its |G| at most TOL_G (1 + |G(0)|). A
+    settled row keeps its current point, so it converges in that round.
     """
     u = np.array(u0, dtype=float)
     m, n = u.shape
     offsets = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)]) * FD_STEP
     k = len(offsets)
+    g_calls = g_rows = 0
+
+    def g_of(points, rows):
+        nonlocal g_calls, g_rows
+        g_calls += 1
+        g_rows += len(points)
+        return np.asarray(G(points, rows), dtype=float)
 
     def g_and_grad(points, rows):
-        vals = np.asarray(G((points[:, None, :] + offsets).reshape(-1, n),
-                            np.repeat(rows, k)), dtype=float).reshape(-1, k)
+        vals = g_of((points[:, None, :] + offsets).reshape(-1, n),
+                    np.repeat(rows, k)).reshape(-1, k)
         return vals[:, 0], (vals[:, 1:n + 1] - vals[:, n + 1:]) / (2.0 * FD_STEP)
 
     rows = np.arange(m)
-    g0_scale = 1.0 + np.abs(np.asarray(G(np.zeros((m, n)), rows), dtype=float))
+    g0_scale = 1.0 + np.abs(g_of(np.zeros((m, n)), rows))
 
     gu, gr = g_and_grad(u, rows)
     flat = np.sqrt(_rowdot(gr, gr)) < 1e-14
@@ -119,6 +139,8 @@ def find_design_points(G, u0, max_iterations=100):
         uu = _rowdot(ua, ua)
         c = 2.0 * np.sqrt(uu) / np.sqrt(gn2) + 10.0
         m0 = 0.5 * uu + c * np.abs(ga)
+        g_tol = TOL_G * g0_scale[active]
+        settled = (np.sqrt(_rowdot(d, d)) <= TOL_U) & (np.abs(ga) <= g_tol)
         step = np.ones(len(active))
         u_new, g_new, gr_new = (np.empty_like(ua), np.empty_like(ga),
                                 np.empty_like(gra))
@@ -132,6 +154,11 @@ def find_design_points(G, u0, max_iterations=100):
             u_new[accepted], g_new[accepted], gr_new[accepted] = (
                 trial[ok], g_t[ok], gr_t[ok])
             todo = todo[~ok]
+            # a rejected settled row keeps its point: du = 0 converges it
+            keep = settled[todo]
+            stay = todo[keep]
+            u_new[stay], g_new[stay], gr_new[stay] = ua[stay], ga[stay], gra[stay]
+            todo = todo[~keep]
             if not todo.size:
                 break
             step[todo] *= 0.5
@@ -143,7 +170,7 @@ def find_design_points(G, u0, max_iterations=100):
         u[active], gu[active], gr[active] = u_new, g_new, gr_new
         if np.any(np.sqrt(_rowdot(gr_new, gr_new)) < 1e-14):
             raise SingularPointError("zero gradient during iteration")
-        done = (du <= TOL_U) & (np.abs(g_new) <= TOL_G * g0_scale[active])
+        done = (du <= TOL_U) & (np.abs(g_new) <= g_tol)
         converged[active[done]] = True
         row_iterations[active[done]] = iteration
         active = active[~done]
@@ -154,7 +181,8 @@ def find_design_points(G, u0, max_iterations=100):
     return FormResult(beta0=_rowdot(alpha, u), alpha=alpha, u_star=u,
                       iterations=int(row_iterations.sum()),
                       converged=bool(converged.all()),
-                      row_iterations=row_iterations, row_converged=converged)
+                      row_iterations=row_iterations, row_converged=converged,
+                      g_calls=g_calls, g_rows=g_rows)
 
 
 def solve_form(joint, limit_state, a=None, **kwargs):

@@ -113,6 +113,7 @@ def _form(cfg, grids, designs):
     labels = ["reliability"] if designs is None else designs.tolist()
     diagnostics = {"form": {
         "solves": len(res.beta0), "iterations": res.iterations,
+        "g_calls": res.g_calls, "g_rows": res.g_rows,
         "not_converged": [label for label, ok in zip(labels, res.row_converged)
                           if not ok]}}
 

@@ -377,6 +377,10 @@ def test_cli_design_form_matches_analytic(tmp_path, capsys):
     assert diag["not_converged"] == []
     # every row starts at the origin: 6.9 iterations per design here, at most 8
     assert diag["solves"] <= diag["iterations"] < 7 * diag["solves"]
+    # no row halves its step: G(0), the starting 9-point stencils, then one
+    # stencil per row and iteration, in a handful of lockstep calls
+    assert diag["g_rows"] == 10 * diag["solves"] + 9 * diag["iterations"]
+    assert diag["g_calls"] <= 12
 
 
 def test_cli_reports_form_non_convergence(tmp_path, capsys, monkeypatch):

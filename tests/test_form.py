@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,36 @@ def test_lockstep_rows_equal_one_row_solves(ex1_joint, ex1_design_lsf):
         assert np.max(np.abs(sweep.alpha[j] - one.alpha[0])) <= 1e-10
         assert sweep.row_converged[j] == one.converged
         assert sweep.row_iterations[j] == one.iterations
+
+
+# beta0, alpha and u_star of every row of the example1_design sweep, printed
+# with float.hex() at the commit whose line search still halved settled
+# rows 30 times; that search made 100 G calls and 23875 G rows
+DESIGN_POINTS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "form_runs_pinned.json")
+    .read_text())["design_points"]
+
+
+def test_settled_rows_stop_halving(ex1_joint, ex1_design_lsf):
+    grid = DESIGN_POINTS["designs"]
+    designs = np.linspace(grid["start"], grid["stop"], grid["count"])
+    G = standard_space_lsf(ex1_joint, ex1_design_lsf, designs)
+    seen = []
+
+    def counting_G(u, rows):
+        seen.append(len(u))
+        return G(u, rows)
+
+    res = find_design_points(counting_G, np.zeros((len(designs), 4)))
+    assert (res.g_calls, res.g_rows) == (len(seen), sum(seen))
+    assert res.g_calls <= 12
+    assert res.converged and res.row_iterations.sum() == 1045
+
+    def unhex(values):
+        return np.vectorize(float.fromhex, otypes=[float])(values)
+    assert np.array_equal(res.beta0, unhex(DESIGN_POINTS["beta0"]))
+    assert np.array_equal(res.alpha, unhex(DESIGN_POINTS["alpha"]))
+    assert np.array_equal(res.u_star, unhex(DESIGN_POINTS["u_star"]))
 
 
 def test_lockstep_rows_converge_on_their_own_counts(ex1_joint, ex1_design_lsf):
