@@ -54,6 +54,7 @@ DENSITY_FLOOR = 1e-300
 TRUNCATION_RTOL = 1e-16
 KERNEL_BLOCK_TERMS = 65_536          # 512 KiB of float64 per kernel block
 MIN_FAILURE_VALUES = 20
+GRID_Z_LO, GRID_Z_HI = -4.753424308822899, 4.753424308817087
 
 
 def silverman_bandwidth(values):
@@ -217,9 +218,11 @@ class ConditionalPfCurve:
                            np.asarray(self.pf_values, dtype=float))
 
 
-def default_grid(marginal, n=512, p_lo=1e-6):
-    """Uniform grid spanning the [p_lo, 1-p_lo] quantile range."""
-    return np.linspace(marginal.inv_cdf(p_lo), marginal.inv_cdf(1.0 - p_lo), n)
+def default_grid(marginal, n=512):
+    """Uniform grid from the 1e-6 to the 1 - 1e-6 quantile: x at z =
+    GRID_Z_LO to GRID_Z_HI (+-4.7534, scipy.special.ndtri at those p)."""
+    x = marginal.from_standard_normal
+    return np.linspace(x(GRID_Z_LO), x(GRID_Z_HI), n)
 
 
 def effective_sample_size(values, stride=1):

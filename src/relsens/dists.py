@@ -15,7 +15,7 @@ density plus one exact pair of maps x <-> z with F(x) = Phi(z). The
 Gumbel and Weibull maps go through log Phi and its inverse, because
 log F(x) = -exp(-(x-a)/b) and log(1 - F(x)) = -(x/lam)^k are exact
 where F itself rounds to 0 or 1; no probability is formed or clamped on
-the way. Quantiles are the same map applied to Phi^{-1}(p).
+the way. The p-quantile is ``from_standard_normal`` at Phi^{-1}(p).
 """
 
 from __future__ import annotations
@@ -160,8 +160,7 @@ class Marginal:
         ``from_standard_normal``, through the exact log F (Gumbel) or
         log(1 - F) (Weibull). Raises DomainError outside the support."""
         x = np.asarray(x, dtype=float)
-        lo, _ = self.support
-        if np.any(x <= lo):
+        if not np.all(x > self.support[0]):
             raise DomainError(
                 f"value outside the support of the {self.kind} marginal")
         p1, p2 = self.params
@@ -183,11 +182,6 @@ class Marginal:
                                 p1 * np.log(x / p2)))
         out = np.asarray(out)
         return out if out.ndim else float(out)
-
-    def inv_cdf(self, p):
-        """Quantile: ``from_standard_normal`` at Phi^{-1}(p); raises
-        DomainError unless 0 < p < 1."""
-        return self.from_standard_normal(special.std_normal_inv(p))
 
 
 def _far_tail(out, t, tail_value):

@@ -8,7 +8,8 @@ import pytest
 
 from relsens import (conditional_pf_from_failure_samples, crude_mc,
                      default_grid, kde_fit, lognormal_linear_conditional_pf,
-                     lognormal_linear_pf, marginal_from_params)
+                     lognormal_linear_pf, marginal_from_params,
+                     std_normal_inv)
 from relsens import cli, config as config_mod, pipeline, sample
 from relsens.condest import (KERNEL_BLOCK_TERMS, TRANSFORM_IDENTITY,
                              effective_sample_size, silverman_bandwidth,
@@ -242,7 +243,9 @@ def test_flat_curve_for_irrelevant_input():
     m = marginal_from_params("lognormal", 1.0, 0.3)
     rng = np.random.default_rng(4)
     v = np.exp(1.0 + 0.3 * rng.standard_normal(20_000))
-    grid = default_grid(m, p_lo=0.01)   # central 98%: enough local samples
+    # central 98%: enough local samples
+    grid = np.linspace(m.from_standard_normal(std_normal_inv(0.01)),
+                       m.from_standard_normal(std_normal_inv(1.0 - 0.01)), 512)
     curve = conditional_pf_from_failure_samples(m, 0, v, 0.2, grid)
     assert np.max(np.abs(curve.pf_values / 0.2 - 1.0)) < 0.20
     total = np.trapezoid(curve.pf_values * m.pdf(grid), grid)

@@ -623,3 +623,87 @@ def test_cli_process_exception_still_exits_with_traceback(tmp_path):
     assert done.returncode == 1
     assert "Traceback" in done.stderr
     assert done.stderr.rstrip().endswith("RuntimeError: escaped main")
+
+
+# -- scipy.special is imported only where Phi is evaluated -----------------------
+
+_RUN_AND_PROBE_SPECIAL = """
+import sys
+from relsens import cli
+code = cli.main(sys.argv[1:])
+print(code, "scipy.special" in sys.modules)
+"""
+
+
+def _special_loaded(tmp_path, command, name, **overrides):
+    """Exit code of ``relsens <command>`` on a shipped config (with
+    overrides) in a fresh interpreter, and whether scipy.special got
+    imported."""
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    path = _write_config(tmp_path / name, dict(raw, **overrides))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_PROBE_SPECIAL, command, str(path),
+         *out], env=_child_env(), cwd=tmp_path, capture_output=True,
+        text=True, timeout=120, check=True)
+    code, loaded = done.stdout.splitlines()[-1].split()
+    return int(code), loaded == "True"
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS[:3])
+def test_example1_validate_does_not_import_scipy_special(tmp_path, name):
+    assert _special_loaded(tmp_path, "validate", name) == (0, False)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("example1_safety.json", {"method": "mc", "n": 200_000}),
+    ("example1_safety_dependent.json",
+     {"method": "subset", "n_per_level": 2000})])
+def test_example1_sampling_runs_do_not_import_scipy_special(tmp_path, name,
+                                                            overrides):
+    # lognormal maps and the failure-sample KDE evaluate no Phi
+    assert _special_loaded(tmp_path, "run", name, **overrides) == (0, False)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("example1_safety.json", {"method": "analytic"}),
+    ("example1_safety.json", {"method": "form"}),
+    ("example2_safety.json", {"n": 200_000})])
+def test_runs_that_evaluate_phi_import_scipy_special(tmp_path, name,
+                                                     overrides):
+    # positive control: the probe above sees scipy.special once imported
+    assert _special_loaded(tmp_path, "run", name, **overrides) == (0, True)
+
+
+_CRUDE_MC_DIGEST = """
+import hashlib, sys
+from relsens import config, sample
+sys.setswitchinterval(1e-6)
+cfg = config.load_config(sys.argv[1])
+before = "scipy.special" in sys.modules
+mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed)
+print(before, mc.workers, mc.n_fail.tolist(),
+      hashlib.sha256(mc.failure_samples.tobytes()).hexdigest())
+"""
+
+
+def test_scipy_special_first_imported_on_crude_mc_workers(tmp_path):
+    # without the correlation nothing evaluates Phi before sampling, so the
+    # Gumbel and Weibull maps import scipy.special on the worker threads;
+    # the sample must equal that of a process which imported it first
+    raw = json.loads((CONFIG_DIR / "example2_safety.json").read_text())
+    del raw["correlation"]
+    path = _write_config(tmp_path / "column.json", dict(raw, n=200_000))
+
+    def digest(prelude=""):
+        done = subprocess.run(
+            [sys.executable, "-c", prelude + _CRUDE_MC_DIGEST, str(path)],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+            check=True)
+        return done.stdout.split(maxsplit=1)
+
+    before, lazy = digest()
+    assert before == "False"
+    before, eager = digest("import scipy.special\n")
+    assert before == "True"
+    assert lazy == eager

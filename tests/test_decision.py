@@ -8,7 +8,8 @@ from relsens import (DesignDecision, SafetyDecision, crude_mc, cvppi_curve,
                      evpi_safety, evppi_design, evppi_form_safety,
                      evppi_safety, lognormal_linear_conditional_pf,
                      lognormal_linear_pf, normalize, prior_action,
-                     prior_design, relativize, solve_form, threshold_sweep)
+                     prior_design, relativize, solve_form, std_normal_inv,
+                     threshold_sweep)
 from relsens.condest import (ConditionalPfCurve,
                              conditional_pf_from_failure_samples,
                              curve_from_function, default_grid)
@@ -158,7 +159,9 @@ def test_safety_evppi_closed_form_agreement(ex1_joint, ex1_joint_dep, ex1_lsf,
     for joint, pf in ((ex1_joint, PF_IND), (ex1_joint_dep, PF_DEP)):
         res = solve_form(joint, ex1_lsf)
         for i, m in enumerate(ex1_marginals):
-            grid = default_grid(m, n=65536, p_lo=1e-12)
+            grid = np.linspace(
+                m.from_standard_normal(std_normal_inv(1e-12)),
+                m.from_standard_normal(std_normal_inv(1.0 - 1e-12)), 65536)
             curve = curve_from_function(
                 m, lambda x: conditional_pf_x(joint, i, x, res)[0],
                 pf, grid, source="form")

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import ndtri
 from scipy.stats import gumbel_r, lognorm, norm, weibull_min
 
 import relsens.dists as dists
 from relsens import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
                      default_grid, fit_params_from_moments,
                      lognormal_linear_conditional_pf, lognormal_linear_pf,
-                     nataf_fit, validate_correlation)
+                     nataf_fit, std_normal_inv, validate_correlation)
+from relsens.condest import GRID_Z_HI, GRID_Z_LO
 from relsens.errors import (DomainError, FitError, InvalidCorrelationError,
                             NatafError)
 from conftest import EX1_RXX, EX1_SIGNS, PF_DEP, PF_IND
@@ -184,9 +186,9 @@ def test_cdf_inverse_round_trip(kind, mean, cov):
     m = fit_params_from_moments(kind, mean, cov)
     # central 99.9999% of mass
     p = np.linspace(5e-7, 1 - 5e-7, 801)
-    x = m.inv_cdf(p)
+    x = m.from_standard_normal(std_normal_inv(p))
     assert np.all(np.diff(x) > 0)
-    back = m.inv_cdf(_scipy_reference(m).cdf(x))
+    back = m.from_standard_normal(std_normal_inv(_scipy_reference(m).cdf(x)))
     assert np.max(np.abs(back - x) / np.abs(x)) < 1e-10
 
 
@@ -208,13 +210,17 @@ def test_standard_normal_maps_match_cdf_inverse():
 
 def test_median_maps_to_zero():
     m = fit_params_from_moments("lognormal", 100.0, 0.2)
-    assert m.to_standard_normal(m.inv_cdf(0.5)) == pytest.approx(0.0, abs=1e-12)
+    x = m.from_standard_normal(std_normal_inv(0.5))
+    assert m.to_standard_normal(x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_support_violation_raises():
     m = fit_params_from_moments("lognormal", 100.0, 0.2)
+    for bad in (-1.0, np.nan, [100.0, np.nan]):
+        with pytest.raises(DomainError):
+            m.to_standard_normal(bad)
     with pytest.raises(DomainError):
-        m.to_standard_normal(-1.0)
+        fit_params_from_moments("normal", 250.0, 0.3).to_standard_normal(np.nan)
 
 
 def _mp_to_standard_normal(m, x):
@@ -287,6 +293,11 @@ def test_default_grid_is_bit_identical_to_closed_form_quantiles(kind, mean, cov,
     assert grid[0] == float.fromhex(lo)
     assert grid[-1] == float.fromhex(hi)
     assert np.array_equal(grid, np.linspace(grid[0], grid[-1], len(grid)))
+
+
+def test_default_grid_z_ends_are_scipy_ndtri_bit_for_bit():
+    assert GRID_Z_LO == ndtri(1e-6)
+    assert GRID_Z_HI == ndtri(1.0 - 1e-6)
 
 
 # -- correlation and the Nataf fit ----------------------------------------------
@@ -385,7 +396,8 @@ def test_to_standard_names_offending_component(ex1_joint):
 
 
 def test_median_point_maps_to_origin(ex1_joint):
-    x = np.array([[m.inv_cdf(0.5) for m in ex1_joint.marginals]])
+    x = np.array([[m.from_standard_normal(std_normal_inv(0.5))
+                   for m in ex1_joint.marginals]])
     assert np.max(np.abs(ex1_joint.to_standard(x))) < 1e-12
 
 
@@ -421,7 +433,7 @@ def test_pf_zero_variance_raises(ex1_marginals):
 def test_conditional_reduces_to_lower_dimensional_problem(ex1_problem,
                                                           ex1_marginals):
     # conditioning R at any value must equal the 3-input problem shifted by ln r
-    r = ex1_marginals[0].inv_cdf(0.5)
+    r = ex1_marginals[0].from_standard_normal(std_normal_inv(0.5))
     got = lognormal_linear_conditional_pf(ex1_problem, 0, r)
     reduced = LognormalLinearProblem(
         const_term=math.log(r), coeffs=EX1_SIGNS[1:],

@@ -10,7 +10,7 @@ from scipy.special import erf as sp_erf
 from relsens import (conditional_pf_u, conditional_pf_x, evpi_safety,
                      evppi_form_design, evppi_form_safety,
                      lognormal_linear_conditional_pf, solve_form,
-                     std_normal_cdf, threshold_u)
+                     std_normal_cdf, std_normal_inv, threshold_u)
 from relsens.decision import SafetyDecision
 from relsens.errors import DomainError
 from relsens.form import find_design_points, standard_space_lsf
@@ -209,7 +209,8 @@ def test_conditional_pf_u_degenerate():
 def test_conditional_pf_x_median_matches_u_zero(ex1_joint, ex1_lsf):
     res = solve_form(ex1_joint, ex1_lsf)
     m = ex1_joint.marginals[0]
-    got = conditional_pf_x(ex1_joint, 0, m.inv_cdf(0.5), res)
+    got = conditional_pf_x(ex1_joint, 0,
+                           m.from_standard_normal(std_normal_inv(0.5)), res)
     assert got.shape == (1, 1)
     assert got[0, 0] == pytest.approx(
         conditional_pf_u(res.beta0[0], res.alpha[0, 0], 0.0), rel=1e-12)
@@ -231,7 +232,8 @@ def test_conditional_pf_x_exact_for_linear(ex1_joint, ex1_problem,
                            (ex1_joint_dep, ex1_problem_dep)):
         res = solve_form(joint, ex1_lsf)
         for i, m in enumerate(joint.marginals):
-            x = m.inv_cdf(np.linspace(0.01, 0.99, 50))
+            x = m.from_standard_normal(
+                std_normal_inv(np.linspace(0.01, 0.99, 50)))
             got = conditional_pf_x(joint, i, x, res)[0]
             expect = lognormal_linear_conditional_pf(problem, i, x)
             assert np.max(np.abs(got / expect - 1.0)) < 1e-6

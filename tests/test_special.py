@@ -142,7 +142,7 @@ def test_inverse_round_trip_central():
 
 
 def test_inverse_domain_errors():
-    for bad in (0.0, 1.0, -0.2, 1.4):
+    for bad in (0.0, 1.0, -0.2, 1.4, np.nan, [0.5, np.nan]):
         with pytest.raises(DomainError):
             std_normal_inv(bad)
 
