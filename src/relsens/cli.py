@@ -181,7 +181,6 @@ def cmd_run(args):
             "method": cfg.method,
             "tool_version": __version__,
             "wall_seconds": time.perf_counter() - t0,
-            "stage_diagnostics": result.diagnostics["stage_seconds"],
             "outputs": {p.name: _sha256(p) for p in written},
         }
         report["manifest"] = manifest

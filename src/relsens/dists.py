@@ -55,16 +55,18 @@ class Marginal:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown marginal kind {self.kind!r}")
-        p1, p2 = self.params
-        if self.kind == NORMAL and p2 <= 0:
+        p1, p2 = map(float, self.params)
+        if not (math.isfinite(p1) and math.isfinite(p2)):
+            raise DomainError(f"{self.kind} parameters must be finite")
+        if self.kind == NORMAL and not p2 > 0:
             raise DomainError("normal sigma must be positive")
-        if self.kind == LOGNORMAL and p2 <= 0:
+        if self.kind == LOGNORMAL and not p2 > 0:
             raise DomainError("lognormal sigma_ln must be positive")
-        if self.kind == GUMBEL and p2 <= 0:
+        if self.kind == GUMBEL and not p2 > 0:
             raise DomainError("gumbel scale must be positive")
-        if self.kind == WEIBULL and (p1 <= 0 or p2 <= 0):
+        if self.kind == WEIBULL and not (p1 > 0 and p2 > 0):
             raise DomainError("weibull shape and scale must be positive")
-        object.__setattr__(self, "params", (float(p1), float(p2)))
+        object.__setattr__(self, "params", (p1, p2))
 
     # -- moments ----------------------------------------------------------
 
@@ -224,9 +226,9 @@ def marginal_from_params(kind, p1, p2):
 
 def fit_params_from_moments(kind, mean, cov):
     """Marginal with the requested mean and coefficient of variation."""
-    if cov <= 0:
+    if not cov > 0:
         raise DomainError("cov must be positive")
-    if kind in (LOGNORMAL, GUMBEL, WEIBULL) and mean <= 0:
+    if kind in (LOGNORMAL, GUMBEL, WEIBULL) and not mean > 0:
         raise DomainError(f"{kind} requires mean > 0 here")
     if kind == NORMAL:
         if mean == 0:
@@ -360,12 +362,16 @@ class GaussianCopulaJoint:
     def dim(self):
         return len(self.marginals)
 
-    def to_physical(self, u):
+    def to_physical(self, u, out=None):
         """Map a batch of standard-normal points (rows of a 2-D u) to
-        physical space; returns one row per point."""
+        physical space; returns one row per point, written into ``out``
+        (an array of u's shape) if it is given."""
         z = np.asarray(u, dtype=float) @ self.chol_z.T
-        return np.column_stack([m.from_standard_normal(z[:, i])
-                                for i, m in enumerate(self.marginals)])
+        if out is None:
+            out = np.empty_like(z)
+        for i, m in enumerate(self.marginals):
+            out[:, i] = m.from_standard_normal(z[:, i])
+        return out
 
     def to_standard(self, x):
         """Inverse map of a batch of physical points (rows of a 2-D x);

@@ -5,17 +5,32 @@ the counter-based Philox generator with an explicit seed; subset
 simulation draws a dedicated substream per level, so runs are exactly
 reproducible.
 
-Crude MC draws its sample in chunks, in order, from one stream, and
-maps and evaluates the chunks on worker threads (numpy's and scipy's
-array kernels release the GIL). Its results do not depend on the number
-of workers, by construction: the chunk sizes are fixed, each chunk is
-mapped and evaluated alone, and the chunks are collected in draw order.
-They do not depend on the chunk size either, and match a run with
-larger chunks, as far as tested: split Philox draws give the same values
-as one draw, and the copula map and g act row by row; that the copula
-matmul gives the same bits for any chunk of two rows or more was seen
-on the BLAS it was tested with (2 to 39 rows against the full product),
-but is a property of that BLAS, not a guarantee.
+Crude MC draws its sample in chunks of MC_BATCH (25 000) rows, in
+order, from one stream, and maps, evaluates and reduces the chunks on
+worker threads (numpy's and scipy's array kernels release the GIL). A
+worker returns only its chunk's failure counts, failure rows and packed
+failure bits, so a finished chunk waiting to be collected holds its
+failure rows, not its sample. At most ``workers + 1`` chunks are in
+flight, drawn and not yet collected, so the working set is a few chunks
+plus the failure rows, whatever n is; smaller chunks save little more
+memory and hand off more often. Each chunk in flight owns two buffers,
+its draws and its physical rows, which the next chunk drawn reuses once
+it has been collected. Fresh arrays per chunk would be freed on the
+worker as it returns, and glibc then hands the worker's heap back to
+the kernel and faults it in again for the next chunk: on a 2-CPU VM
+that was about 22 000 page faults per 10^6-row example2 run, against
+about 1 200 with the buffers, and it made the run's time depend on how
+busy the host was.
+
+The results do not depend on the number of workers, by construction:
+the chunk sizes are fixed, each chunk is mapped and evaluated alone,
+and the chunks are collected in draw order. They do not depend on the
+chunk size either, and match a run with larger chunks, as far as
+tested: split Philox draws give the same values as one draw, and the
+copula map and g act row by row; that the copula matmul gives the same
+bits for any chunk of two rows or more was seen on the BLAS it was
+tested with (2 to 39 rows against the full product), but is a property
+of that BLAS, not a guarantee.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ import numpy as np
 from . import lsf as lsf_mod
 from .errors import DomainError, NonFiniteGError, StagnationError
 
-MC_BATCH = 50_000
+MC_BATCH = 25_000
 MAX_LEVELS = 30                 # subset levels before giving up
 
 
@@ -92,12 +107,16 @@ def crude_mc(joint, limit_state, n, seed, a=None):
 
     The sample is drawn in chunks of MC_BATCH rows, in order, on the
     calling thread from the one Philox stream of ``seed``. Each chunk's
-    copula map and g evaluations run on one of ``workers`` threads (one
-    per available CPU, at most one per chunk), at most ``workers + 1``
-    chunks are in flight, and the chunks are collected in draw order.
-    An error raised on a worker is re-raised here: the one of the
-    earliest chunk that failed, with a non-finite g reported at its
-    row's index in the whole sample.
+    copula map, g evaluations and reduction to its failure rows run on
+    one of ``workers`` threads (one per available CPU, at most one per
+    chunk); a worker returns the chunk's failure count per design, its
+    failure rows and their packed failure bits, and drops the rest of
+    the chunk. At most ``workers + 1`` chunks are in flight (drawn and
+    not yet collected), each drawn and mapped into buffers that it hands
+    on to a later chunk once collected, and the chunks are collected in
+    draw order. An error raised on a worker is re-raised here: the one
+    of the earliest chunk that failed, with a non-finite g reported at
+    its row's index in the whole sample.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -109,52 +128,55 @@ def crude_mc(joint, limit_state, n, seed, a=None):
         # bits differ: a lone last row joins the chunk before it
         sizes[-2:] = [MC_BATCH + 1]
     workers = min(_available_cpus(), len(sizes))
-    n_fail = np.zeros(len(designs), dtype=np.int64)
-    fail_rows = []
-    fail_bits = []
 
-    def evaluate(start, u):
-        x = joint.to_physical(u)
+    def evaluate(start, u, x):
+        x = joint.to_physical(u, out=x)
         mask = np.empty((len(x), len(designs)), dtype=bool)
         for j, a_j in enumerate(designs):
             try:
                 mask[:, j] = lsf_mod.evaluate(limit_state, x, a_j) <= 0.0
             except NonFiniteGError as exc:
                 raise NonFiniteGError(start + exc.row, exc.inputs) from None
-        return x, mask
-
-    def collect(x, mask):
-        nonlocal n_fail
-        n_fail += np.count_nonzero(mask, axis=0)
         hit = mask.any(axis=1)
-        if hit.any():
-            fail_rows.append(x[hit])
-            fail_bits.append(np.packbits(mask[hit], axis=1))
+        return (np.count_nonzero(mask, axis=0), x[hit],
+                np.packbits(mask[hit], axis=1))
 
     # imported here, so that importing relsens loads no thread pool
     from concurrent.futures.thread import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(workers)
+    chunks = []
+    pending = deque()
+    shape = (max(sizes), joint.dim)
+    free = []                          # (u, x) buffers of collected chunks
+
+    def collect():
+        buffers, future = pending.popleft()
+        chunks.append(future.result())
+        free.append(buffers)
+
     try:
-        pending = deque()
         for start, m in zip(range(0, n, MC_BATCH), sizes):
-            u = rng.standard_normal((m, joint.dim))
-            pending.append(pool.submit(evaluate, start, u))
+            u_buf, x_buf = (free.pop() if free else
+                            (np.empty(shape), np.empty(shape)))
+            u = rng.standard_normal(out=u_buf[:m])
+            pending.append(((u_buf, x_buf),
+                            pool.submit(evaluate, start, u, x_buf[:m])))
             if len(pending) > workers:
-                collect(*pending.popleft().result())
+                collect()
         while pending:
-            collect(*pending.popleft().result())
+            collect()
     finally:
         pool.shutdown(cancel_futures=True)
 
+    counts, rows, bits = zip(*chunks)
+    n_fail = np.sum(counts, axis=0)
     pf = n_fail / n
     half = 1.96 * np.sqrt(np.maximum(pf * (1.0 - pf), 0.0) / n)
     lo, hi = np.maximum(0.0, pf - half), np.minimum(1.0, pf + half)
-    samples = np.vstack(fail_rows) if fail_rows else np.empty((0, joint.dim))
-    bits = (np.vstack(fail_bits) if fail_bits else
-            np.empty((0, (len(designs) + 7) // 8), dtype=np.uint8))
-    return McResult(pf_hat=pf, n=n, ci95=(lo, hi), failure_samples=samples,
-                    n_fail=n_fail, failed_at=bits, workers=workers)
+    return McResult(pf_hat=pf, n=n, ci95=(lo, hi),
+                    failure_samples=np.vstack(rows), n_fail=n_fail,
+                    failed_at=np.vstack(bits), workers=workers)
 
 def _conditional_level(G, seeds_u, seeds_g, threshold, n_out, rng, lam):
     """Adaptive conditional sampling: grow chains from the seeds until

@@ -210,6 +210,17 @@ def test_cli_rejects_nan_and_infinity(tmp_path, capsys, command, token, edit):
     assert not out.exists()
 
 
+def test_cli_rejects_a_marginal_parameter_that_overflows(tmp_path, capsys):
+    # a valid JSON number that parses to inf reaches the marginal fit
+    raw = _base_config()
+    raw["inputs"][0]["mean"] = 1e300
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw).replace("1e+300", "1e400"))
+    assert "1e400" in path.read_text()
+    assert cli.main(["validate", str(path)]) == 2
+    assert "parameters must be finite" in capsys.readouterr().err
+
+
 def _negative_analytic_design(raw):
     raw["decision"]["design"]["grid"]["start"] = -0.5
 
@@ -281,7 +292,8 @@ def test_cli_run_times_config_load(tmp_path):
     stages = report["diagnostics"]["stage_seconds"]
     assert list(stages) == ["load", "reliability", "safety_evppi"]
     assert 0.0 < stages["load"] < report["manifest"]["wall_seconds"]
-    assert report["manifest"]["stage_diagnostics"] == stages
+    assert "stage_diagnostics" not in report["manifest"]
+    assert "load" in report["diagnostics"]["stage_seconds"]
 
 def test_cli_run_manifest_checksums(tmp_path):
     out = tmp_path / "run"

@@ -76,6 +76,29 @@ def test_fit_rejects_bad_moments():
         fit_params_from_moments("normal", 1.0, 0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Marginal("normal", (0.0, NAN)),
+    lambda: Marginal("normal", (NAN, 1.0)),
+    lambda: Marginal("lognormal", (NAN, 0.5)),
+    lambda: Marginal("gumbel", (2000.0, NAN)),
+    lambda: Marginal("weibull", (NAN, 1.0)),
+    lambda: Marginal("weibull", (10.0, NAN)),
+    lambda: Marginal("normal", (math.inf, 1.0)),
+    lambda: fit_params_from_moments("lognormal", 100.0, NAN),
+    lambda: fit_params_from_moments("normal", NAN, 0.2),
+    lambda: fit_params_from_moments("gumbel", NAN, 0.2),
+    lambda: fit_params_from_moments("weibull", 40.0, NAN),
+], ids=["normal-sigma", "normal-mu", "lognormal-mu", "gumbel-scale",
+        "weibull-shape", "weibull-scale", "normal-inf-mu", "fit-lognormal-cov",
+        "fit-normal-mean", "fit-gumbel-mean", "fit-weibull-cov"])
+def test_nan_parameters_are_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 # -- root-finds (bisection to adjacent floats; brentq as the reference) -----------
 
 WEIBULL_COVS = [0.02, 0.1, 0.3, 1.0, 2.0, 5.0]
@@ -372,6 +395,21 @@ def test_round_trip_identity_dependent(ex2_joint):
     x = ex2_joint.to_physical(u)
     back = ex2_joint.to_standard(x)
     assert np.max(np.abs(back - u) / np.maximum(np.abs(u), 1.0)) < 1e-8
+
+
+def test_to_physical_writes_into_out(ex2_joint):
+    # the map into a given buffer is the map into a fresh array, bit for bit,
+    # and matches each marginal applied to its copula column
+    u = np.random.Generator(np.random.Philox(3)).standard_normal((500, 4))
+    x = ex2_joint.to_physical(u)
+    buf = np.full((600, 4), np.nan)
+    out = ex2_joint.to_physical(u, out=buf[:500])
+    assert out.base is buf
+    assert out.tobytes() == x.tobytes()
+    assert np.isnan(buf[500:]).all()
+    z = u @ ex2_joint.chol_z.T
+    for i, m in enumerate(ex2_joint.marginals):
+        assert x[:, i].tobytes() == m.from_standard_normal(z[:, i]).tobytes()
 
 
 def test_independent_copula_is_identity(ex1_joint):

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,11 +222,56 @@ def test_crude_mc_does_not_depend_on_chunk_size(monkeypatch, case, ex2_joint,
     n = 430_017
     args = ((ex2_joint, ex2_lsf, n, 33) if case == "column" else
             (ex1_joint, ex1_design_lsf, n, 34, np.linspace(0.5, 1.5, 11)))
-    runs = []
-    for batch in (50_000, 200_000):
+    runs = {}
+    for batch in (7_919, 25_000, 50_000, 200_000):
         monkeypatch.setattr(sample, "MC_BATCH", batch)
-        runs.append(crude_mc(*args))
-    assert _mc_bytes(runs[0]) == _mc_bytes(runs[1])
+        runs[batch] = _mc_bytes(crude_mc(*args))
+    for batch in (25_000, 50_000, 200_000):
+        assert runs[batch] == runs[7_919], batch
+
+
+@pytest.mark.parametrize("cpus,budget_mib", [(2, 10), (4, 14)])
+def test_crude_mc_keeps_few_chunks_in_memory(monkeypatch, cpus, budget_mib,
+                                             ex2_joint, ex2_lsf):
+    # eight chunks of the short column; a worker hands back only the
+    # failure rows (about 1%) of its chunk, so the traced peak is a few
+    # chunks of draws and maps, however long the run
+    n = 8 * sample.MC_BATCH
+    _mc_at(monkeypatch, cpus, ex2_joint, ex2_lsf, 1000, 1)    # warm imports
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    tracemalloc.start()
+    try:
+        res = _mc_at(monkeypatch, cpus, ex2_joint, ex2_lsf, n, 36)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.setswitchinterval(interval)
+    assert res.workers == cpus
+    assert 0 < len(res.failure_samples) < n // 50
+    assert peak < budget_mib << 20
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_crude_mc_reuses_the_buffers_of_collected_chunks(monkeypatch, cpus,
+                                                         ex2_joint, ex2_lsf):
+    # ten chunks and a ragged tail map into at most workers + 1 buffers, one
+    # per chunk in flight, each handed on once its chunk has been collected
+    class RecordingJoint:
+        dim = ex2_joint.dim
+
+        def __init__(self):
+            self.buffers = set()
+
+        def to_physical(self, u, out=None):
+            self.buffers.add(id(out.base))
+            return ex2_joint.to_physical(u, out=out)
+
+    monkeypatch.setattr(sample, "MC_BATCH", 1000)
+    joint = RecordingJoint()
+    res = _mc_at(monkeypatch, cpus, joint, ex2_lsf, 10_123, 37)
+    assert res.workers == cpus
+    assert 1 < len(joint.buffers) <= cpus + 1
 
 
 def test_crude_mc_sample_equals_one_draw_mapped_at_once(monkeypatch,
