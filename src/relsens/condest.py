@@ -46,6 +46,7 @@ import numpy as np
 
 from . import special
 from .errors import CurvePointWarning, DegenerateSampleError, DomainError
+from .quantile import linear_quantile
 
 TRANSFORM_STANDARD_NORMAL = "marginal-standard-normal"
 TRANSFORM_IDENTITY = "identity"
@@ -61,12 +62,13 @@ def silverman_bandwidth(values):
     """1.06 min(sd, iqr/1.34) n^(-1/5).
 
     When ties make the IQR zero the spread falls back to sd alone, as R's
-    ``bw.nrd0`` does; only a sample with zero sd is degenerate.
+    ``bw.nrd0`` does; only a sample with zero sd is degenerate. The
+    quartiles are ``np.percentile``'s, to the bit (``linear_quantile``).
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
     sd = float(np.std(values, ddof=1))
-    q75, q25 = np.percentile(values, [75.0, 25.0])
+    q75, q25 = linear_quantile(values, [0.75, 0.25])
     iqr_spread = (q75 - q25) / 1.34
     spread = min(sd, iqr_spread) if iqr_spread > 0.0 else sd
     if spread <= 0.0:

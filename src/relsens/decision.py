@@ -131,7 +131,9 @@ def posterior_loss_curve(curve, decision):
     """min_j [c_d(a_j) + c_f pf_j(x)] on the curve grid, from a curve with
     a row of pf values per design value."""
     costs = decision.design_cost(decision.grid)
-    return (costs[:, None] + decision.c_f * curve.pf_values).min(axis=0)
+    loss = decision.c_f * curve.pf_values
+    loss += costs[:, None]
+    return loss.min(axis=0)
 
 
 def evppi_design(curve, pf_per_design, decision):

@@ -8,7 +8,9 @@ for lognormal pairs, identity for normal pairs, and a root-find on the
 two-dimensional Gauss-Hermite correlation integral otherwise. Both
 root-finds (that one and the Weibull shape from its cov) bisect to
 adjacent floats (``_bisect``), so loading a config never imports
-scipy.optimize.
+scipy.optimize. The 32-point Gauss-Hermite rule is built at the first
+bisection of a pair, so a config without such a pair never imports
+numpy.polynomial.
 
 Every estimator works in standard-normal space, so a marginal is its
 density plus one exact pair of maps x <-> z with F(x) = Phi(z). The
@@ -20,6 +22,7 @@ the way. The p-quantile is ``from_standard_normal`` at Phi^{-1}(p).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -279,7 +282,15 @@ def validate_correlation(matrix, what="correlation matrix"):
     return r
 
 
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
+@functools.cache
+def _gauss_hermite():
+    """Nodes and weights of the 32-point Gauss-Hermite rule, built on the
+    first call: only a correlated pair that is neither two normals nor two
+    lognormals needs them, and numpy.polynomial costs about 0.75 MB."""
+    from numpy.polynomial.hermite import hermgauss
+    nodes, weights = hermgauss(32)
+    nodes.flags.writeable = weights.flags.writeable = False   # shared
+    return nodes, weights
 
 
 def _pair_physical_correlation(rho_z, mi, mj):
@@ -288,11 +299,12 @@ def _pair_physical_correlation(rho_z, mi, mj):
     32-point tensor Gauss-Hermite on E[Xi Xj] under the bivariate normal
     copula density.
     """
-    z1 = math.sqrt(2.0) * _GH_NODES
+    nodes, weights = _gauss_hermite()
+    z1 = math.sqrt(2.0) * nodes
     x1 = mi.from_standard_normal(z1)
     zc = rho_z * z1[:, None] + math.sqrt(1.0 - rho_z * rho_z) * z1[None, :]
     x2 = mj.from_standard_normal(zc)
-    w2 = np.outer(_GH_WEIGHTS, _GH_WEIGHTS) / math.pi
+    w2 = np.outer(weights, weights) / math.pi
     exy = float(np.sum(w2 * x1[:, None] * x2))
     return (exy - mi.mean * mj.mean) / (mi.std * mj.std)
 

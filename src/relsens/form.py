@@ -213,8 +213,11 @@ def conditional_pf_u(beta0, alpha_i, u_i):
     if beta0.ndim:
         beta0, alpha_i = beta0[:, None], alpha_i[:, None]
     u_i = np.asarray(u_i, dtype=float)
-    out = np.asarray(special.std_normal_cdf(
-        (alpha_i * u_i - beta0) / np.sqrt(1.0 - alpha_i * alpha_i)))
+    # (alpha_i u_i - beta0) / sqrt(1 - alpha_i^2), then Phi, in one buffer
+    out = np.asarray(alpha_i * u_i)
+    out -= beta0
+    out /= np.sqrt(1.0 - alpha_i * alpha_i)
+    special.std_normal_cdf(out, out=out)
     return out if out.ndim else float(out)
 
 

@@ -31,6 +31,13 @@ copula map and g act row by row; that the copula matmul gives the same
 bits for any chunk of two rows or more was seen on the BLAS it was
 tested with (2 to 39 rows against the full product), but is a property
 of that BLAS, not a guarantee.
+
+Subset simulation writes each level's chains into one array of u and
+one of g, each allocated once for the level, and keeps one level alive
+at a time: a level's samples are dropped as soon as the seeds of the
+next level (or of the final pass at threshold 0) are taken from them.
+Its thresholds are numpy's linear quantile, computed without the
+numpy.ma import that ``np.quantile`` brings (``quantile``).
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import numpy as np
 
 from . import lsf as lsf_mod
 from .errors import DomainError, NonFiniteGError, StagnationError
+from .quantile import linear_quantile
 
 MC_BATCH = 25_000
 MAX_LEVELS = 30                 # subset levels before giving up
@@ -184,16 +192,19 @@ def _conditional_level(G, seeds_u, seeds_g, threshold, n_out, rng, lam):
 
     Proposal per component: v = sqrt(1-s^2) u + s xi with a common scale
     factor adapted toward acceptance 0.44. Rows are stacked step-major:
-    row k * ns + c is step k of the chain grown from seed c.
+    row k * ns + c is step k of the chain grown from seed c. Every step
+    is written into one (steps * ns, d) array of u and one of g, each
+    allocated once, and the first n_out rows are returned.
     """
     ns, d = seeds_u.shape
     steps = int(np.ceil(n_out / ns))
     sigma0 = np.std(seeds_u, axis=0, ddof=1)
     sigma0 = np.where(sigma0 > 1e-12, sigma0, 1.0)
-    out_u = [seeds_u]
-    out_g = [seeds_g]
-    cur_u = seeds_u.copy()
-    cur_g = seeds_g.copy()
+    u = np.empty((steps * ns, d))
+    g = np.empty(steps * ns)
+    cur_u, cur_g = u[:ns], g[:ns]
+    cur_u[...] = seeds_u
+    cur_g[...] = seeds_g
     acc_sum, acc_n = 0.0, 0
     for step in range(1, steps):
         s = np.minimum(lam * sigma0, 1.0)
@@ -201,17 +212,18 @@ def _conditional_level(G, seeds_u, seeds_g, threshold, n_out, rng, lam):
         cand = rho * cur_u + s * rng.standard_normal(cur_u.shape)
         g_cand = G(cand)
         acc = g_cand <= threshold
-        cur_u = np.where(acc[:, None], cand, cur_u)
-        cur_g = np.where(acc, g_cand, cur_g)
-        out_u.append(cur_u.copy())
-        out_g.append(cur_g.copy())
+        rows = slice(step * ns, (step + 1) * ns)
+        u[rows] = cur_u
+        g[rows] = cur_g
+        cur_u, cur_g = u[rows], g[rows]
+        np.copyto(cur_u, cand, where=acc[:, None])
+        np.copyto(cur_g, g_cand, where=acc)
         rate = float(np.mean(acc))
         acc_sum += rate
         acc_n += 1
         lam = float(np.exp(np.log(lam) + (rate - 0.44) / np.sqrt(step)))
-    u = np.vstack(out_u)[:n_out]
-    g = np.concatenate(out_g)[:n_out]
-    return u, g, lam, (acc_sum / acc_n if acc_n else float("nan"))
+    acc_rate = acc_sum / acc_n if acc_n else float("nan")
+    return u[:n_out], g[:n_out], lam, acc_rate
 
 
 def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None):
@@ -240,7 +252,7 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None):
     acc_last = float("nan")
     prev_thresholds = []
     for level in range(1, MAX_LEVELS + 1):
-        t = float(np.quantile(g, p0))
+        t = linear_quantile(g, p0)
         if t <= 0.0:
             levels.append((0.0, float(np.mean(g <= 0.0))))
             break
@@ -257,6 +269,7 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None):
         perm = rng.permutation(ns)
         seeds_u = u[order[:ns]][perm]
         seeds_g = g[order[:ns]][perm]
+        del u, g, order              # the next level grows without this one
         u, g, lam, acc_last = _conditional_level(
             G, seeds_u, seeds_g, t, n_per_level, rng, lam)
     else:
@@ -269,8 +282,10 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None):
     rng = make_rng(streams[-1])
     ns = int(np.count_nonzero(mask))
     perm = rng.permutation(ns)
+    seeds_u, seeds_g = u[mask][perm], g[mask][perm]
+    del u, g, mask
     u_fail, _, lam, acc = _conditional_level(
-        G, u[mask][perm], g[mask][perm], 0.0, n_per_level, rng, lam)
+        G, seeds_u, seeds_g, 0.0, n_per_level, rng, lam)
     x_fail = joint.to_physical(u_fail)
     if not np.isnan(acc):
         acc_last = acc

@@ -12,7 +12,9 @@ scalar gives a Python float, Phi^{-1} signals on p outside (0, 1), and
 each imports its scipy function on its first call, as that import costs
 0.29 s and 18 MB per process. Loading a config and sampling normal and
 lognormal inputs evaluate no Phi; analytic and FORM runs, the Gumbel
-and Weibull maps and ``bivariate_normal_cdf`` do.
+and Weibull maps and ``bivariate_normal_cdf`` do. ``std_normal_cdf``
+takes an ``out=`` array, so that a caller can form the argument and Phi
+of a large batch in one buffer.
 
 scipy has no bivariate normal CDF to 1e-12, so ``bivariate_normal_cdf``
 is Genz's reformulation of the Drezner-Wesolowsky integral, absolute
@@ -40,9 +42,11 @@ def std_normal_pdf(x):
     return out if out.ndim else float(out)
 
 
-def std_normal_cdf(x):
+def std_normal_cdf(x, out=None):
+    """Phi(x), written into ``out`` (an array of x's shape, which may be
+    x itself) if it is given."""
     from scipy.special import ndtr
-    out = ndtr(np.asarray(x, dtype=float))
+    out = ndtr(np.asarray(x, dtype=float), out=out)
     return out if out.ndim else float(out)
 
 

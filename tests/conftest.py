@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from relsens import (GaussianCopulaJoint, LognormalLinearProblem,
                      fit_params_from_moments)
-from relsens import builtin, crude_mc
+from relsens import builtin, crude_mc, solve_form
+from relsens.config import load_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # component model: R, S, XR, XS all lognormal, g linear in the logs
 EX1_MOMENTS = (("R", 100.0, 0.2), ("S", 40.0, 0.25),
@@ -86,3 +91,10 @@ def ex2_lsf():
 def ex2_mc(ex2_joint, ex2_lsf):
     # one large reference run shared by the sampling and acceptance tests
     return crude_mc(ex2_joint, ex2_lsf, n=10**6, seed=2)
+
+
+@pytest.fixture(scope="session")
+def ex1_design_sweep():
+    """example1_design as shipped, and its FORM solve at all 151 designs."""
+    cfg = load_config(CONFIG_DIR / "example1_design.json")
+    return cfg, solve_form(cfg.joint, cfg.limit_state, cfg.design.grid)

@@ -639,27 +639,35 @@ def test_cli_process_exception_still_exits_with_traceback(tmp_path):
 
 # -- scipy.special is imported only where Phi is evaluated -----------------------
 
-_RUN_AND_PROBE_SPECIAL = """
+_LAZY_MODULES = ("scipy.special", "numpy.ma", "numpy.polynomial")
+
+_RUN_AND_PROBE_MODULES = f"""
 import sys
 from relsens import cli
 code = cli.main(sys.argv[1:])
-print(code, "scipy.special" in sys.modules)
+print(code, *(m for m in {_LAZY_MODULES!r} if m in sys.modules))
 """
 
 
-def _special_loaded(tmp_path, command, name, **overrides):
+def _modules_loaded(tmp_path, command, name, **overrides):
     """Exit code of ``relsens <command>`` on a shipped config (with
-    overrides) in a fresh interpreter, and whether scipy.special got
+    overrides) in a fresh interpreter, and which of _LAZY_MODULES got
     imported."""
     raw = json.loads((CONFIG_DIR / name).read_text())
     path = _write_config(tmp_path / name, dict(raw, **overrides))
     out = ["--out", str(tmp_path / "out")] if command == "run" else []
     done = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_PROBE_SPECIAL, command, str(path),
+        [sys.executable, "-c", _RUN_AND_PROBE_MODULES, command, str(path),
          *out], env=_child_env(), cwd=tmp_path, capture_output=True,
         text=True, timeout=120, check=True)
-    code, loaded = done.stdout.splitlines()[-1].split()
-    return int(code), loaded == "True"
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
+def _special_loaded(tmp_path, command, name, **overrides):
+    """Exit code, and whether scipy.special got imported."""
+    code, loaded = _modules_loaded(tmp_path, command, name, **overrides)
+    return code, "scipy.special" in loaded
 
 
 @pytest.mark.parametrize("name", SHIPPED_CONFIGS[:3])
@@ -685,6 +693,36 @@ def test_runs_that_evaluate_phi_import_scipy_special(tmp_path, name,
                                                      overrides):
     # positive control: the probe above sees scipy.special once imported
     assert _special_loaded(tmp_path, "run", name, **overrides) == (0, True)
+
+
+# -- numpy.ma and numpy.polynomial are imported only where they are used -----
+
+@pytest.mark.parametrize("overrides", [
+    {"method": "subset", "n_per_level": 2000},
+    {"method": "mc", "n": 200_000}])
+def test_dependent_sampling_runs_import_no_numpy_ma_or_polynomial(tmp_path,
+                                                                  overrides):
+    # the subset thresholds and the KDE bandwidth's quartiles are computed
+    # without np.quantile, whose np.unique imports numpy.ma; lognormal
+    # pairs fit the copula in closed form, without the Gauss-Hermite rule
+    code, loaded = _modules_loaded(tmp_path, "run",
+                                   "example1_safety_dependent.json",
+                                   **overrides)
+    assert code == 0
+    assert loaded.isdisjoint({"numpy.ma", "numpy.polynomial"})
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS[:3])
+def test_example1_validate_does_not_import_numpy_polynomial(tmp_path, name):
+    code, loaded = _modules_loaded(tmp_path, "validate", name)
+    assert (code, "numpy.polynomial" in loaded) == (0, False)
+
+
+def test_nataf_bisection_imports_numpy_polynomial(tmp_path):
+    # positive control: example 2's normal-Gumbel pairs need the rule
+    code, loaded = _modules_loaded(tmp_path, "validate",
+                                   "example2_safety.json")
+    assert (code, "numpy.polynomial" in loaded) == (0, True)
 
 
 _CRUDE_MC_DIGEST = """

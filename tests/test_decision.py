@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,8 @@ from relsens import (DesignDecision, SafetyDecision, crude_mc, cvppi_curve,
                      evpi_safety, evppi_design, evppi_form_safety,
                      evppi_safety, lognormal_linear_conditional_pf,
                      lognormal_linear_pf, normalize, prior_action,
-                     prior_design, relativize, solve_form, std_normal_inv,
-                     threshold_sweep)
+                     prior_design, relativize, solve_form, std_normal_cdf,
+                     std_normal_inv, threshold_sweep)
 from relsens.condest import (ConditionalPfCurve,
                              conditional_pf_from_failure_samples,
                              curve_from_function, default_grid)
@@ -391,3 +392,42 @@ def test_threshold_sweep_rejects_bad_grid(ex1_problem, ex1_marginals):
     with pytest.raises(DomainError):
         threshold_sweep(curves, ("R", "S", "XR", "XS"),
                         CF, [0.5, 1.5], PF_IND)
+
+
+def _form_sweep_curve(cfg, res, i):
+    """Input i's FORM curve of example1_design, a row per design."""
+    m = cfg.marginals[i]
+    grid = default_grid(m, cfg.grid_points)
+    return ConditionalPfCurve(
+        grid=grid, pf_values=conditional_pf_x(cfg.joint, i, grid, res),
+        source="form", pf_uncond=std_normal_cdf(-res.beta0),
+        density_prior=m.pdf(grid))
+
+
+def test_posterior_loss_curve_equals_the_plain_expression_bit_for_bit(
+        ex1_design_sweep):
+    cfg, res = ex1_design_sweep
+    d = cfg.design
+    costs = d.design_cost(d.grid)
+    for i in range(cfg.joint.dim):
+        curve = _form_sweep_curve(cfg, res, i)
+        want = (costs[:, None] + d.c_f * curve.pf_values).min(axis=0)
+        assert posterior_loss_curve(curve, d).tobytes() == want.tobytes()
+    one = DesignDecision(c_f=d.c_f, cost_model=d.cost_model,
+                         grid=d.grid[75:76])
+    row = replace(curve, pf_values=curve.pf_values[75:76])
+    want = (costs[75] + d.c_f * row.pf_values[0])
+    assert posterior_loss_curve(row, one).tobytes() == want.tobytes()
+
+
+def test_posterior_loss_curve_peaks_near_its_loss_matrix(ex1_design_sweep):
+    cfg, res = ex1_design_sweep
+    curve = _form_sweep_curve(cfg, res, 0)
+    posterior_loss_curve(curve, cfg.design)
+    tracemalloc.start()
+    try:
+        posterior_loss_curve(curve, cfg.design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * curve.pf_values.nbytes

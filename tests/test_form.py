@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from relsens import (conditional_pf_u, conditional_pf_x, evpi_safety,
                      evppi_form_design, evppi_form_safety,
                      lognormal_linear_conditional_pf, solve_form,
                      std_normal_cdf, std_normal_inv, threshold_u)
+from relsens.condest import default_grid
 from relsens.decision import SafetyDecision
 from relsens.errors import DomainError
 from relsens.form import find_design_points, standard_space_lsf
@@ -204,6 +206,47 @@ def test_conditional_pf_u_load_example():
 def test_conditional_pf_u_degenerate():
     with pytest.raises(DomainError):
         conditional_pf_u(2.0, 1.0, 0.3)
+
+
+def _sweep_inputs(cfg, res, i):
+    """beta0 and rho_i of every design, and z on input i's default grid."""
+    m = cfg.marginals[i]
+    z = m.to_standard_normal(default_grid(m, cfg.grid_points))
+    return res.beta0, res.alpha @ cfg.joint.chol_z[i], z
+
+
+def test_conditional_pf_u_equals_the_plain_expression_bit_for_bit(
+        ex1_design_sweep):
+    # one buffer for the argument and Phi: the same operations in the same
+    # order as the expression, so the same bits
+    cfg, res = ex1_design_sweep
+    for i in range(cfg.joint.dim):
+        beta0, rho, z = _sweep_inputs(cfg, res, i)
+        b, r = beta0[:, None], rho[:, None]
+        want = std_normal_cdf((r * z - b) / np.sqrt(1.0 - r * r))
+        got = conditional_pf_u(beta0, rho, z)
+        assert got.shape == (len(beta0), len(z))
+        assert got.tobytes() == want.tobytes()
+    b, r = beta0[75], rho[75]
+    want = std_normal_cdf((r * z - b) / np.sqrt(1.0 - r * r))
+    assert conditional_pf_u(b, r, z).tobytes() == want.tobytes()
+    scalar = conditional_pf_u(b, r, z[100])
+    assert type(scalar) is float
+    assert scalar == std_normal_cdf((r * z[100] - b) / np.sqrt(1.0 - r * r))
+
+
+def test_conditional_pf_x_of_a_sweep_peaks_near_its_result(ex1_design_sweep):
+    cfg, res = ex1_design_sweep
+    grid = default_grid(cfg.marginals[0], cfg.grid_points)
+    conditional_pf_x(cfg.joint, 0, grid, res)             # warm imports
+    tracemalloc.start()
+    try:
+        out = conditional_pf_x(cfg.joint, 0, grid, res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (151, len(grid))
+    assert peak < 1.5 * out.nbytes
 
 
 def test_conditional_pf_x_median_matches_u_zero(ex1_joint, ex1_lsf):

@@ -156,6 +156,24 @@ def test_subset_stagnation_detected(ex1_joint):
         subset_simulation(ex1_joint, stuck, n_per_level=500, p0=0.1, seed=0)
 
 
+def test_subset_keeps_one_level_of_chains_in_memory(ex1_joint_dep, ex1_lsf):
+    # each pass writes its chains into one preallocated array of u and one
+    # of g, and a level is dropped once the next one's seeds are taken:
+    # the traced peak is one level plus the first level's copula map
+    # (parent 3.35-3.40 MiB on this run, list-appended steps and two
+    # levels alive)
+    subset_simulation(ex1_joint_dep, ex1_lsf, 2000, 0.1, 1)   # warm imports
+    tracemalloc.start()
+    try:
+        res = subset_simulation(ex1_joint_dep, ex1_lsf, 20_000, 0.1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.levels) == 2
+    assert res.last_level_samples.shape == (20_000, 4)
+    assert peak < 3.0 * 2**20
+
+
 def test_crude_mc_over_designs_matches_single_design_runs(ex1_joint,
                                                           ex1_design_lsf):
     # 11 designs span two bytes of the packed failure bits
