@@ -26,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, config as config_mod, decision as dec
-from . import condest, pipeline
+from . import __version__, config as config_mod, decision as dec, pipeline
 from .errors import ConfigError, RelsensError
 
 EXIT_OK = 0
@@ -148,7 +147,13 @@ def cmd_run(args):
         for name in cfg.names:
             curve = result.curves[name]
             cpath = outdir / f"pf_curve_{name}.csv"
-            condest.write_curve_csv(cpath, curve)
+            cond = (curve.density_conditional
+                    if curve.density_conditional is not None
+                    else np.full_like(curve.grid, np.nan))
+            _write_csv(cpath, ["x", "pf", "density_prior", "density_conditional"],
+                       ([_fmt(x), _fmt(p), _fmt(dp), _fmt(dc)]
+                        for x, p, dp, dc in zip(curve.grid, curve.pf_values,
+                                                curve.density_prior, cond)))
             written.append(cpath)
             if cfg.safety is not None:
                 vpath = outdir / f"cvppi_{name}.csv"

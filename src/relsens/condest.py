@@ -4,11 +4,10 @@ The Bayes identity pf(x) = f(x | F) / f(x) * pf turns the marginal
 failure-sample density into the conditional failure probability, so the
 whole curve is a post-processing step: no further model evaluations.
 
-The conditional density comes from a Gaussian kernel density estimate.
-By default samples are mapped through z = Phi^{-1}(F(x)) first and the
-density is carried back with the change-of-variables Jacobian, which
-keeps kernel mass inside bounded supports; ``identity`` fits in physical
-space instead.
+The conditional density comes from a Gaussian kernel density estimate
+fitted to the samples mapped through z = Phi^{-1}(F(x)). The ratio
+f(x | F) / f(x) is then f_Z(z | F) / phi(z), so the Jacobian of the map
+cancels, and no kernel mass leaks outside a bounded support.
 
 The kernel sum is exact up to a stated truncation, not binned. The model
 keeps its points sorted, and each evaluation point sums the kernel only
@@ -37,21 +36,15 @@ always returns the same values.
 
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import special
-from .errors import CurvePointWarning, DegenerateSampleError, DomainError
+from .errors import DegenerateSampleError, DomainError
 from .quantile import linear_quantile
 
-TRANSFORM_STANDARD_NORMAL = "marginal-standard-normal"
-TRANSFORM_IDENTITY = "identity"
-
-DENSITY_FLOOR = 1e-300
 TRUNCATION_RTOL = 1e-16
 KERNEL_BLOCK_TERMS = 65_536          # 512 KiB of float64 per kernel block
 MIN_FAILURE_VALUES = 20
@@ -91,8 +84,7 @@ def _kernel_row_sums(t, p, scale, out):
 
 @dataclass(frozen=True)
 class KdeModel:
-    """Gaussian KDE of failure-sample values for one input, in the space
-    the values were fitted in (z or x, as the transform of ``kde_fit``).
+    """Gaussian KDE of one input's failure-sample values in z space.
 
     ``points`` are kept sorted, which the windowed kernel sum relies on.
     ``kernel_terms`` counts the kernel terms its density calls evaluated.
@@ -123,7 +115,7 @@ class KdeModel:
                 np.searchsorted(p, t + reach, side="right"))
 
     def density_transformed(self, t):
-        """Density in the fitting space (z or x depending on transform).
+        """Density of the fitted z values at each t.
 
         Each t sums the Gaussian kernel at least over its window (see
         ``windows``). The omitted terms total less than TRUNCATION_RTOL
@@ -173,18 +165,14 @@ class KdeModel:
         return out
 
 
-def kde_fit(values, marginal, transform=TRANSFORM_STANDARD_NORMAL):
-    """Fit the conditional-density KDE for one input's failure values."""
+def kde_fit(values, marginal):
+    """Fit the conditional-density KDE for one input's failure values, at
+    z = Phi^{-1}(F(x))."""
     values = np.asarray(values, dtype=float)
     if len(values) < MIN_FAILURE_VALUES:
         raise DomainError(f"need at least {MIN_FAILURE_VALUES} failure values "
                           "for a density fit")
-    if transform == TRANSFORM_STANDARD_NORMAL:
-        pts = np.asarray(marginal.to_standard_normal(values), dtype=float)
-    elif transform == TRANSFORM_IDENTITY:
-        pts = values.copy()
-    else:
-        raise DomainError(f"unknown transform mode {transform!r}")
+    pts = np.asarray(marginal.to_standard_normal(values), dtype=float)
     # bandwidth from the unsorted values: sorting would reorder the sd sum
     return KdeModel(points=pts, bandwidth=silverman_bandwidth(pts))
 
@@ -220,9 +208,9 @@ class ConditionalPfCurve:
                            np.asarray(self.pf_values, dtype=float))
 
 
-def default_grid(marginal, n=512):
-    """Uniform grid from the 1e-6 to the 1 - 1e-6 quantile: x at z =
-    GRID_Z_LO to GRID_Z_HI (+-4.7534, scipy.special.ndtri at those p)."""
+def default_grid(marginal, n):
+    """Uniform grid of n points from the 1e-6 to the 1 - 1e-6 quantile: x at
+    z = GRID_Z_LO to GRID_Z_HI (+-4.7534, scipy.special.ndtri at those p)."""
     x = marginal.from_standard_normal
     return np.linspace(x(GRID_Z_LO), x(GRID_Z_HI), n)
 
@@ -250,45 +238,27 @@ def effective_sample_size(values, stride=1):
     return n / (1.0 + 2.0 * s)
 
 
-def conditional_pf_from_failure_samples(marginal, i, failure_values, pf_hat,
-                                        grid=None,
-                                        transform=TRANSFORM_STANDARD_NORMAL,
-                                        n_chains=1):
+def conditional_pf_from_failure_samples(marginal, failure_values, pf_hat,
+                                        grid, n_chains=1):
     """Estimate pf(x_i) on a grid from one input's failure-sample values.
 
     Values are clipped to [0, 1]; the clipped fraction is recorded on the
-    curve. Grid points where the prior density underflows are dropped
-    with a warning (identity mode only; the transformed fit cannot leak
-    mass outside the support). ``n_chains`` is the number of MCMC chains
-    interleaved step-major in ``failure_values`` (1 for independent
-    draws); it only sets the lags of the ESS.
+    curve. ``n_chains`` is the number of MCMC chains interleaved
+    step-major in ``failure_values`` (1 for independent draws); it only
+    sets the lags of the ESS.
     """
     if not 0.0 < pf_hat < 1.0:
         raise DomainError("pf_hat must lie in (0, 1)")
-    if grid is None:
-        grid = default_grid(marginal)
     grid = np.asarray(grid, dtype=float)
-    model = kde_fit(failure_values, marginal, transform)
+    model = kde_fit(failure_values, marginal)
 
     prior = np.asarray(marginal.pdf(grid), dtype=float)
-    keep = prior > DENSITY_FLOOR
-    if not keep.all():
-        warnings.warn(
-            f"input {i}: dropped {int(np.count_nonzero(~keep))} grid point(s) "
-            "with underflowing prior density", CurvePointWarning, stacklevel=2)
-        grid = grid[keep]
-        prior = prior[keep]
-
-    if transform == TRANSFORM_STANDARD_NORMAL:
-        # ratio f(x|F)/f(x) collapses to f_Z(z)/phi(z): one KDE pass, no Jacobian
-        z = np.asarray(marginal.to_standard_normal(grid), dtype=float)
-        cond_z = model.density_transformed(z)
-        phi_z = special.std_normal_pdf(z)
-        raw = pf_hat * cond_z / phi_z
-        cond = cond_z * prior / phi_z
-    else:
-        cond = model.density_transformed(grid)
-        raw = pf_hat * cond / prior
+    # ratio f(x|F)/f(x) collapses to f_Z(z)/phi(z): one KDE pass, no Jacobian
+    z = np.asarray(marginal.to_standard_normal(grid), dtype=float)
+    cond_z = model.density_transformed(z)
+    phi_z = special.std_normal_pdf(z)
+    raw = pf_hat * cond_z / phi_z
+    cond = cond_z * prior / phi_z
 
     pf = np.clip(raw, 0.0, 1.0)
     clip_fraction = float(np.mean(raw > 1.0))
@@ -301,27 +271,12 @@ def conditional_pf_from_failure_samples(marginal, i, failure_values, pf_hat,
         kernel_terms=model.kernel_terms)
 
 
-def curve_from_function(marginal, pf_of_x, pf_uncond, grid=None,
+def curve_from_function(marginal, pf_of_x, pf_uncond, grid,
                         source="analytic"):
-    """Wrap a vectorized pf(x_i) callable as a curve on the default grid."""
-    if grid is None:
-        grid = default_grid(marginal)
+    """Wrap a vectorized pf(x_i) callable as a curve on ``grid``."""
     grid = np.asarray(grid, dtype=float)
     return ConditionalPfCurve(
         grid=grid, pf_values=np.asarray(pf_of_x(grid), dtype=float),
         source=source, pf_uncond=float(pf_uncond),
         density_prior=np.asarray(marginal.pdf(grid), dtype=float))
 
-
-def write_curve_csv(path, curve):
-    """CSV export: x, pf, density_prior, density_conditional (NaN where
-    the curve has no conditional density)."""
-    cond = (curve.density_conditional if curve.density_conditional is not None
-            else np.full_like(curve.grid, np.nan))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "pf", "density_prior", "density_conditional"])
-        for xv, pv, dp, dc in zip(curve.grid, curve.pf_values,
-                                  curve.density_prior, cond):
-            writer.writerow([repr(float(xv)), repr(float(pv)),
-                             repr(float(dp)), repr(float(dc))])

@@ -154,7 +154,6 @@ class RunConfig:
     n_per_level: int = None
     p0: float = 0.1
     seed: int = 0
-    kde_transform: str = "marginal-standard-normal"
     grid_points: int = DEFAULT_GRID_POINTS
     outputs: str = "out"
 
@@ -229,16 +228,19 @@ def validate_config(raw):
                 "so the accept/replace case has no fixed system to assess; "
                 "use a design-free limit state for the safety block")
         s = dblock["safety"]
-        if s["c_r"] >= s["c_f"]:
-            raise ConfigError("decision/safety: requires c_r < c_f")
-        safety = SafetyDecision(c_f=s["c_f"], c_r=s["c_r"])
+        try:
+            safety = SafetyDecision(c_f=s["c_f"], c_r=s["c_r"])
+        except RelsensError as exc:
+            raise ConfigError(f"decision/safety: {exc}") from exc
     if "design" in dblock:
         d = dblock["design"]
         if not limit_state.has_design_param:
             raise ConfigError(
                 "decision/design: limit state has no design parameter 'a'")
         g = d["grid"]
-        grid = np.linspace(g["start"], g["stop"], int(g["count"]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # DesignDecision rejects a grid that is not finite
+            grid = np.linspace(g["start"], g["stop"], int(g["count"]))
         if np.any(grid <= 0.0) and any(
                 nm == lsf_mod.DESIGN_SYMBOL
                 for nm, _ in _log_linear_terms(limit_state) or ()):
@@ -249,10 +251,6 @@ def validate_config(raw):
             design = DesignDecision(c_f=d["c_f"], cost_model=d["cost"], grid=grid)
         except RelsensError as exc:
             raise ConfigError(f"decision/design: {exc}") from exc
-    if design is None and limit_state.has_design_param:
-        raise ConfigError("lsf has a design parameter but no design block")
-    if design is None and safety is None:
-        raise ConfigError("decision: needs a safety and/or design block")
 
     method = raw["method"]
     if method == "mc" and "n" not in raw:
@@ -277,7 +275,6 @@ def validate_config(raw):
         safety=safety, design=design, method=method,
         n=n, n_per_level=n_per_level,
         p0=raw.get("p0", 0.1), seed=int(raw["seed"]),
-        kde_transform=raw.get("kde_transform", "marginal-standard-normal"),
         grid_points=int(raw.get("grid_points", DEFAULT_GRID_POINTS)),
         outputs=raw.get("outputs", "out"))
 

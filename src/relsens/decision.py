@@ -33,8 +33,8 @@ class SafetyDecision:
     c_r: float
 
     def __post_init__(self):
-        if not self.c_f > self.c_r > 0.0:
-            raise DomainError("costs must satisfy c_f > c_r > 0")
+        if not (np.inf > self.c_f > self.c_r > 0.0):
+            raise DomainError("costs must be finite and satisfy c_f > c_r > 0")
 
     @property
     def ratio(self):
@@ -51,11 +51,13 @@ class DesignDecision:
     _cost_ast: object = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
-        if self.c_f <= 0.0:
-            raise DomainError("c_f must be positive")
+        if not np.inf > self.c_f > 0.0:
+            raise DomainError("c_f must be positive and finite")
         g = np.asarray(self.grid, dtype=float)
-        if g.size < 1 or np.any(np.diff(g) <= 0.0):
-            raise DomainError("design grid must be nonempty, strictly increasing")
+        if not (g.size >= 1 and np.all(np.isfinite(g))
+                and np.all(np.diff(g) > 0.0)):
+            raise DomainError(
+                "design grid must be nonempty, finite, strictly increasing")
         object.__setattr__(self, "grid", g)
         ast = lsf_mod.parse(self.cost_model)
         extra = lsf_mod.variables(ast) - {lsf_mod.DESIGN_SYMBOL}

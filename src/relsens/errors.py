@@ -1,4 +1,4 @@
-"""Exception types and warning categories shared across the package."""
+"""Exception types shared across the package."""
 
 
 class RelsensError(Exception):
@@ -64,7 +64,3 @@ class DegenerateSampleError(RelsensError, ValueError):
 
 class ConfigError(RelsensError, ValueError):
     """Run configuration is invalid."""
-
-
-class CurvePointWarning(UserWarning):
-    """Grid point dropped or clipped while building a conditional curve."""

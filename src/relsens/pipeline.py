@@ -146,8 +146,7 @@ def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
     for j in range(len(pf)):
         samples = failure_rows(j)
         rows.append({name: condest.conditional_pf_from_failure_samples(
-                         cfg.marginals[i], i, samples[:, i], pf[j],
-                         grids[name], transform=cfg.kde_transform,
+                         cfg.marginals[i], samples[:, i], pf[j], grids[name],
                          n_chains=n_chains[j])
                      for i, name in enumerate(cfg.names)})
     values = {name: np.vstack([row[name].pf_values for row in rows])

@@ -11,9 +11,8 @@ from relsens import (conditional_pf_from_failure_samples, crude_mc,
                      lognormal_linear_pf, marginal_from_params,
                      std_normal_inv)
 from relsens import cli, config as config_mod, pipeline, sample
-from relsens.condest import (KERNEL_BLOCK_TERMS, TRANSFORM_IDENTITY,
-                             effective_sample_size, silverman_bandwidth,
-                             write_curve_csv)
+from relsens.condest import (KERNEL_BLOCK_TERMS, KdeModel,
+                             effective_sample_size, silverman_bandwidth)
 from relsens.errors import DegenerateSampleError, DomainError
 from conftest import PF_IND
 
@@ -75,7 +74,7 @@ def test_windowed_kernel_matches_direct_sum(sample):
     else:
         v = np.r_[rng.normal(-20.0, 1.0, 1500), rng.normal(20.0, 0.5, 500)]
     m = marginal_from_params("normal", 0.0, 1.0)
-    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    model = kde_fit(v, m)
     h = model.bandwidth
     t = np.r_[np.linspace(v.min() - 3.0, v.max() + 3.0, 1001),
               far_points(v, h)]
@@ -94,7 +93,7 @@ def test_one_row_blocks_where_a_window_exceeds_the_block_budget():
     # one block may hold terms, so each such point is a block of its own
     v = np.random.default_rng(14).standard_normal(100_000)
     m = marginal_from_params("normal", 0.0, 1.0)
-    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    model = kde_fit(v, m)
     t = np.linspace(-0.25, 0.25, 11)
     lo, hi = model.windows(t)
     assert (hi - lo).min() > KERNEL_BLOCK_TERMS
@@ -107,7 +106,7 @@ def test_one_row_blocks_where_a_window_exceeds_the_block_budget():
 def test_empty_and_single_point_evaluation():
     v = np.random.default_rng(15).standard_normal(3000)
     m = marginal_from_params("normal", 0.0, 1.0)
-    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    model = kde_fit(v, m)
     empty = model.density_transformed(np.array([]))
     assert empty.shape == (0,)
     assert model.kernel_terms == 0
@@ -123,7 +122,7 @@ def test_unsorted_points_evaluate_as_sorted_and_repeat_exactly():
     rng = np.random.default_rng(16)
     v = np.r_[rng.normal(-3.0, 1.0, 4000), rng.normal(4.0, 0.3, 1000)]
     m = marginal_from_params("normal", 0.0, 1.0)
-    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    model = kde_fit(v, m)
     t = np.r_[np.linspace(-12.0, 12.0, 700), far_points(v, model.bandwidth)]
     shuffled = rng.permutation(len(t))
     ref = model.density_transformed(t)
@@ -136,7 +135,7 @@ def test_unsorted_points_evaluate_as_sorted_and_repeat_exactly():
 def test_kernel_blocks_stay_within_their_memory_budget():
     v = np.random.default_rng(18).standard_normal(20_000)
     m = marginal_from_params("normal", 0.0, 1.0)
-    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    model = kde_fit(v, m)
     t = np.linspace(-6.0, 6.0, 512)
     tracemalloc.start()
     try:
@@ -174,17 +173,18 @@ def test_kde_recovers_normal_density():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(100_000)
     m = marginal_from_params("normal", 0.0, 1.0)
-    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    model = kde_fit(v, m)
     phi0 = 1.0 / math.sqrt(2 * math.pi)
     assert model.density_transformed(0.0)[0] == pytest.approx(phi0, rel=0.05)
 
 
 def test_kde_two_cluster_symmetry():
+    # on N(2, 1) the fit is at z = x - 2: clusters at z = -1 and +1
     m = marginal_from_params("normal", 2.0, 1.0)
     v = np.array([1.0] * 10 + [3.0] * 10)
-    model = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    model = kde_fit(v, m)
     x = np.linspace(0.0, 4.0, 41)
-    d = model.density_transformed(x)
+    d = model.density_transformed(x - 2.0)
     assert np.allclose(d, d[::-1], rtol=1e-12)
 
 
@@ -193,26 +193,26 @@ def test_kde_needs_enough_points():
     with pytest.raises(DomainError):
         kde_fit(np.ones(10), m)
     with pytest.raises(DegenerateSampleError):
-        kde_fit(np.ones(50), m, transform=TRANSFORM_IDENTITY)
+        kde_fit(np.ones(50), m)
 
 
 def _conditional_density(m, values, x):
-    # f(x | F) of the default-transform fit, as a curve reports it; it does
-    # not depend on pf_hat
+    # f(x | F) of the z-space fit, as a curve reports it; it does not depend
+    # on pf_hat
     return conditional_pf_from_failure_samples(
-        m, 0, values, 0.5, x).density_conditional
+        m, values, 0.5, x).density_conditional
 
 
 def test_transformed_kde_keeps_mass_inside_support():
-    # lognormal support is (0, inf): the default transform cannot leak mass,
-    # while a fit in x puts some of it below 0
+    # lognormal support is (0, inf): the fit in z cannot leak mass, while
+    # the same kernel fitted on the raw x values puts some of it below 0
     m = marginal_from_params("lognormal", 0.0, 0.6)
     rng = np.random.default_rng(2)
     v = np.exp(0.6 * rng.standard_normal(2000))
     x = np.linspace(1e-6, 15.0, 20_001)
     assert np.trapezoid(_conditional_density(m, v, x), x) == pytest.approx(
         1.0, abs=1e-9)
-    ident = kde_fit(v, m, transform=TRANSFORM_IDENTITY)
+    ident = KdeModel(points=v, bandwidth=silverman_bandwidth(v))
     assert np.all(ident.density_transformed(np.array([-0.1, -0.05])) > 0.0)
     assert np.trapezoid(ident.density_transformed(x), x) < 1.0 - 1e-3
 
@@ -229,7 +229,7 @@ def test_transformed_kde_density_integrates_to_one():
 def test_kde_on_short_column_failure_samples(ex2_mc, ex2_marginals):
     # failure pushes the bending moment above its prior mean
     m1_fail = ex2_mc.failure_samples[:, 0]
-    grid = default_grid(ex2_marginals[0])
+    grid = default_grid(ex2_marginals[0], 512)
     dens = _conditional_density(ex2_marginals[0], m1_fail, grid)
     kde_mean = np.trapezoid(grid * dens, grid)
     assert kde_mean > 250.0
@@ -246,7 +246,7 @@ def test_flat_curve_for_irrelevant_input():
     # central 98%: enough local samples
     grid = np.linspace(m.from_standard_normal(std_normal_inv(0.01)),
                        m.from_standard_normal(std_normal_inv(1.0 - 0.01)), 512)
-    curve = conditional_pf_from_failure_samples(m, 0, v, 0.2, grid)
+    curve = conditional_pf_from_failure_samples(m, v, 0.2, grid)
     assert np.max(np.abs(curve.pf_values / 0.2 - 1.0)) < 0.20
     total = np.trapezoid(curve.pf_values * m.pdf(grid), grid)
     assert total == pytest.approx(0.2, rel=0.05)
@@ -261,8 +261,7 @@ def test_example1_curve_against_analytic(ex1_joint, ex1_lsf, ex1_problem,
     m = ex1_marginals[0]
     lo, hi = np.quantile(fails[:, 0], [0.05, 0.95])
     grid = np.linspace(lo, hi, 256)
-    curve = conditional_pf_from_failure_samples(m, 0, fails[:, 0], PF_IND,
-                                                grid)
+    curve = conditional_pf_from_failure_samples(m, fails[:, 0], PF_IND, grid)
     oracle = lognormal_linear_conditional_pf(ex1_problem, 0, grid)
     assert np.max(np.abs(curve.pf_values / oracle - 1.0)) < 0.30
     assert curve.n_failure_samples == 1000
@@ -273,7 +272,8 @@ def test_law_of_total_probability_from_samples(ex1_joint, ex1_lsf,
                                                ex1_marginals):
     fails = draw_ex1_failures(ex1_joint, ex1_lsf, 2000, seed=57)
     for i, m in enumerate(ex1_marginals):
-        curve = conditional_pf_from_failure_samples(m, i, fails[:, i], PF_IND)
+        curve = conditional_pf_from_failure_samples(m, fails[:, i], PF_IND,
+                                                    default_grid(m, 512))
         total = np.trapezoid(curve.pf_values * curve.density_prior, curve.grid)
         assert total == pytest.approx(PF_IND, rel=0.05)
 
@@ -290,7 +290,7 @@ def test_estimator_consistency(ex1_joint, ex1_lsf, ex1_problem, ex1_marginals):
         for k in range(20):
             fails = draw_ex1_failures(ex1_joint, ex1_lsf, n_f,
                                       seed=800_000 + 63 * k)
-            curve = conditional_pf_from_failure_samples(m, 1, fails[:, 1],
+            curve = conditional_pf_from_failure_samples(m, fails[:, 1],
                                                         PF_IND, grid)
             errs.append(np.trapezoid(np.abs(curve.pf_values - oracle) * w,
                                      grid))
@@ -302,17 +302,16 @@ def test_curve_validation():
     m = marginal_from_params("lognormal", 0.0, 0.3)
     v = np.exp(0.3 * np.random.default_rng(5).standard_normal(100))
     with pytest.raises(DomainError):
-        conditional_pf_from_failure_samples(m, 0, v, 0.0)
+        conditional_pf_from_failure_samples(m, v, 0.0, default_grid(m, 512))
     with pytest.raises(DomainError):
-        conditional_pf_from_failure_samples(m, 0, v, 0.5,
-                                            grid=np.array([2.0, 1.0]))
+        conditional_pf_from_failure_samples(m, v, 0.5, np.array([2.0, 1.0]))
 
 
 def test_clip_fraction_reported():
     m = marginal_from_params("lognormal", 0.0, 0.3)
     # all failure mass far in the tail: the ratio overshoots 1 somewhere
     v = np.exp(0.3 * (3.5 + 0.1 * np.random.default_rng(6).standard_normal(500)))
-    curve = conditional_pf_from_failure_samples(m, 0, v, 0.5)
+    curve = conditional_pf_from_failure_samples(m, v, 0.5, default_grid(m, 512))
     assert np.all(curve.pf_values <= 1.0)
     assert curve.clip_fraction > 0.0
 
@@ -457,11 +456,14 @@ def test_kde_runs_reproduce_pinned_values(run):
 
 
 # example 2 (normal, Gumbel and Weibull inputs, Nataf-fitted copula) through
-# mc and the physical-space KDE: method mc, n 2e5, seed 21, grid_points 128,
-# recorded from the tree whose Weibull shape and copula correlations came from
-# scipy's brentq (Weibull xtol 1e-13, Nataf xtol 1e-12, both rtol 8.9e-16).
-# The full-precision bisection moves the fitted values by about 1e-14, so pf
-# must be equal and the EVPPI and pf curves equal to rtol 1e-10.
+# mc and the KDE in z space: method mc, n 2e5, seed 21, grid_points 128. pf
+# and the M1 and M2 curves were recorded from the tree whose Weibull shape and
+# copula correlations came from scipy's brentq (Weibull xtol 1e-13, Nataf
+# xtol 1e-12, both rtol 8.9e-16); M1 and M2 are normal, so their z map is
+# affine and a fit in x gave the same curves. The P and Y curves and the
+# normalized EVPPI were recorded with the bisection and the z-space fit. The
+# full-precision bisection moves the fitted values by about 1e-14, so pf must
+# be equal and the EVPPI and pf curves equal to rtol 1e-10.
 COLUMN_PINNED = json.loads(
     (ROOT / "tests" / "data" / "column_mc_pinned.json").read_text())
 
@@ -481,14 +483,16 @@ def test_column_mc_reproduces_pinned_values():
         assert np.array_equal(got == 0.0, want == 0.0)
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
-def test_curve_csv(tmp_path, ex1_marginals):
-    m = ex1_marginals[0]
-    rng = np.random.default_rng(8)
-    v = np.exp(m.params[0] + m.params[1] * (rng.standard_normal(400) - 1.0))
-    curve = conditional_pf_from_failure_samples(m, 0, v, 0.01)
-    path = tmp_path / "curve.csv"
-    write_curve_csv(path, curve)
-    data = np.genfromtxt(path, delimiter=",", names=True)
+
+def test_curve_csv(tmp_path):
+    raw = json.loads((ROOT / "configs" / "example1_safety.json").read_text())
+    raw.update(method="mc", n=50_000, seed=8, grid_points=64)
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+    curve = pipeline.run_analysis(config_mod.validate_config(raw)).curves["R"]
+    data = np.genfromtxt(out / "pf_curve_R.csv", delimiter=",", names=True)
     assert data.dtype.names == ("x", "pf", "density_prior",
                                 "density_conditional")
     assert np.array_equal(data["x"], curve.grid)

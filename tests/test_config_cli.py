@@ -190,24 +190,63 @@ def _infinite_cov(raw):
     raw["inputs"][0]["cov"] = float("inf")
 
 
-# json.dumps writes these floats as the non-standard tokens NaN and Infinity,
-# which no bound in the schema can catch
+def _overflowing_safety_cost(raw):
+    raw["decision"]["safety"]["c_f"] = 1e300
+
+
+def _design_config(raw):
+    raw.update(json.loads((CONFIG_DIR / "example1_design.json").read_text()))
+
+
+def _overflowing_design_cost(raw):
+    _design_config(raw)
+    raw["decision"]["design"]["c_f"] = 1e300
+
+
+def _overflowing_design_grid(raw):
+    # a constant cost stays finite on any grid
+    _design_config(raw)
+    raw["decision"]["design"].update(cost="1e5")
+    raw["decision"]["design"]["grid"]["stop"] = 1e300
+    raw["method"] = "form"
+
+
+# json.dumps writes NaN and inf as the non-standard tokens NaN and Infinity,
+# which no bound in the schema can catch; the number 1e400 is valid JSON and
+# parses to inf
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("token, edit", [("NaN", _nan_cost),
-                                         ("Infinity", _infinite_cov)],
-                         ids=["nan_cost", "infinite_cov"])
-def test_cli_rejects_nan_and_infinity(tmp_path, capsys, command, token, edit):
+@pytest.mark.parametrize("token, edit, message", [
+    ("NaN", _nan_cost, "config is not valid JSON: NaN is not a number"),
+    ("Infinity", _infinite_cov,
+     "config is not valid JSON: Infinity is not a number"),
+    ("1e400", _overflowing_safety_cost, "decision/safety: costs must be finite"),
+    ("1e400", _overflowing_design_cost, "decision/design: c_f must be positive "
+     "and finite"),
+    ("1e400", _overflowing_design_grid, "decision/design: design grid must be "
+     "nonempty, finite"),
+], ids=["nan_cost", "infinite_cov", "overflowing_safety_cost",
+        "overflowing_design_cost", "overflowing_design_grid"])
+def test_cli_rejects_nan_and_infinity(tmp_path, capsys, command, token, edit,
+                                      message):
     raw = _base_config()
     edit(raw)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw).replace("1e+300", "1e400"))
     assert token in path.read_text()
     out = tmp_path / "out"
     args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
     assert cli.main(args) == 2
-    err = capsys.readouterr().err
-    assert f"config is not valid JSON: {token} is not a number" in err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rejects_the_deleted_kde_transform_key(tmp_path, capsys):
+    # every density is fitted in z space; the key that chose the space is gone
+    raw = json.loads((CONFIG_DIR / "example2_safety.json").read_text())
+    raw["kde_transform"] = "identity"
+    path = _write_config(tmp_path / "column.json", raw)
+    assert cli.main(["validate", str(path)]) == 2
+    assert "'kde_transform' was unexpected" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_marginal_parameter_that_overflows(tmp_path, capsys):

@@ -26,10 +26,12 @@ CF = 1e8
 
 def analytic_curve(problem, marginals, i, grid=None):
     pf = lognormal_linear_pf(problem)
+    if grid is None:
+        grid = default_grid(marginals[i], 512)
     return curve_from_function(
         marginals[i],
         lambda x: lognormal_linear_conditional_pf(problem, i, x),
-        pf, grid=grid)
+        pf, grid)
 
 
 def analytic_curves(problem, marginals, grid=None):
@@ -61,7 +63,7 @@ def test_prior_action_cases():
 
 def test_cvppi_flat_curve_is_zero(ex1_marginals):
     m = ex1_marginals[0]
-    grid = default_grid(m)
+    grid = default_grid(m, 512)
     curve = ConditionalPfCurve(grid, np.full(grid.size, PF_IND),
                                "analytic", PF_IND, m.pdf(grid))
     d = SafetyDecision(c_f=1e8, c_r=1e6)
@@ -146,7 +148,7 @@ def test_safety_evppi_table4_dependent_mc_kde(ex1_joint_dep, ex1_lsf,
     vals = []
     for i, m in enumerate(ex1_marginals):
         curve = conditional_pf_from_failure_samples(
-            m, i, mc.failure_samples[:, i], mc.pf_hat[0])
+            m, mc.failure_samples[:, i], mc.pf_hat[0], default_grid(m, 512))
         vals.append(evppi_safety(curve, d))
     got = 100 * np.array(vals) / np.sum(vals)
     assert np.max(np.abs(got - np.array([26.0, 41.0, 4.0, 29.0]))) < 2.0
@@ -281,7 +283,7 @@ def test_design_evppi_discretization_table6(ex1_problem, ex1_marginals):
 
 def test_posterior_loss_upper_bound(ex1_problem, ex1_marginals):
     # a coarse design set can never beat a finer superset, pointwise
-    x_grid = default_grid(ex1_marginals[1])
+    x_grid = default_grid(ex1_marginals[1], 512)
     fine = np.linspace(0.5, 2.0, 151)
     coarse = np.linspace(0.5, 2.0, 4)
     assert set(np.round(coarse, 10)) <= set(np.round(fine, 10))
@@ -337,7 +339,7 @@ def test_design_evppi_takes_one_curve_with_a_row_per_design(ex1_problem,
 
 def test_design_evppi_negative_floor(ex1_marginals):
     m = ex1_marginals[0]
-    grid_x = default_grid(m)
+    grid_x = default_grid(m, 512)
     d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=np.array([1.0]))
     pf_a = np.array([1e-4])
     # conditional curve systematically above the unconditional pf: the

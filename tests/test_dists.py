@@ -312,7 +312,7 @@ _SHIPPED_GRID_ENDS = [
 @pytest.mark.parametrize("kind,mean,cov,lo,hi", _SHIPPED_GRID_ENDS)
 def test_default_grid_is_bit_identical_to_closed_form_quantiles(kind, mean, cov,
                                                                 lo, hi):
-    grid = default_grid(fit_params_from_moments(kind, mean, cov))
+    grid = default_grid(fit_params_from_moments(kind, mean, cov), 512)
     assert grid[0] == float.fromhex(lo)
     assert grid[-1] == float.fromhex(hi)
     assert np.array_equal(grid, np.linspace(grid[0], grid[-1], len(grid)))

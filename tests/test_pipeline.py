@@ -116,7 +116,7 @@ def test_design_mc_row_equals_single_design_run():
     assert res.diagnostics["ci95"] == [one.ci95[0][0], one.ci95[1][0]]
     for i, name in enumerate(cfg.names):
         curve = condest.conditional_pf_from_failure_samples(
-            cfg.marginals[i], i, one.failure_samples[:, i], one.pf_hat[0],
+            cfg.marginals[i], one.failure_samples[:, i], one.pf_hat[0],
             res.curves[name].grid)
         assert np.array_equal(res.curves[name].pf_values, curve.pf_values)
     counts = res.diagnostics["n_failure_samples_per_design"]
