@@ -206,7 +206,7 @@ def _overflowing_design_cost(raw):
 def _overflowing_design_grid(raw):
     # a constant cost stays finite on any grid
     _design_config(raw)
-    raw["decision"]["design"].update(cost="1e5")
+    raw["decision"]["design"]["cost"] = "1e5"
     raw["decision"]["design"]["grid"]["stop"] = 1e300
     raw["method"] = "form"
 
