@@ -13,12 +13,11 @@ from .condest import (ConditionalPfCurve, KdeModel,
                       kde_fit)
 from .decision import (DesignDecision, EvppiEntry, EvppiReport,
                        SafetyDecision, cvppi_curve, evpi_safety,
-                       evppi_design, evppi_safety, normalize, prior_action,
-                       prior_design, relativize, threshold_sweep)
+                       evppi_design, evppi_report, evppi_safety,
+                       prior_action, prior_design, threshold_sweep)
 from .dists import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
                     fit_params_from_moments, lognormal_linear_conditional_pf,
-                    lognormal_linear_pf, marginal_from_params, nataf_fit,
-                    validate_correlation)
+                    lognormal_linear_pf, nataf_fit, validate_correlation)
 from .form import (FormResult, conditional_pf_u, conditional_pf_x,
                    evppi_form_design, evppi_form_safety, solve_form,
                    threshold_u)

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,11 +60,8 @@ def _write_csv(path, header, rows):
 
 
 def _report_rows(report):
-    rows = []
-    for e in report.entries:
-        rows.append([e.name, _fmt(e.absolute), _fmt(e.normalized),
-                     _fmt(e.relative)])
-    return rows
+    return [[e.name, _fmt(e.absolute), _fmt(e.normalized), _fmt(e.relative)]
+            for e in report.entries]
 
 
 def _strict_json(obj):
@@ -75,17 +73,6 @@ def _strict_json(obj):
     if isinstance(obj, (list, tuple)):
         return [_strict_json(v) for v in obj]
     return obj
-
-
-def _report_dict(report):
-    return {
-        "method": report.method,
-        "evpi": report.evpi,
-        "entries": [{"name": e.name, "absolute": e.absolute,
-                     "normalized": e.normalized, "relative": e.relative}
-                    for e in report.entries],
-        "diagnostics": report.diagnostics,
-    }
 
 
 def _apply_overrides(raw, args):
@@ -165,7 +152,7 @@ def cmd_run(args):
 
         report = {
             "pf": result.pf,
-            "safety": (_report_dict(result.safety_report)
+            "safety": (asdict(result.safety_report)
                        if result.safety_report else None),
             "design": None,
             "diagnostics": result.diagnostics,
@@ -175,7 +162,7 @@ def cmd_run(args):
                 "a_opt": result.design["prior"]["a_opt"],
                 "pf_at_a_opt": result.design["prior"]["pf"],
                 "prior_expected_loss": result.design["prior"]["expected_loss"],
-                "report": _report_dict(result.design["report"]),
+                "report": asdict(result.design["report"]),
                 "details": {name: {"raw": out["raw"],
                                    "negative_clipped": out["negative_clipped"]}
                             for name, out in result.design["details"].items()},

@@ -182,16 +182,15 @@ class ConditionalPfCurve:
     """pf(x_i) on a grid, with the prior density f(x_i) on that grid.
 
     The decision layer integrates against ``density_prior``, so every
-    curve carries it. A design sweep's curve has one row of pf_values per
-    design value, and its pf_uncond then holds one value per row.
-    ``density_conditional`` is f(x_i | F) where a KDE produced the curve,
-    and ``kernel_terms`` the number of kernel terms its KDE evaluated.
+    curve carries it. ``density_conditional`` is f(x_i | F) where a KDE
+    produced the curve, and ``kernel_terms`` the number of kernel terms
+    its KDE evaluated.
     """
 
     grid: np.ndarray
     pf_values: np.ndarray
     source: str                      # analytic | form | kde
-    pf_uncond: float | np.ndarray    # one value per row of a sweep curve
+    pf_uncond: float
     density_prior: np.ndarray = field(repr=False)
     density_conditional: np.ndarray = field(repr=False, default=None)
     clip_fraction: float = 0.0
@@ -201,7 +200,7 @@ class ConditionalPfCurve:
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
-        if np.any(np.diff(g) <= 0.0):
+        if not np.all(np.diff(g) > 0.0):
             raise DomainError("curve grid must be strictly increasing")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "pf_values",

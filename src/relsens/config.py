@@ -164,7 +164,7 @@ def _build_marginal(spec):
         if "mean" in spec or "cov" in spec:
             raise ConfigError(
                 f"input {spec['name']!r}: give either moments or params, not both")
-        return dists.marginal_from_params(kind, *spec["params"])
+        return dists.Marginal(kind, tuple(spec["params"]))
     if "mean" not in spec or "cov" not in spec:
         raise ConfigError(
             f"input {spec['name']!r}: needs mean and cov (or native params)")

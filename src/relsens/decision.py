@@ -6,17 +6,18 @@ as the probability threshold. The reliability-based design picks a value
 of the design parameter from a discrete grid, trading design cost
 against expected failure cost.
 
-Every EVPPI is a quadrature of a conditional-pf curve against the prior
-density the curve carries, so no model is evaluated here. A safety EVPPI
-takes one curve per input; a design EVPPI takes one curve per input with
-a row of pf values per design value. Quadratures are trapezoidal over
-the curve grids; the decision-change region is detected pointwise, so
-non-monotone curves need no special treatment.
+Every EVPPI is a quadrature of conditional pf values against the prior
+density a curve carries, so no model is evaluated here. A safety EVPPI
+takes one curve per input; a design EVPPI takes an input's
+(n_designs, n_grid) array of pf rows and a curve for the grid and prior
+density. Quadratures are trapezoidal; the decision-change region is
+detected pointwise, so non-monotone curves need no special treatment.
+``evppi_report`` builds either context's report in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,28 +130,29 @@ def prior_design(pf_per_design, decision):
             "pf": float(pf[j])}
 
 
-def posterior_loss_curve(curve, decision):
-    """min_j [c_d(a_j) + c_f pf_j(x)] on the curve grid, from a curve with
-    a row of pf values per design value."""
+def posterior_loss_curve(pf_rows, decision):
+    """min_j [c_d(a_j) + c_f pf_j(x)] at each grid point, from the
+    (n_designs, n_grid) array ``pf_rows`` of conditional pf values."""
     costs = decision.design_cost(decision.grid)
-    loss = decision.c_f * curve.pf_values
+    loss = decision.c_f * pf_rows
     loss += costs[:, None]
     return loss.min(axis=0)
 
 
-def evppi_design(curve, pf_per_design, decision):
+def evppi_design(curve, pf_rows, pf_per_design, decision):
     """Expected value of learning X_i before choosing the design.
 
-    ``curve`` holds a row of pf values per design value, on one grid with
-    one prior density.
+    ``pf_rows`` holds the conditional pf values, one row per design value,
+    on the grid of ``curve``, which supplies only that grid and the prior
+    density.
 
     Sampling noise can push the raw estimate slightly negative; the
     value is floored at zero and the raw difference is reported.
     """
-    if len(curve.pf_values) != decision.grid.size:
-        raise ConfigError("need one conditional curve row per design value")
+    if len(pf_rows) != decision.grid.size:
+        raise ConfigError("need one conditional pf row per design value")
     prior = prior_design(pf_per_design, decision)["expected_loss"]
-    post = posterior_loss_curve(curve, decision)
+    post = posterior_loss_curve(pf_rows, decision)
     posterior = float(np.trapezoid(post * curve.density_prior, curve.grid))
     raw = prior - posterior
     return {"evppi": max(0.0, raw), "raw": raw, "prior_loss": prior,
@@ -158,63 +160,50 @@ def evppi_design(curve, pf_per_design, decision):
 
 
 # ---------------------------------------------------------------------------
-# report assembly and normalizations
+# report assembly
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EvppiEntry:
     name: str
     absolute: float
-    normalized: float = float("nan")
-    relative: float = float("nan")
+    normalized: float
+    relative: float
 
 
 @dataclass(frozen=True)
 class EvppiReport:
-    entries: tuple
     method: str
-    evpi: float = float("nan")
-    diagnostics: dict = field(default_factory=dict)
-
-    def absolute(self):
-        return np.array([e.absolute for e in self.entries])
+    evpi: float
+    entries: tuple                   # of EvppiEntry, one per input
 
 
-def normalize(report):
-    """Fill normalized values (shares of the EVPPI sum)."""
-    total = float(report.absolute().sum())
-    if total <= 0.0:
-        diag = dict(report.diagnostics)
-        diag["normalized_undefined"] = True
-        return replace(report, diagnostics=diag)
-    entries = tuple(replace(e, normalized=e.absolute / total)
-                    for e in report.entries)
-    return replace(report, entries=entries)
+def evppi_report(names, absolute, method, evpi=None):
+    """Report of each input's absolute EVPPI and its two shares.
 
-
-def relativize(report, evpi):
-    """Fill relative values (shares of the EVPI)."""
-    if evpi < 0.0:
+    ``normalized`` is the share of the EVPPI sum, NaN when that sum is not
+    positive. ``relative`` is the share of ``evpi`` when one is given (0
+    when the EVPI is 0), and NaN otherwise.
+    """
+    if evpi is not None and evpi < 0.0:
         raise DomainError("EVPI must be nonnegative")
+    absolute = [float(v) for v in absolute]
+    total = float(np.sum(absolute))
+    nan = float("nan")
     entries = tuple(
-        replace(e, relative=(e.absolute / evpi if evpi > 0.0 else 0.0))
-        for e in report.entries)
-    return replace(report, entries=entries, evpi=float(evpi))
+        EvppiEntry(name=name, absolute=v,
+                   normalized=v / total if total > 0.0 else nan,
+                   relative=(nan if evpi is None
+                             else v / evpi if evpi > 0.0 else 0.0))
+        for name, v in zip(names, absolute))
+    return EvppiReport(entries=entries, method=method,
+                       evpi=nan if evpi is None else float(evpi))
 
 
-def safety_report(curves, names, decision, method, pf=None,
-                  diagnostics=None):
+def safety_report(curves, names, decision, method, pf):
     """EVPPI report for the safety case from per-input curves."""
-    entries = []
-    for name, curve in zip(names, curves):
-        entries.append(EvppiEntry(name=name,
-                                  absolute=evppi_safety(curve, decision)))
-    report = EvppiReport(entries=tuple(entries), method=method,
-                         diagnostics=diagnostics or {})
-    report = normalize(report)
-    if pf is not None:
-        report = relativize(report, evpi_safety(pf, decision))
-    return report
+    return evppi_report(names, [evppi_safety(c, decision) for c in curves],
+                        method, evpi_safety(pf, decision))
 
 
 def threshold_sweep(curves, names, c_f, ratios, pf):

@@ -223,10 +223,6 @@ def _bisect(f, lo, hi):
             hi, f_hi = mid, f_mid
 
 
-def marginal_from_params(kind, p1, p2):
-    return Marginal(kind, (p1, p2))
-
-
 def fit_params_from_moments(kind, mean, cov):
     """Marginal with the requested mean and coefficient of variation."""
     if not cov > 0:
@@ -264,21 +260,21 @@ def fit_params_from_moments(kind, mean, cov):
 # correlation matrices and the Nataf fit
 # ---------------------------------------------------------------------------
 
-def validate_correlation(matrix, what="correlation matrix"):
+def validate_correlation(matrix):
     """Return the matrix as ndarray after checking symmetry/diag/PD."""
     r = np.asarray(matrix, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise InvalidCorrelationError(f"{what} must be square")
+        raise InvalidCorrelationError("correlation matrix must be square")
     if not np.allclose(r, r.T, atol=1e-12):
-        raise InvalidCorrelationError(f"{what} must be symmetric")
+        raise InvalidCorrelationError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(r), 1.0, atol=1e-12):
-        raise InvalidCorrelationError(f"{what} must have unit diagonal")
+        raise InvalidCorrelationError("correlation matrix must have unit diagonal")
     if np.any(np.abs(r) > 1.0 + 1e-12):
-        raise InvalidCorrelationError(f"{what} entries must lie in [-1, 1]")
+        raise InvalidCorrelationError("correlation matrix entries must lie in [-1, 1]")
     try:
         np.linalg.cholesky(r)
     except np.linalg.LinAlgError as exc:
-        raise InvalidCorrelationError(f"{what} is not positive definite") from exc
+        raise InvalidCorrelationError("correlation matrix is not positive definite") from exc
     return r
 
 

@@ -4,8 +4,10 @@ One estimator serves both decision stages. ``estimate`` computes pf and
 every input's conditional-pf curve at each value of the design grid,
 which it carries as an array axis; a design-free limit state (the safety
 stage) is the one-row case. The design stage picks the prior-optimal
-design from those rows and reports the curves of its row, so no
-reliability analysis is repeated. The decision layer is shared.
+design from those rows, reports the curves of its row and takes each
+input's design EVPPI straight from the rows, so no reliability analysis
+is repeated. The decision layer is shared. ``run_analysis`` times two
+stages: ``reliability``, then ``safety_evppi`` or ``design_evppi``.
 """
 
 from __future__ import annotations
@@ -17,24 +19,6 @@ import numpy as np
 
 from . import condest, config as config_mod, decision as dec, dists, form, sample, special
 from .errors import ConfigError, DomainError
-
-
-@dataclass
-class StageTimer:
-    stages: dict = field(default_factory=dict)
-
-    def time(self, name):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.stages[name] = timer.stages.get(name, 0.0) + (
-                    time.perf_counter() - self.t0)
-
-        return _Ctx()
 
 
 @dataclass
@@ -193,70 +177,53 @@ def _subset(cfg, grids, designs):
 
 def run_analysis(cfg):
     """Full pipeline for one configuration."""
-    timer = StageTimer()
-    diagnostics = {"method": cfg.method, "seed": cfg.seed}
+    t0 = time.perf_counter()
     designs = None if cfg.design is None else cfg.design.grid
-
-    with timer.time("reliability"):
-        est = estimate(cfg, designs)
-        # a parametric limit state has no reliability of its own: report
-        # the curves of the prior-optimal design's row
-        prior = None if designs is None else dec.prior_design(est.pf,
-                                                              cfg.design)
-        j = 0 if prior is None else prior["index"]
-        curves, row_diagnostics = est.at_row(j)
-    if prior is not None:
-        diagnostics["a_opt"] = prior["a_opt"]
-    diagnostics.update(row_diagnostics)
-    diagnostics.update(est.diagnostics)
+    est = estimate(cfg, designs)
+    # a parametric limit state has no reliability of its own: report the
+    # curves of the prior-optimal design's row
+    prior = None if designs is None else dec.prior_design(est.pf, cfg.design)
+    j = 0 if prior is None else prior["index"]
+    curves, row_diagnostics = est.at_row(j)
     pf = float(est.pf[j])
-    diagnostics["pf"] = pf
+    t1 = time.perf_counter()
+
+    # validate_config admits exactly one of the safety and design blocks
+    safety_report = design_block = None
+    if prior is None:
+        stage = "safety_evppi"
+        method_label = {"mc": "mc-kde", "subset": "subset-kde"}.get(
+            cfg.method, cfg.method)
+        safety_report = dec.safety_report(
+            [curves[n] for n in cfg.names], cfg.names, cfg.safety,
+            method=method_label, pf=pf)
+    else:
+        stage = "design_evppi"
+        design_block = _design_evppi(cfg, est, prior, curves)
+    stage_seconds = {"reliability": t1 - t0,
+                     stage: time.perf_counter() - t1}
+
+    diagnostics = {"method": cfg.method, "seed": cfg.seed,
+                   **row_diagnostics, **est.diagnostics}
     kde_inputs = {name: {"n_failure_samples": c.n_failure_samples,
                          "ess": c.ess, "clip_fraction": c.clip_fraction,
                          "kernel_terms": c.kernel_terms}
                   for name, c in curves.items() if c.source == "kde"}
     if kde_inputs:
         diagnostics["kde_inputs"] = kde_inputs
-
-    design_block = None
-    if prior is not None:
-        with timer.time("design_evppi"):
-            design_block = _design_evppi(cfg, est, prior, curves)
-
-    safety_report = None
-    if cfg.safety is not None:
-        method_label = {"mc": "mc-kde", "subset": "subset-kde"}.get(
-            cfg.method, cfg.method)
-        with timer.time("safety_evppi"):
-            curve_list = [curves[n] for n in cfg.names]
-            extra = {
-                "n_failure_samples": max(c.n_failure_samples for c in curve_list),
-                "clip_fraction": max(c.clip_fraction for c in curve_list),
-            }
-            safety_report = dec.safety_report(
-                curve_list, cfg.names, cfg.safety, method=method_label,
-                pf=pf, diagnostics=extra)
-
-    diagnostics["stage_seconds"] = dict(timer.stages)
+    diagnostics["stage_seconds"] = stage_seconds
     return AnalysisResult(pf=pf, curves=curves, safety_report=safety_report,
                           design=design_block, diagnostics=diagnostics)
 
 
 def _design_evppi(cfg, est, prior, ref_curves):
     """The inner-optimization EVPPI of every input over the design rows."""
-    entries = []
-    details = {}
-    for name in cfg.names:
-        ref = ref_curves[name]
-        # one curve with a row per design, on the reference row's grid
-        sweep = condest.ConditionalPfCurve(
-            grid=ref.grid, pf_values=est.values[name], source=ref.source,
-            pf_uncond=est.pf, density_prior=ref.density_prior)
-        out = dec.evppi_design(sweep, est.pf, cfg.design)
-        entries.append(dec.EvppiEntry(name=name, absolute=out["evppi"]))
-        details[name] = out
-    report = dec.normalize(dec.EvppiReport(entries=tuple(entries),
-                                           method=f"{cfg.method}-design"))
+    details = {name: dec.evppi_design(ref_curves[name], est.values[name],
+                                      est.pf, cfg.design)
+               for name in cfg.names}
+    report = dec.evppi_report(cfg.names,
+                              [details[n]["evppi"] for n in cfg.names],
+                              f"{cfg.method}-design")
     return {"prior": prior, "pf_per_design": est.pf.tolist(),
             "report": report, "details": details}
 

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relsens import (conditional_pf_from_failure_samples, crude_mc,
+from relsens import (ConditionalPfCurve, Marginal,
+                     conditional_pf_from_failure_samples, crude_mc,
                      default_grid, kde_fit, lognormal_linear_conditional_pf,
-                     lognormal_linear_pf, marginal_from_params,
-                     std_normal_inv)
+                     lognormal_linear_pf, std_normal_inv)
 from relsens import cli, config as config_mod, pipeline, sample
 from relsens.condest import (KERNEL_BLOCK_TERMS, KdeModel,
                              effective_sample_size, silverman_bandwidth)
@@ -73,7 +73,7 @@ def test_windowed_kernel_matches_direct_sum(sample):
         v = rng.standard_normal(3000)
     else:
         v = np.r_[rng.normal(-20.0, 1.0, 1500), rng.normal(20.0, 0.5, 500)]
-    m = marginal_from_params("normal", 0.0, 1.0)
+    m = Marginal("normal", (0.0, 1.0))
     model = kde_fit(v, m)
     h = model.bandwidth
     t = np.r_[np.linspace(v.min() - 3.0, v.max() + 3.0, 1001),
@@ -92,7 +92,7 @@ def test_one_row_blocks_where_a_window_exceeds_the_block_budget():
     # 100 000 points: every window around the centre holds more points than
     # one block may hold terms, so each such point is a block of its own
     v = np.random.default_rng(14).standard_normal(100_000)
-    m = marginal_from_params("normal", 0.0, 1.0)
+    m = Marginal("normal", (0.0, 1.0))
     model = kde_fit(v, m)
     t = np.linspace(-0.25, 0.25, 11)
     lo, hi = model.windows(t)
@@ -105,7 +105,7 @@ def test_one_row_blocks_where_a_window_exceeds_the_block_budget():
 
 def test_empty_and_single_point_evaluation():
     v = np.random.default_rng(15).standard_normal(3000)
-    m = marginal_from_params("normal", 0.0, 1.0)
+    m = Marginal("normal", (0.0, 1.0))
     model = kde_fit(v, m)
     empty = model.density_transformed(np.array([]))
     assert empty.shape == (0,)
@@ -121,7 +121,7 @@ def test_empty_and_single_point_evaluation():
 def test_unsorted_points_evaluate_as_sorted_and_repeat_exactly():
     rng = np.random.default_rng(16)
     v = np.r_[rng.normal(-3.0, 1.0, 4000), rng.normal(4.0, 0.3, 1000)]
-    m = marginal_from_params("normal", 0.0, 1.0)
+    m = Marginal("normal", (0.0, 1.0))
     model = kde_fit(v, m)
     t = np.r_[np.linspace(-12.0, 12.0, 700), far_points(v, model.bandwidth)]
     shuffled = rng.permutation(len(t))
@@ -134,7 +134,7 @@ def test_unsorted_points_evaluate_as_sorted_and_repeat_exactly():
 
 def test_kernel_blocks_stay_within_their_memory_budget():
     v = np.random.default_rng(18).standard_normal(20_000)
-    m = marginal_from_params("normal", 0.0, 1.0)
+    m = Marginal("normal", (0.0, 1.0))
     model = kde_fit(v, m)
     t = np.linspace(-6.0, 6.0, 512)
     tracemalloc.start()
@@ -148,7 +148,7 @@ def test_kernel_blocks_stay_within_their_memory_budget():
 
 
 def test_kde_density_unchanged_by_shuffling():
-    m = marginal_from_params("lognormal", 0.0, 0.5)
+    m = Marginal("lognormal", (0.0, 0.5))
     rng = np.random.default_rng(12)
     v = np.exp(0.5 * rng.standard_normal(4000) + 1.0)
     a = kde_fit(v, m)
@@ -161,7 +161,7 @@ def test_kde_density_unchanged_by_shuffling():
 
 
 def test_kde_sorts_points_but_keeps_the_unsorted_bandwidth():
-    m = marginal_from_params("lognormal", 0.0, 0.5)
+    m = Marginal("lognormal", (0.0, 0.5))
     v = np.exp(0.5 * np.random.default_rng(13).standard_normal(5000))
     model = kde_fit(v, m)
     z = m.to_standard_normal(v)
@@ -172,7 +172,7 @@ def test_kde_sorts_points_but_keeps_the_unsorted_bandwidth():
 def test_kde_recovers_normal_density():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(100_000)
-    m = marginal_from_params("normal", 0.0, 1.0)
+    m = Marginal("normal", (0.0, 1.0))
     model = kde_fit(v, m)
     phi0 = 1.0 / math.sqrt(2 * math.pi)
     assert model.density_transformed(0.0)[0] == pytest.approx(phi0, rel=0.05)
@@ -180,7 +180,7 @@ def test_kde_recovers_normal_density():
 
 def test_kde_two_cluster_symmetry():
     # on N(2, 1) the fit is at z = x - 2: clusters at z = -1 and +1
-    m = marginal_from_params("normal", 2.0, 1.0)
+    m = Marginal("normal", (2.0, 1.0))
     v = np.array([1.0] * 10 + [3.0] * 10)
     model = kde_fit(v, m)
     x = np.linspace(0.0, 4.0, 41)
@@ -189,7 +189,7 @@ def test_kde_two_cluster_symmetry():
 
 
 def test_kde_needs_enough_points():
-    m = marginal_from_params("normal", 0.0, 1.0)
+    m = Marginal("normal", (0.0, 1.0))
     with pytest.raises(DomainError):
         kde_fit(np.ones(10), m)
     with pytest.raises(DegenerateSampleError):
@@ -206,7 +206,7 @@ def _conditional_density(m, values, x):
 def test_transformed_kde_keeps_mass_inside_support():
     # lognormal support is (0, inf): the fit in z cannot leak mass, while
     # the same kernel fitted on the raw x values puts some of it below 0
-    m = marginal_from_params("lognormal", 0.0, 0.6)
+    m = Marginal("lognormal", (0.0, 0.6))
     rng = np.random.default_rng(2)
     v = np.exp(0.6 * rng.standard_normal(2000))
     x = np.linspace(1e-6, 15.0, 20_001)
@@ -218,7 +218,7 @@ def test_transformed_kde_keeps_mass_inside_support():
 
 
 def test_transformed_kde_density_integrates_to_one():
-    m = marginal_from_params("lognormal", 0.0, 0.5)
+    m = Marginal("lognormal", (0.0, 0.5))
     rng = np.random.default_rng(3)
     v = np.exp(0.5 * rng.standard_normal(5000))
     x = np.linspace(1e-6, 15.0, 20_001)
@@ -240,7 +240,7 @@ def test_kde_on_short_column_failure_samples(ex2_mc, ex2_marginals):
 
 def test_flat_curve_for_irrelevant_input():
     # failure samples distributed exactly like the prior: ratio is 1
-    m = marginal_from_params("lognormal", 1.0, 0.3)
+    m = Marginal("lognormal", (1.0, 0.3))
     rng = np.random.default_rng(4)
     v = np.exp(1.0 + 0.3 * rng.standard_normal(20_000))
     # central 98%: enough local samples
@@ -299,7 +299,7 @@ def test_estimator_consistency(ex1_joint, ex1_lsf, ex1_problem, ex1_marginals):
 
 
 def test_curve_validation():
-    m = marginal_from_params("lognormal", 0.0, 0.3)
+    m = Marginal("lognormal", (0.0, 0.3))
     v = np.exp(0.3 * np.random.default_rng(5).standard_normal(100))
     with pytest.raises(DomainError):
         conditional_pf_from_failure_samples(m, v, 0.0, default_grid(m, 512))
@@ -307,8 +307,16 @@ def test_curve_validation():
         conditional_pf_from_failure_samples(m, v, 0.5, np.array([2.0, 1.0]))
 
 
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 1.0, 0.5]],
+                         ids=["nan", "unsorted"])
+def test_curve_rejects_a_grid_that_is_not_strictly_increasing(grid):
+    with pytest.raises(DomainError, match="strictly increasing"):
+        ConditionalPfCurve(grid, np.full(3, 0.1), "analytic", 0.1,
+                           np.ones(3))
+
+
 def test_clip_fraction_reported():
-    m = marginal_from_params("lognormal", 0.0, 0.3)
+    m = Marginal("lognormal", (0.0, 0.3))
     # all failure mass far in the tail: the ratio overshoots 1 somewhere
     v = np.exp(0.3 * (3.5 + 0.1 * np.random.default_rng(6).standard_normal(500)))
     curve = conditional_pf_from_failure_samples(m, v, 0.5, default_grid(m, 512))

@@ -371,6 +371,10 @@ def test_cli_run_reports_kde_diagnostics_per_input(tmp_path):
         assert 0.0 < diag["ess"] <= n_fail
         assert 0.0 <= diag["clip_fraction"] <= 1.0
         assert diag["kernel_terms"] > 0
+    # each figure is written once: pf at the top, the KDE maxima nowhere
+    assert report["pf"] == n_fail / report["diagnostics"]["n"]
+    assert "pf" not in report["diagnostics"]
+    assert "diagnostics" not in report["safety"]
 
 
 def test_cli_run_seed_override_changes_mc(tmp_path):
@@ -418,6 +422,14 @@ def test_cli_design_form_matches_analytic(tmp_path, capsys):
                      "--method", "analytic", "--out", str(analytic)]) == 0
     analytic_report = json.loads((analytic / "report.json").read_text())
     assert form_report["design"]["a_opt"] == analytic_report["design"]["a_opt"]
+    assert form_report["design"]["a_opt"] == pytest.approx(1.57, abs=0.01)
+    assert form_report["design"]["pf_at_a_opt"] == form_report["pf"]
+    assert form_report["pf"] == pytest.approx(analytic_report["pf"], rel=1e-10)
+    # each figure is written once: pf and a_opt are not repeated as
+    # diagnostics, and the design report carries no empty diagnostics
+    assert "pf" not in form_report["diagnostics"]
+    assert "a_opt" not in form_report["diagnostics"]
+    assert "diagnostics" not in form_report["design"]["report"]
     got = form_report["design"]["report"]["entries"]
     expect = analytic_report["design"]["report"]["entries"]
     assert [e["name"] for e in got] == [e["name"] for e in expect]

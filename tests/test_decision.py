@@ -7,15 +7,14 @@ import pytest
 
 from relsens import (DesignDecision, SafetyDecision, crude_mc, cvppi_curve,
                      evpi_safety, evppi_design, evppi_form_safety,
-                     evppi_safety, lognormal_linear_conditional_pf,
-                     lognormal_linear_pf, normalize, prior_action,
-                     prior_design, relativize, solve_form, std_normal_cdf,
-                     std_normal_inv, threshold_sweep)
+                     evppi_report, evppi_safety,
+                     lognormal_linear_conditional_pf, lognormal_linear_pf,
+                     prior_action, prior_design, solve_form, std_normal_inv,
+                     threshold_sweep)
 from relsens.condest import (ConditionalPfCurve,
                              conditional_pf_from_failure_samples,
                              curve_from_function, default_grid)
-from relsens.decision import (DO_NOTHING, REPLACE, EvppiEntry, EvppiReport,
-                              posterior_loss_curve)
+from relsens.decision import DO_NOTHING, REPLACE, posterior_loss_curve
 from relsens.errors import ConfigError, DomainError
 from relsens.form import conditional_pf_x
 from conftest import BETA0_IND, PF_DEP, PF_IND
@@ -40,13 +39,13 @@ def analytic_curves(problem, marginals, grid=None):
 
 
 def design_curves(problem, marginals, i, grid_a, x_grid=None):
-    """Input i's conditional curve with a row per design value, and the
-    pf of every design."""
+    """Input i's reference curve (its grid and prior density), its
+    conditional pf values with a row per design value, and the pf of every
+    design."""
     curves = [analytic_curve(replace(problem, const_term=math.log(a)),
                              marginals, i, x_grid) for a in grid_a]
-    pf_a = np.array([c.pf_uncond for c in curves])
-    return replace(curves[0], pf_uncond=pf_a, pf_values=np.vstack(
-        [c.pf_values for c in curves])), pf_a
+    return (curves[0], np.vstack([c.pf_values for c in curves]),
+            np.array([c.pf_uncond for c in curves]))
 
 
 # -- prior action and CVPPI -------------------------------------------------------
@@ -123,9 +122,8 @@ def test_safety_evppi_table3_normalized(ex1_problem, ex1_marginals):
     curves = analytic_curves(ex1_problem, ex1_marginals)
     for ratio, want in expect.items():
         d = SafetyDecision(c_f=CF, c_r=ratio * CF)
-        entries = [EvppiEntry(n, evppi_safety(c, d))
-                   for n, c in zip(names, curves)]
-        report = normalize(EvppiReport(tuple(entries), method="analytic"))
+        report = evppi_report(names, [evppi_safety(c, d) for c in curves],
+                              method="analytic")
         got = 100 * np.array([e.normalized for e in report.entries])
         assert np.max(np.abs(got - np.array(want))) < 1.5
 
@@ -187,39 +185,47 @@ def test_scaling_invariance(ex1_problem, ex1_marginals):
         lam * evpi_safety(PF_IND, d1), rel=1e-12)
 
 
-# -- normalize / relativize ------------------------------------------------------------
+# -- report shares -----------------------------------------------------------------------
 
 def test_normalize_sums_to_one():
-    report = EvppiReport((EvppiEntry("a", 3.0), EvppiEntry("b", 1.0)),
-                         method="analytic")
-    out = normalize(report)
+    out = evppi_report(("a", "b"), (3.0, 1.0), method="analytic")
     assert sum(e.normalized for e in out.entries) == pytest.approx(1.0,
                                                                    abs=1e-9)
     assert out.entries[0].normalized == pytest.approx(0.75)
 
 
 def test_normalize_single_nonzero():
-    report = EvppiReport((EvppiEntry("a", 0.0), EvppiEntry("b", 2.0)),
-                         method="analytic")
-    out = normalize(report)
+    out = evppi_report(("a", "b"), (0.0, 2.0), method="analytic")
     assert out.entries[1].normalized == 1.0
 
 
 def test_normalize_all_zero_flagged():
-    report = EvppiReport((EvppiEntry("a", 0.0),), method="analytic")
-    out = normalize(report)
-    assert out.diagnostics.get("normalized_undefined")
+    out = evppi_report(("a",), (0.0,), method="analytic")
+    assert math.isnan(out.entries[0].normalized)
 
 
 def test_relativize_bounds(ex1_problem, ex1_marginals):
     d = SafetyDecision(c_f=CF, c_r=1e6)
     curves = analytic_curves(ex1_problem, ex1_marginals)
-    entries = tuple(EvppiEntry(str(i), evppi_safety(c, d))
-                    for i, c in enumerate(curves))
-    report = relativize(EvppiReport(entries, method="analytic"),
-                        evpi_safety(PF_IND, d))
+    report = evppi_report([str(i) for i in range(len(curves))],
+                          [evppi_safety(c, d) for c in curves],
+                          method="analytic", evpi=evpi_safety(PF_IND, d))
     for e in report.entries:
         assert 0.0 <= e.relative <= 1.0
+
+
+def test_evppi_report_relative_share_needs_a_nonnegative_evpi():
+    names, values = ("a", "b"), (3.0, 1.0)
+    out = evppi_report(names, values, method="analytic")
+    assert math.isnan(out.evpi)
+    assert all(math.isnan(e.relative) for e in out.entries)
+    out = evppi_report(names, values, method="analytic", evpi=0.0)
+    assert out.evpi == 0.0
+    assert [e.relative for e in out.entries] == [0.0, 0.0]
+    out = evppi_report(names, values, method="analytic", evpi=4.0)
+    assert [e.relative for e in out.entries] == [0.75, 0.25]
+    with pytest.raises(DomainError, match="nonnegative"):
+        evppi_report(names, values, method="analytic", evpi=-1.0)
 
 
 # -- design case -------------------------------------------------------------------------
@@ -247,8 +253,8 @@ def test_prior_design_tie_and_constant_pf():
 
 def test_design_evppi_single_choice_is_zero(ex1_problem, ex1_marginals):
     d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=np.array([1.57]))
-    curve, pf_a = design_curves(ex1_problem, ex1_marginals, 1, d.grid)
-    out = evppi_design(curve, pf_a, d)
+    curve, rows, pf_a = design_curves(ex1_problem, ex1_marginals, 1, d.grid)
+    out = evppi_design(curve, rows, pf_a, d)
     # residue bounded by the clipped tail mass of the default grid times c_f
     assert abs(out["raw"]) < 2e-6 * CF
     assert out["evppi"] < 2e-6 * CF
@@ -261,8 +267,9 @@ def test_design_evppi_table3_columns(ex1_problem, ex1_marginals):
         d = DesignDecision(c_f=CF, cost_model=f"{c_delta}*a", grid=grid)
         vals = []
         for i in range(len(ex1_marginals)):
-            curve, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
-            vals.append(evppi_design(curve, pf_a, d)["evppi"])
+            curve, rows, pf_a = design_curves(ex1_problem, ex1_marginals,
+                                              i, grid)
+            vals.append(evppi_design(curve, rows, pf_a, d)["evppi"])
         got = 100 * np.array(vals) / np.sum(vals)
         assert np.max(np.abs(got - np.array(want))) < 1.5
 
@@ -275,8 +282,9 @@ def test_design_evppi_discretization_table6(ex1_problem, ex1_marginals):
         d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=grid)
         vals = []
         for i in range(len(ex1_marginals)):
-            curve, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
-            vals.append(evppi_design(curve, pf_a, d)["evppi"])
+            curve, rows, pf_a = design_curves(ex1_problem, ex1_marginals,
+                                              i, grid)
+            vals.append(evppi_design(curve, rows, pf_a, d)["evppi"])
         got = 100 * np.array(vals) / np.sum(vals)
         assert np.max(np.abs(got - np.array(want))) < 2.0
 
@@ -289,10 +297,10 @@ def test_posterior_loss_upper_bound(ex1_problem, ex1_marginals):
     assert set(np.round(coarse, 10)) <= set(np.round(fine, 10))
     d_f = DesignDecision(c_f=CF, cost_model="1e5*a", grid=fine)
     d_c = DesignDecision(c_f=CF, cost_model="1e5*a", grid=coarse)
-    curves_f, _ = design_curves(ex1_problem, ex1_marginals, 1, fine, x_grid)
-    curves_c, _ = design_curves(ex1_problem, ex1_marginals, 1, coarse, x_grid)
-    loss_f = posterior_loss_curve(curves_f, d_f)
-    loss_c = posterior_loss_curve(curves_c, d_c)
+    _, rows_f, _ = design_curves(ex1_problem, ex1_marginals, 1, fine, x_grid)
+    _, rows_c, _ = design_curves(ex1_problem, ex1_marginals, 1, coarse, x_grid)
+    loss_f = posterior_loss_curve(rows_f, d_f)
+    loss_c = posterior_loss_curve(rows_c, d_c)
     assert np.all(loss_c >= loss_f - 1e-9)
     assert np.any(loss_c > loss_f + 1.0)
 
@@ -305,8 +313,8 @@ def test_design_refinement_bounds_and_convergence(ex1_problem, ex1_marginals):
     def terms(m_count, i=1):
         grid = np.linspace(0.5, 2.0, m_count)
         d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=grid)
-        curve, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
-        out = evppi_design(curve, pf_a, d)
+        curve, rows, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
+        out = evppi_design(curve, rows, pf_a, d)
         return out["prior_loss"], out["posterior_loss"], out["evppi"]
 
     res = {m: terms(m) for m in (3, 6, 11, 21, 151)}
@@ -324,17 +332,17 @@ def test_design_evppi_takes_one_curve_with_a_row_per_design(ex1_problem,
     grid = np.linspace(0.5, 2.0, 31)
     d = DesignDecision(c_f=CF, cost_model="1e5*a", grid=grid)
     for i in range(len(ex1_marginals)):
-        sweep, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
-        out = evppi_design(sweep, pf_a, d)
-        # the posterior loss is integrated against the curve's own density
-        post = posterior_loss_curve(sweep, d)
+        ref, rows, pf_a = design_curves(ex1_problem, ex1_marginals, i, grid)
+        out = evppi_design(ref, rows, pf_a, d)
+        # the posterior loss is integrated against the reference density
+        post = posterior_loss_curve(rows, d)
         assert out["posterior_loss"] == float(
-            np.trapezoid(post * sweep.density_prior, sweep.grid))
-        doubled = replace(sweep, density_prior=2.0 * sweep.density_prior)
-        assert evppi_design(doubled, pf_a, d)["posterior_loss"] == (
+            np.trapezoid(post * ref.density_prior, ref.grid))
+        doubled = replace(ref, density_prior=2.0 * ref.density_prior)
+        assert evppi_design(doubled, rows, pf_a, d)["posterior_loss"] == (
             2.0 * out["posterior_loss"])
-    with pytest.raises(ConfigError, match="curve row per design"):
-        evppi_design(replace(sweep, pf_values=sweep.pf_values[:-1]), pf_a, d)
+    with pytest.raises(ConfigError, match="conditional pf row per design"):
+        evppi_design(ref, rows[:-1], pf_a, d)
 
 
 def test_design_evppi_negative_floor(ex1_marginals):
@@ -344,9 +352,9 @@ def test_design_evppi_negative_floor(ex1_marginals):
     pf_a = np.array([1e-4])
     # conditional curve systematically above the unconditional pf: the
     # raw difference goes negative and must be floored, with a flag
-    curve = ConditionalPfCurve(grid_x, np.full((1, grid_x.size), 2e-4),
-                               "kde", pf_a, m.pdf(grid_x))
-    out = evppi_design(curve, pf_a, d)
+    rows = np.full((1, grid_x.size), 2e-4)
+    curve = ConditionalPfCurve(grid_x, rows[0], "kde", 1e-4, m.pdf(grid_x))
+    out = evppi_design(curve, rows, pf_a, d)
     assert out["raw"] < 0.0
     assert out["evppi"] == 0.0
     assert out["negative_clipped"]
@@ -396,14 +404,11 @@ def test_threshold_sweep_rejects_bad_grid(ex1_problem, ex1_marginals):
                         CF, [0.5, 1.5], PF_IND)
 
 
-def _form_sweep_curve(cfg, res, i):
-    """Input i's FORM curve of example1_design, a row per design."""
-    m = cfg.marginals[i]
-    grid = default_grid(m, cfg.grid_points)
-    return ConditionalPfCurve(
-        grid=grid, pf_values=conditional_pf_x(cfg.joint, i, grid, res),
-        source="form", pf_uncond=std_normal_cdf(-res.beta0),
-        density_prior=m.pdf(grid))
+def _form_sweep_rows(cfg, res, i):
+    """Input i's FORM conditional pf values of example1_design, a row per
+    design."""
+    grid = default_grid(cfg.marginals[i], cfg.grid_points)
+    return conditional_pf_x(cfg.joint, i, grid, res)
 
 
 def test_posterior_loss_curve_equals_the_plain_expression_bit_for_bit(
@@ -412,24 +417,24 @@ def test_posterior_loss_curve_equals_the_plain_expression_bit_for_bit(
     d = cfg.design
     costs = d.design_cost(d.grid)
     for i in range(cfg.joint.dim):
-        curve = _form_sweep_curve(cfg, res, i)
-        want = (costs[:, None] + d.c_f * curve.pf_values).min(axis=0)
-        assert posterior_loss_curve(curve, d).tobytes() == want.tobytes()
+        rows = _form_sweep_rows(cfg, res, i)
+        want = (costs[:, None] + d.c_f * rows).min(axis=0)
+        assert posterior_loss_curve(rows, d).tobytes() == want.tobytes()
     one = DesignDecision(c_f=d.c_f, cost_model=d.cost_model,
                          grid=d.grid[75:76])
-    row = replace(curve, pf_values=curve.pf_values[75:76])
-    want = (costs[75] + d.c_f * row.pf_values[0])
+    row = rows[75:76]
+    want = (costs[75] + d.c_f * row[0])
     assert posterior_loss_curve(row, one).tobytes() == want.tobytes()
 
 
 def test_posterior_loss_curve_peaks_near_its_loss_matrix(ex1_design_sweep):
     cfg, res = ex1_design_sweep
-    curve = _form_sweep_curve(cfg, res, 0)
-    posterior_loss_curve(curve, cfg.design)
+    rows = _form_sweep_rows(cfg, res, 0)
+    posterior_loss_curve(rows, cfg.design)
     tracemalloc.start()
     try:
-        posterior_loss_curve(curve, cfg.design)
+        posterior_loss_curve(rows, cfg.design)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * curve.pf_values.nbytes
+    assert peak < 1.5 * rows.nbytes
