@@ -256,16 +256,27 @@ def _sign_factor(pf, ratio, alpha_i):
     return math.copysign(1.0, s)
 
 
+def _check_beta_alpha(beta0, alpha_i):
+    """Reject a beta0 that is not finite and an |alpha_i| that is not at most
+    1; the comparisons are positive, so NaN fails them."""
+    if not -math.inf < beta0 < math.inf:
+        raise DomainError(f"beta0 must be finite, got {beta0}")
+    if not abs(alpha_i) <= 1.0:
+        raise DomainError(f"|alpha_i| must not exceed 1, got {alpha_i}")
+
+
 def evppi_form_safety(beta0, alpha_i, c_f, c_r):
     """Value of learning input i in the accept/replace decision.
 
     The bivariate-normal closed form of the integral of
     |c_f pf(u) - c_r| phi(u) over the decision-change domain, where
     pf(u) = Phi((alpha_i u - beta0) / sqrt(1 - alpha_i^2)); invariant to
-    the sign of alpha_i.
+    the sign of alpha_i. A beta0 that is not finite, an |alpha_i| above 1
+    and costs outside c_f > c_r > 0 raise DomainError, NaN included.
     """
     if not c_f > c_r > 0.0:
         raise DomainError("costs must satisfy c_f > c_r > 0")
+    _check_beta_alpha(beta0, alpha_i)
     if alpha_i == 0.0:
         return 0.0
     ratio = c_r / c_f
@@ -280,13 +291,14 @@ def evppi_form_design(beta0, alpha_i, c_f):
     """Value of learning input i in the affine design problem.
 
     Uses the design cost calibrated so the prior optimum sits at a = 0;
-    nonnegative and nondecreasing in |alpha_i|, zero at alpha_i = 0.
+    nonnegative and nondecreasing in |alpha_i|, zero at alpha_i = 0. A
+    beta0 that is not finite, an |alpha_i| above 1 and a c_f that is not
+    positive raise DomainError, NaN included.
     """
-    if c_f <= 0.0:
+    if not c_f > 0.0:
         raise DomainError("c_f must be positive")
+    _check_beta_alpha(beta0, alpha_i)
     a2 = alpha_i * alpha_i
-    if a2 > 1.0:
-        raise DomainError("|alpha_i| must not exceed 1")
     pf0 = special.std_normal_cdf(-beta0)
     dens = special.std_normal_pdf(beta0)
     if a2 == 0.0:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relsens import cli
+from relsens import cli, sample
 from relsens.config import load_config, validate_config
 from relsens.errors import ConfigError
 
@@ -387,13 +387,38 @@ def test_cli_run_seed_override_changes_mc(tmp_path):
     assert (a / "evppi_table.csv").read_bytes() != (b / "evppi_table.csv").read_bytes()
 
 
-def test_cli_run_threads_equivalent(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run", str(CONFIG_DIR / "example1_safety.json"),
-                     "--out", str(a)]) == 0
-    assert cli.main(["run", str(CONFIG_DIR / "example1_safety.json"),
-                     "--out", str(b), "--threads", "4"]) == 0
-    assert (a / "evppi_table.csv").read_bytes() == (b / "evppi_table.csv").read_bytes()
+def _runs_on_one_and_four_cpus(tmp_path, monkeypatch, raw):
+    """Run ``raw`` as crude MC would on one CPU and on four; return the two
+    output directories and the workers each report names."""
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(raw))
+    outs, workers = [], []
+    for cpus in (1, 4):
+        monkeypatch.setattr(sample, "_available_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+        outs.append(out)
+        workers.append(json.loads((out / "report.json").read_text())
+                       ["diagnostics"]["workers"])
+    return outs, workers
+
+
+def _assert_same_csvs(one, four, count):
+    names = sorted(p.name for p in one.glob("*.csv"))
+    assert names == sorted(p.name for p in four.glob("*.csv"))
+    assert len(names) == count
+    for name in names:
+        assert (one / name).read_bytes() == (four / name).read_bytes(), name
+
+
+def test_cli_mc_safety_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # the short column at n 2e5: eight crude-MC chunks, Nataf-fitted copula
+    raw = json.loads((CONFIG_DIR / "example2_safety.json").read_text())
+    raw.update(method="mc", n=200_000, seed=4)
+    (one, four), workers = _runs_on_one_and_four_cpus(tmp_path, monkeypatch,
+                                                      raw)
+    assert workers == [1, 4]
+    _assert_same_csvs(one, four, 2 * len(raw["inputs"]) + 1)
 
 
 def test_cli_design_run(tmp_path):
@@ -470,14 +495,15 @@ def test_cli_reports_form_non_convergence(tmp_path, capsys, monkeypatch):
                         "reliability"]
 
 
-def test_cli_design_form_threads_byte_identical(tmp_path):
-    one, _ = _run_design_form(tmp_path, "one", "--threads", "1")
-    two, _ = _run_design_form(tmp_path, "two", "--threads", "2")
-    names = sorted(p.name for p in one.glob("*.csv"))
-    assert names == sorted(p.name for p in two.glob("*.csv"))
-    assert len(names) == 5
-    for name in names:
-        assert (one / name).read_bytes() == (two / name).read_bytes()
+def test_cli_mc_design_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    raw = json.loads((CONFIG_DIR / "example1_design.json").read_text())
+    raw.update(method="mc", n=200_000)
+    raw["decision"]["design"]["grid"] = {"start": 0.5, "stop": 1.5,
+                                         "count": 21}
+    (one, four), workers = _runs_on_one_and_four_cpus(tmp_path, monkeypatch,
+                                                      raw)
+    assert workers == [1, 4]
+    _assert_same_csvs(one, four, 5)
 
 
 def test_cli_sweep(tmp_path):

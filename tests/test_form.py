@@ -363,6 +363,18 @@ def test_evppi_safety_full_information_limit():
     assert v == pytest.approx(evpi_safety(pf, d), rel=1e-12)
 
 
+@pytest.mark.parametrize("beta0, alpha_i, costs", [
+    (math.nan, 0.5, (1e8, 1e6)), (math.inf, 0.5, (1e8, 1e6)),
+    (2.4, math.nan, (1e8, 1e6)), (2.4, 1.0 + 1e-15, (1e8, 1e6)),
+    (2.4, 0.5, (math.nan, 1e6)), (2.4, 0.5, (1e8, math.nan))],
+    ids=["beta-nan", "beta-inf", "alpha-nan", "alpha-above-1", "cf-nan",
+         "cr-nan"])
+def test_evppi_safety_rejects_nan_and_out_of_range_arguments(beta0, alpha_i,
+                                                             costs):
+    with pytest.raises(DomainError):
+        evppi_form_safety(beta0, alpha_i, *costs)
+
+
 # -- design EVPPI ------------------------------------------------------------------------
 
 def test_evppi_design_zero_alpha():
@@ -398,3 +410,14 @@ def test_evppi_design_normalized_curves_collapse():
     curves = np.array(curves)
     spread = np.max(curves.max(axis=0) - curves.min(axis=0))
     assert spread < 0.05
+
+
+@pytest.mark.parametrize("beta0, alpha_i, c_f", [
+    (math.nan, 0.5, 1e8), (-math.inf, 0.5, 1e8), (3.0, math.nan, 1e8),
+    (3.0, -1.0 - 1e-15, 1e8), (3.0, 0.5, math.nan), (3.0, 0.5, 0.0)],
+    ids=["beta-nan", "beta-inf", "alpha-nan", "alpha-below-minus-1",
+         "cf-nan", "cf-zero"])
+def test_evppi_design_rejects_nan_and_out_of_range_arguments(beta0, alpha_i,
+                                                             c_f):
+    with pytest.raises(DomainError):
+        evppi_form_design(beta0, alpha_i, c_f)
