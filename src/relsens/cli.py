@@ -271,7 +271,6 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--method", choices=["analytic", "form", "mc", "subset"])
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("form-curves",

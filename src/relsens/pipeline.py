@@ -116,16 +116,21 @@ def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
 
     ``failure_rows(j)`` returns the ``counts[j]`` failure samples of row
     j; every row needs condest.MIN_FAILURE_VALUES of them for the density
-    fits.
+    fits, at the safety and the design stage alike.
     """
     counts = [int(c) for c in counts]
     starved = [j for j, c in enumerate(counts) if c < condest.MIN_FAILURE_VALUES]
-    if designs is not None and starved:
-        a = designs.tolist()
+    if starved:
+        setting = "n" if cfg.method == "mc" else "n_per_level"
+        if designs is None:
+            where, found = "", f"found {counts[0]}"
+        else:
+            a = designs.tolist()
+            where, found = "per design ", "too few at " + ", ".join(
+                f"a = {a[j]!r} ({counts[j]})" for j in starved)
         raise DomainError(
-            f"need at least {condest.MIN_FAILURE_VALUES} failure values per "
-            "design for the density fits; too few at "
-            + ", ".join(f"a = {a[j]!r} ({counts[j]})" for j in starved))
+            f"need at least {condest.MIN_FAILURE_VALUES} failure values "
+            f"{where}for the density fits (raise {setting}); {found}")
     rows = []
     for j in range(len(pf)):
         samples = failure_rows(j)

@@ -11,9 +11,9 @@ from relsens import (ConditionalPfCurve, Marginal,
                      default_grid, kde_fit, lognormal_linear_conditional_pf,
                      lognormal_linear_pf, std_normal_inv)
 from relsens import cli, config as config_mod, pipeline, sample
-from relsens.condest import (BOX_WIDTH, KERNEL_BLOCK_TERMS, NEAR_CUT,
-                             SERIES_TERMS, TRUNCATION_RTOL, KdeModel,
-                             effective_sample_size, silverman_bandwidth)
+from relsens.condest import (BOX_WIDTH, NEAR_CUT, PAIR_CHUNK, SERIES_TERMS,
+                             TRUNCATION_RTOL, KdeModel, effective_sample_size,
+                             silverman_bandwidth)
 from relsens.errors import DegenerateSampleError, DomainError
 from conftest import PF_IND
 
@@ -103,77 +103,78 @@ def nearest_distance(values, t):
     return np.array([np.abs(x - values).min() for x in t])
 
 
-def series_boxes(values, h, t):
-    """Box count of one series block holding every t, rebuilt from the box
-    rule: a box opens at the first point not yet boxed, holds the points less
-    than BOX_WIDTH h sqrt(2) above it and is centred half a width above its
-    first point; a target takes the boxes whose centres lie within its
-    window reach, sqrt(d_min^2 + (c h)^2), plus half a box."""
+def own_boxes(values, h, t):
+    """Boxes each target t takes, rebuilt from the box rule: the points fall
+    into cells of width BOX_WIDTH h sqrt(2) on a grid from the smallest
+    point, a box per occupied cell centred on it, and a target takes the
+    boxes whose centres lie within its window reach,
+    sqrt(d_min^2 + (c h)^2), plus half a box."""
     p = np.sort(values)
     width = BOX_WIDTH * h * math.sqrt(2.0)
-    centres = []
-    i = 0
-    while i < len(p):
-        centres.append(p[i] + 0.5 * width)
-        i = int(np.searchsorted(p, p[i] + width))
-    centres = np.array(centres)
+    centres = p[0] + (np.unique(np.floor((p - p[0]) * (1.0 / width)))
+                      + 0.5) * width
     c = math.sqrt(2.0 * math.log(len(p) / TRUNCATION_RTOL))
     reach = np.hypot(nearest_distance(p, t), c * h) + 0.5 * width
-    return int(np.sum((centres >= (t - reach).min())
-                      & (centres <= (t + reach).max())))
+    return np.array([np.sum((centres >= x - r) & (centres <= x + r))
+                     for x, r in zip(t, reach)], dtype=int)
 
 
-def test_one_row_blocks_where_a_window_exceeds_the_block_budget():
-    # a broad cluster and a spike of 70 000 points at its right: the two tail
-    # targets just right of the spike each reach more points than the buffer
-    # holds, so each is a block of its own, summed in pieces; the 101
-    # targets in the broad cluster share one series block
-    rng = np.random.default_rng(14)
-    v = np.r_[rng.standard_normal(50_000), 5.0 + 0.01 * rng.random(70_000)]
-    model = kde_fit(v, Marginal("normal", (0.0, 1.0)))
+def expected_terms(model, t):
+    """kernel_terms of one density call: the tail targets' windows, the
+    n K box moments if any target is near, and K per near target's box."""
     h = model.bandwidth
     s = h * math.sqrt(2.0)
-    near_t = np.linspace(-0.25, 0.25, 101)
-    tail_t = v.max() + np.array([3.2, 3.5]) * s
-    lo, hi = model.windows(tail_t)
-    assert (hi - lo).min() > KERNEL_BLOCK_TERMS
-    assert nearest_distance(v, near_t).max() <= NEAR_CUT * s
-    got = model.density_transformed(np.r_[near_t, tail_t])
-    direct = int((hi - lo).sum())
-    moments = len(v) * SERIES_TERMS
-    series = len(near_t) * series_boxes(v, h, near_t) * SERIES_TERMS
-    assert model.kernel_terms == direct + moments + series
-    assert np.allclose(got, exact_density(v, h, np.r_[near_t, tail_t]),
-                       rtol=1e-13, atol=0.0)
+    near = nearest_distance(model.points, t) <= NEAR_CUT * s
+    lo, hi = model.windows(t[~near])
+    moments = len(model.points) if near.any() else 0
+    boxes = int(own_boxes(model.points, h, t[near]).sum())
+    return int((hi - lo).sum()) + SERIES_TERMS * (moments + boxes)
 
 
 @pytest.mark.parametrize("sample, core, series", [
     ("20", 151, False), ("3000", 151, True), ("20000", 51, True),
-    ("100000", 51, True), ("two-cluster", 151, True)])
+    ("100000", 51, True), ("two-cluster", 151, True),
+    ("20000", 16, False), ("20000", 256, True),
+    pytest.param("spike", 151, True, id="spike"),
+    pytest.param("thin-spread", 151, False, id="thin-spread")])
 def test_kernel_sum_matches_an_exact_direct_sum(sample, core, series):
     rng = np.random.default_rng(21)
     if sample == "two-cluster":
         v = np.r_[rng.normal(-20.0, 1.0, 1500), rng.normal(20.0, 0.5, 500)]
+    elif sample == "spike":
+        # 70 000 points within 0.01 at the right of a broad cluster: the tail
+        # targets just right of it each reach more points than a pair chunk
+        v = np.r_[rng.standard_normal(50_000), 5.0 + 0.01 * rng.random(70_000)]
+    elif sample == "thin-spread":
+        # 1200 points spread thinly far right of a cluster: over a thousand
+        # boxes, most holding one point
+        v = np.r_[rng.standard_normal(20_000), np.linspace(10.0, 1000.0, 1200)]
     else:
         v = rng.standard_normal(int(sample))
     model = kde_fit(v, Marginal("normal", (0.0, 1.0)))
     h = model.bandwidth
     s = h * math.sqrt(2.0)
-    # the core of the data (enough targets for the series to pay), a spread
-    # across the data and beyond it, both sides of the near/tail cut at each
-    # end, and the subnormal and zero far tail
+    # the core of the data, a spread across the data and beyond it, both
+    # sides of the near/tail cut at each end, tail targets either side of
+    # the points, and the subnormal and zero far tail
     cut = NEAR_CUT * s * np.array([0.5, 0.99, 1.0 - 1e-12, 1.0 + 1e-12,
                                    1.01, 2.0])
+    tails = np.array([4.0, 5.0]) * s
     t = np.sort(np.r_[np.linspace(*np.percentile(v, [5, 95]), core),
                       np.linspace(v.min() - 3.0, v.max() + 3.0, 41),
-                      v.min() - cut, v.max() + cut, far_points(v, h)])
-    d_min = nearest_distance(v, t)
-    near = d_min <= NEAR_CUT * s
+                      v.min() - cut, v.max() + cut, v.min() - tails,
+                      v.max() + tails, far_points(v, h)])
+    near = nearest_distance(v, t) <= NEAR_CUT * s
     assert near.sum() > 10 and (~near).sum() > 10
     got = model.density_transformed(t)
+    assert model.kernel_terms == expected_terms(model, t)
+    if sample == "spike":
+        lo, hi = model.windows(v.max() + cut[-2:])
+        assert (hi - lo).min() > PAIR_CHUNK
+    # whether the series does less work than summing every window directly;
+    # on 20 points, with few targets, or with most targets among thinly
+    # spread points, the n K box moments and the boxes cost more
     lo, hi = model.windows(t)
-    # less work than every window where the near targets took the series;
-    # on 20 points a box holds too few for it to pay
     assert (model.kernel_terms < int((hi - lo).sum())) == series
     ref = exact_density(v, h, t)
     tiny = np.finfo(float).tiny
@@ -181,65 +182,18 @@ def test_kernel_sum_matches_an_exact_direct_sum(sample, core, series):
     assert np.array_equal(got == 0.0, ref == 0.0)
     nz = ref != 0.0
     assert np.allclose(got[nz], ref[nz], rtol=1e-13, atol=0.0)
-    # the series itself, taken for every near target whatever it costs
-    sums = np.empty(near.sum())
-    assert model._series(t[near], d_min[near], math.inf,
-                         np.empty(KERNEL_BLOCK_TERMS), sums) is not None
-    assert np.allclose(sums / (len(v) * h * math.sqrt(2.0 * math.pi)),
-                       ref[near], rtol=1e-13, atol=0.0)
 
 
-def test_too_many_boxes_sum_every_target_directly():
-    # 1200 points spread thinly far right of a normal cluster: more boxes
-    # than half the buffer holds moments for, so no target takes the series
-    rng = np.random.default_rng(19)
-    v = np.r_[rng.standard_normal(20_000), np.linspace(10.0, 1000.0, 1200)]
-    model = kde_fit(v, Marginal("normal", (0.0, 1.0)))
-    h = model.bandwidth
-    t = np.linspace(-3.0, 3.0, 101)
-    assert nearest_distance(v, t).max() <= NEAR_CUT * h * math.sqrt(2.0)
-    got = model.density_transformed(t)
-    lo, hi = model.windows(t)
-    own = int((hi - lo).sum())
-    assert own > len(v) * SERIES_TERMS       # enough targets for the series
-    assert own <= model.kernel_terms <= 1.25 * own
-    assert np.allclose(got, exact_density(v, h, t), rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("count, series", [(16, False), (256, True)])
-def test_the_series_is_taken_only_where_it_saves_work(count, series):
-    # 16 targets: their windows hold fewer terms than the 20 000 x 30 box
-    # moments, so every target is summed directly
-    v = np.random.default_rng(23).standard_normal(20_000)
-    model = kde_fit(v, Marginal("normal", (0.0, 1.0)))
-    t = np.linspace(-4.0, 4.0, count)
-    got = model.density_transformed(t)
-    lo, hi = model.windows(t)
-    own = int((hi - lo).sum())
-    moments = len(v) * SERIES_TERMS
-    assert (own > moments) == series
-    if series:
-        assert moments < model.kernel_terms < own
-    else:
-        assert own <= model.kernel_terms < moments
-    assert np.allclose(got, exact_density(v, model.bandwidth, t),
-                       rtol=1e-13, atol=0.0)
-
-
-def test_tail_targets_either_side_of_the_points_never_share_a_block():
+@pytest.mark.parametrize("others", ["none", "right-tail", "core"])
+def test_a_nan_target_gives_nan_whatever_its_neighbours(others):
     v = np.random.default_rng(22).standard_normal(3000)
     model = kde_fit(v, Marginal("normal", (0.0, 1.0)))
     s = model.bandwidth * math.sqrt(2.0)
-    left = v.min() - np.array([5.0, 4.0]) * s
-    right = v.max() + np.array([4.0, 5.0]) * s
-    got = model.density_transformed(np.r_[left, right])
-    terms = 0
-    for side in (left, right):
-        lo, hi = model.windows(side)
-        terms += len(side) * int(hi.max() - lo.min())
-    assert model.kernel_terms == terms < 3000
-    assert np.allclose(got, exact_density(v, model.bandwidth,
-                                          np.r_[left, right]),
+    t = {"none": [], "right-tail": [v.max() + 4.0 * s, v.max() + 5.0 * s],
+         "core": [0.0]}[others]
+    got = model.density_transformed(np.r_[t, math.nan])
+    assert math.isnan(got[-1])
+    assert np.allclose(got[:-1], exact_density(v, model.bandwidth, t),
                        rtol=1e-13, atol=0.0)
 
 
@@ -441,8 +395,10 @@ def test_estimator_consistency(ex1_joint, ex1_lsf, ex1_problem, ex1_marginals):
 def test_curve_validation():
     m = Marginal("lognormal", (0.0, 0.3))
     v = np.exp(0.3 * np.random.default_rng(5).standard_normal(100))
-    with pytest.raises(DomainError):
-        conditional_pf_from_failure_samples(m, v, 0.0, default_grid(m, 512))
+    for pf_hat in (0.0, -0.1, 1.0 + 1e-12, math.nan):
+        with pytest.raises(DomainError, match=r"pf_hat must lie in \(0, 1\]"):
+            conditional_pf_from_failure_samples(m, v, pf_hat,
+                                                default_grid(m, 512))
     with pytest.raises(DomainError):
         conditional_pf_from_failure_samples(m, v, 0.5, np.array([2.0, 1.0]))
 
@@ -453,6 +409,19 @@ def test_curve_rejects_a_grid_that_is_not_strictly_increasing(grid):
     with pytest.raises(DomainError, match="strictly increasing"):
         ConditionalPfCurve(grid, np.full(3, 0.1), "analytic", 0.1,
                            np.ones(3))
+
+
+def test_every_sample_failing_gives_the_exact_flat_curve():
+    # pf_hat = 1: f(x | F) = f(x), so pf(x_i) = 1 with no density fit; five
+    # values are too few for one
+    m = Marginal("lognormal", (0.0, 0.3))
+    v = np.exp(0.3 * np.random.default_rng(8).standard_normal(5))
+    curve = conditional_pf_from_failure_samples(m, v, 1.0, default_grid(m, 64))
+    assert np.array_equal(curve.pf_values, np.ones(64))
+    assert np.array_equal(curve.density_conditional, curve.density_prior)
+    assert curve.density_prior.min() > 0.0
+    assert (curve.kernel_terms, curve.clip_fraction, curve.n_failure_samples,
+            curve.source) == (0, 0.0, 5, "kde")
 
 
 def test_clip_fraction_reported():
@@ -534,7 +503,8 @@ def test_subset_ess_sees_chain_correlation():
 
 
 def test_kernel_terms_count_the_block_sums():
-    # the benchmark's dependent-subset workload at seed 1
+    # the benchmark's dependent-subset workload at seed 1: each curve's count
+    # is exactly its tail windows, n K box moments and K per near target's box
     cfg = _pipeline_config("example1_safety_dependent.json",
                            {"method": "subset", "n_per_level": 20_000,
                             "seed": 1})
@@ -545,19 +515,12 @@ def test_kernel_terms_count_the_block_sums():
     total = all_direct = 0
     for i, (name, m) in enumerate(zip(cfg.names, cfg.marginals)):
         model = kde_fit(samples[:, i], m)
-        h = model.bandwidth
         t = m.to_standard_normal(res.curves[name].grid)
-        near = nearest_distance(model.points, t) <= NEAR_CUT * h * math.sqrt(2.0)
-        lo, hi = model.windows(t)
-        # the least each part can cost: the tail targets' own windows, the
-        # moments, and each near target's own boxes (a block of one)
-        own_boxes = sum(series_boxes(model.points, h, [x]) for x in t[near])
-        least = (int((hi - lo)[~near].sum()) + len(model.points) * SERIES_TERMS
-                 + own_boxes * SERIES_TERMS)
         terms = res.diagnostics["kde_inputs"][name]["kernel_terms"]
         assert terms == res.curves[name].kernel_terms
-        assert least <= terms <= 1.25 * least, name
+        assert terms == expected_terms(model, t), name
         total += terms
+        lo, hi = model.windows(t)
         all_direct += int((hi - lo).sum())
     # summing every target directly over its window would take over twice
     # the work

@@ -541,6 +541,42 @@ def test_cli_sweep_rejects_bad_ratio_arguments(tmp_path, args):
     assert not (out / "sweep.csv").exists()
 
 
+def test_cli_sweep_has_no_threads_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", str(CONFIG_DIR / "example1_safety.json"),
+                  "--out", str(tmp_path), "--threads", "2"])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, size", [
+    ("analytic", {}), ("form", {}), ("mc", {"n": 50_000}),
+    ("subset", {"n_per_level": 2000})], ids=["analytic", "form", "mc", "subset"])
+def test_cli_runs_where_almost_every_sample_fails(tmp_path, method, size):
+    # XR's mean at 0.071 puts pf at 0.999995: crude MC and subset simulation
+    # see every sample fail, and their curves are pf(x_i) = 1 exactly
+    raw = json.loads((CONFIG_DIR / "example1_safety.json").read_text())
+    raw["inputs"][2]["mean"] = 0.071
+    cfg_path = tmp_path / "pf1.json"
+    cfg_path.write_text(json.dumps(dict(raw, method=method, **size)))
+    out = tmp_path / "run"
+    assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+    table = np.genfromtxt(out / "evppi_table.csv", delimiter=",", names=True,
+                          dtype=None, encoding="utf-8")
+    assert list(table["input"]) == ["R", "S", "XR", "XS"]
+    assert np.array_equal(table["absolute"], np.zeros(4))
+    report = json.loads((out / "report.json").read_text())
+    assert report["pf"] > 0.99999
+    if method in ("mc", "subset"):
+        assert report["pf"] == 1.0
+        for name in ("R", "S", "XR", "XS"):
+            curve = np.genfromtxt(out / f"pf_curve_{name}.csv",
+                                  delimiter=",", names=True)
+            assert np.array_equal(curve["pf"], np.ones(len(curve)))
+            assert np.array_equal(curve["density_conditional"],
+                                  curve["density_prior"])
+
+
 def test_cli_form_curves(tmp_path):
     code = cli.main(["form-curves", "--betas", "3.0902,2.3263",
                      "--cost-ratio", "1e-3", "--mode", "safety",

@@ -139,6 +139,28 @@ def test_starved_designs_are_named():
     assert msg.endswith(", ".join(f"a = {a!r} ({c})" for a, c in starved))
 
 
+@pytest.mark.parametrize("method, size, setting", [
+    ("mc", {"n": 1000}, "n"), ("subset", {"n_per_level": 100}, "n_per_level")],
+    ids=["mc", "subset"])
+def test_starved_safety_runs_name_the_count_and_the_setting(
+        monkeypatch, method, size, setting):
+    raw = json.loads((ROOT / "configs" / "example1_safety.json").read_text())
+    cfg = config_mod.validate_config(dict(raw, method=method, **size))
+    if method == "subset":
+        # the schema's n_per_level of at least 100 always yields 100 failure
+        # values, so raise the floor to see the subset wording
+        monkeypatch.setattr(condest, "MIN_FAILURE_VALUES", 101)
+    count = (int(sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n,
+                                 cfg.seed).n_fail[0])
+             if method == "mc" else 100)
+    with pytest.raises(DomainError) as info:
+        pipeline.run_analysis(cfg)
+    floor = condest.MIN_FAILURE_VALUES
+    assert str(info.value) == (f"need at least {floor} failure values for "
+                               f"the density fits (raise {setting}); "
+                               f"found {count}")
+
+
 def test_cli_design_report_has_details_and_counts(tmp_path):
     cfg_path = tmp_path / "subset.json"
     cfg_path.write_text(json.dumps(_design_config(
