@@ -242,10 +242,10 @@ class ConditionalPfCurve:
     """pf(x_i) on a grid, with the prior density f(x_i) on that grid.
 
     The decision layer integrates against ``density_prior``, so every
-    curve carries it. ``density_conditional`` is f(x_i | F) where a KDE
-    produced the curve, and ``kernel_terms`` the work its KDE did: kernel
-    terms summed directly, n K box moments and rows x boxes x K series
-    terms (see ``KdeModel``).
+    curve carries it. ``density_conditional`` is f(x_i | F) where a
+    sampling method produced the curve (the prior itself at pf = 1), and
+    ``kernel_terms`` the work its KDE did: kernel terms summed directly,
+    n K box moments and K per (near target, box) pair (see ``KdeModel``).
     """
 
     grid: np.ndarray
