@@ -184,6 +184,21 @@ def test_kernel_sum_matches_an_exact_direct_sum(sample, core, series):
     assert np.allclose(got[nz], ref[nz], rtol=1e-13, atol=0.0)
 
 
+def test_tail_targets_either_side_of_the_points_never_share_a_block():
+    # tail targets at both ends each sum only their own window: none pays
+    # for the points between the ends, nor for box moments
+    v = np.random.default_rng(22).standard_normal(3000)
+    model = kde_fit(v, Marginal("normal", (0.0, 1.0)))
+    s = model.bandwidth * math.sqrt(2.0)
+    t = np.r_[v.min() - np.array([5.0, 4.0]) * s,
+              v.max() + np.array([4.0, 5.0]) * s]
+    got = model.density_transformed(t)
+    lo, hi = model.windows(t)
+    assert model.kernel_terms == int((hi - lo).sum()) < 3000
+    assert np.allclose(got, exact_density(v, model.bandwidth, t),
+                       rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("others", ["none", "right-tail", "core"])
 def test_a_nan_target_gives_nan_whatever_its_neighbours(others):
     v = np.random.default_rng(22).standard_normal(3000)
