@@ -373,12 +373,19 @@ class GaussianCopulaJoint:
     def to_physical(self, u, out=None):
         """Map a batch of standard-normal points (rows of a 2-D u) to
         physical space; returns one row per point, written into ``out``
-        (an array of u's shape) if it is given."""
-        z = np.asarray(u, dtype=float) @ self.chol_z.T
+        (an array of u's shape) if it is given.
+
+        The copula product is formed input-major, z = chol_z u^T of shape
+        (d, m), and each input's row of z is mapped into its column of
+        ``out``. A fresh ``out`` is the transpose of a C-ordered (d, m)
+        array, so those columns are contiguous; a given ``out`` should be
+        laid out alike (crude MC passes such a view of its buffers).
+        """
+        z = self.chol_z @ np.asarray(u, dtype=float).T
         if out is None:
-            out = np.empty_like(z)
+            out = np.empty(z.shape).T
         for i, m in enumerate(self.marginals):
-            out[:, i] = m.from_standard_normal(z[:, i])
+            out[:, i] = m.from_standard_normal(z[i])
         return out
 
     def to_standard(self, x):

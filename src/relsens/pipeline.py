@@ -111,12 +111,13 @@ def _form(cfg, grids, designs):
 
 
 def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
-                  row_diagnostics):
+                  g_evals, row_diagnostics):
     """Estimate of a sampling method from each row's failure samples.
 
     ``failure_rows(j)`` returns the ``counts[j]`` failure samples of row
     j; every row needs condest.MIN_FAILURE_VALUES of them for the density
-    fits, at the safety and the design stage alike.
+    fits, at the safety and the design stage alike. ``g_evals`` counts
+    the rows g was evaluated at, over all rows.
     """
     counts = [int(c) for c in counts]
     starved = [j for j, c in enumerate(counts) if c < condest.MIN_FAILURE_VALUES]
@@ -140,8 +141,9 @@ def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
                      for i, name in enumerate(cfg.names)})
     values = {name: np.vstack([row[name].pf_values for row in rows])
               for name in cfg.names}
-    diagnostics = ({} if designs is None else
-                   {"n_failure_samples_per_design": counts})
+    diagnostics = {"g_evals": g_evals}
+    if designs is not None:
+        diagnostics["n_failure_samples_per_design"] = counts
     return Estimate(pf, values, lambda j: (rows[j], row_diagnostics(j)),
                     diagnostics)
 
@@ -156,7 +158,8 @@ def _mc(cfg, grids, designs):
                 "n_failure_samples": int(mc.n_fail[j]), "workers": mc.workers}
 
     return _kde_estimate(cfg, grids, designs, mc.pf_hat, mc.n_fail,
-                         mc.failures, [1] * len(mc.pf_hat), row_diagnostics)
+                         mc.failures, [1] * len(mc.pf_hat),
+                         mc.n * len(mc.pf_hat), row_diagnostics)
 
 
 def _subset(cfg, grids, designs):
@@ -177,7 +180,8 @@ def _subset(cfg, grids, designs):
     return _kde_estimate(cfg, grids, designs, pf,
                          [len(ss.last_level_samples) for ss in runs],
                          lambda j: runs[j].last_level_samples,
-                         [ss.n_chains for ss in runs], row_diagnostics)
+                         [ss.n_chains for ss in runs],
+                         sum(ss.g_evals for ss in runs), row_diagnostics)
 
 
 def run_analysis(cfg):

@@ -6,31 +6,34 @@ simulation draws a dedicated substream per level, so runs are exactly
 reproducible.
 
 Crude MC draws its sample in chunks of MC_BATCH (25 000) rows, in
-order, from one stream, and maps, evaluates and reduces the chunks on
-worker threads (numpy's and scipy's array kernels release the GIL). A
-worker returns only its chunk's failure counts, failure rows and packed
-failure bits, so a finished chunk waiting to be collected holds its
-failure rows, not its sample. At most ``workers + 1`` chunks are in
-flight, drawn and not yet collected, so the working set is a few chunks
-plus the failure rows, whatever n is; smaller chunks save little more
-memory and hand off more often. Each chunk in flight owns two buffers,
-its draws and its physical rows, which the next chunk drawn reuses once
-it has been collected. Fresh arrays per chunk would be freed on the
-worker as it returns, and glibc then hands the worker's heap back to
-the kernel and faults it in again for the next chunk: on a 2-CPU VM
-that was about 22 000 page faults per 10^6-row example2 run, against
-about 1 200 with the buffers, and it made the run's time depend on how
-busy the host was.
+order, from one stream, on ``workers`` threads: the calling thread and
+one helper per further available CPU (numpy's and scipy's array kernels
+release the GIL). Under one lock a thread takes the next chunk and
+draws it; outside the lock it maps, evaluates and reduces the chunk to
+its failure counts, failure rows and packed failure bits, and stores
+them at the chunk's index. So the chunks in flight number ``workers``,
+and the working set is those chunks plus the failure rows, whatever n
+is. Each thread owns two buffers, its draws and its physical rows, and
+reuses them for every chunk it takes. Fresh arrays per chunk would be
+freed on the worker as it returns, and glibc then hands the worker's
+heap back to the kernel and faults it in again for the next chunk: on
+a 2-CPU VM that was about 22 000 page faults per 10^6-row example2 run,
+against about 1 200 with the buffers, and it made the run's time depend
+on how busy the host was. A chunk that raises stops its thread, no
+thread takes a chunk after that, and the error of the earliest failing
+chunk is raised once every thread has joined.
 
 The results do not depend on the number of workers, by construction:
-the chunk sizes are fixed, each chunk is mapped and evaluated alone,
-and the chunks are collected in draw order. They do not depend on the
-chunk size either, and match a run with larger chunks, as far as
-tested: split Philox draws give the same values as one draw, and the
-copula map and g act row by row; that the copula matmul gives the same
-bits for any chunk of two rows or more was seen on the BLAS it was
-tested with (2 to 39 rows against the full product), but is a property
-of that BLAS, not a guarantee.
+the chunks are drawn in order with fixed sizes, each chunk is mapped
+and evaluated alone, and the reductions are combined in chunk order.
+They do not depend on the chunk size either, and match a run with
+larger chunks, as far as tested: split Philox draws give the same values
+as one draw, and the copula map and g act row by row. That the copula
+product gives the same bits for any chunk of two rows or more, and the
+bits of the row-major product u chol_z^T the samples were pinned with,
+is a property of the BLAS, not a guarantee; ``tests/test_dists.py``
+(``test_to_physical_keeps_the_bits_of_the_row_major_product``) pins it
+on the shipped joints.
 
 Subset simulation writes each level's chains into one array of u and
 one of g, each allocated once for the level, and keeps one level alive
@@ -43,7 +46,7 @@ numpy.ma import that ``np.quantile`` brings (``quantile``).
 from __future__ import annotations
 
 import os
-from collections import deque
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +80,7 @@ class McResult:
     failure_samples: np.ndarray = field(repr=False)
     n_fail: np.ndarray
     failed_at: np.ndarray = field(repr=False)
-    workers: int = 1                   # threads that mapped and evaluated
+    workers: int = 1                   # threads that drew and evaluated chunks
 
     def failures(self, j):
         """The failure rows of design j, in draw order."""
@@ -92,6 +95,7 @@ class SubsetResult:
     last_level_samples: np.ndarray = field(repr=False)
     accept_rate: float                 # of the last conditional pass
     n_chains: int = 1                  # chains interleaved in last_level_samples
+    g_evals: int = 0                   # rows passed to g, every pass
 
 
 def _available_cpus():
@@ -113,18 +117,18 @@ def crude_mc(joint, limit_state, n, seed, a=None):
     failure_samples holds exactly the physical rows with g <= 0 (at some
     design), in draw order.
 
-    The sample is drawn in chunks of MC_BATCH rows, in order, on the
-    calling thread from the one Philox stream of ``seed``. Each chunk's
-    copula map, g evaluations and reduction to its failure rows run on
-    one of ``workers`` threads (one per available CPU, at most one per
-    chunk); a worker returns the chunk's failure count per design, its
-    failure rows and their packed failure bits, and drops the rest of
-    the chunk. At most ``workers + 1`` chunks are in flight (drawn and
-    not yet collected), each drawn and mapped into buffers that it hands
-    on to a later chunk once collected, and the chunks are collected in
-    draw order. An error raised on a worker is re-raised here: the one
-    of the earliest chunk that failed, with a non-finite g reported at
-    its row's index in the whole sample.
+    The sample is drawn in chunks of MC_BATCH rows, in order, from the one
+    Philox stream of ``seed``, by ``workers`` threads (one per available
+    CPU, at most one per chunk): the calling thread and ``workers - 1``
+    helpers. Each thread owns one pair of buffers, its draws and its
+    physical rows, so ``workers`` chunks are in flight. Under one lock a
+    thread takes the next chunk and draws it into its buffer; outside the
+    lock it maps, evaluates and reduces the chunk to its failure count per
+    design, its failure rows and their packed failure bits, which it
+    stores at the chunk's index. A thread whose chunk raises stops, and no
+    thread takes a chunk after that; once all threads have joined, the
+    error of the earliest failing chunk is raised here, with a non-finite
+    g reported at its row's index in the whole sample.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -139,43 +143,53 @@ def crude_mc(joint, limit_state, n, seed, a=None):
 
     def evaluate(start, u, x):
         x = joint.to_physical(u, out=x)
-        mask = np.empty((len(x), len(designs)), dtype=bool)
+        # design-major, so that each design's flags and the reductions
+        # across designs run along contiguous rows
+        fails = np.empty((len(designs), len(x)), dtype=bool)
         for j, a_j in enumerate(designs):
             try:
-                mask[:, j] = lsf_mod.evaluate(limit_state, x, a_j) <= 0.0
+                fails[j] = lsf_mod.evaluate(limit_state, x, a_j) <= 0.0
             except NonFiniteGError as exc:
                 raise NonFiniteGError(start + exc.row, exc.inputs) from None
-        hit = mask.any(axis=1)
-        return (np.count_nonzero(mask, axis=0), x[hit],
-                np.packbits(mask[hit], axis=1))
+        hit = np.logical_or.reduce(fails)
+        return (np.count_nonzero(fails, axis=1), x[hit],
+                np.packbits(fails[:, hit].T, axis=1))
 
-    # imported here, so that importing relsens loads no thread pool
-    from concurrent.futures.thread import ThreadPoolExecutor
+    lock = threading.Lock()
+    todo = iter(enumerate(sizes))      # (chunk index, rows), taken in order
+    chunks = [None] * len(sizes)
+    errors = []                        # (chunk index, exception)
 
-    pool = ThreadPoolExecutor(workers)
-    chunks = []
-    pending = deque()
-    shape = (max(sizes), joint.dim)
-    free = []                          # (u, x) buffers of collected chunks
+    def work():
+        nonlocal todo
+        # x is (d, rows), so that each input's column of a chunk's (m, d)
+        # view x_buf[:, :m].T is contiguous
+        u_buf = np.empty((max(sizes), joint.dim))
+        x_buf = np.empty((joint.dim, max(sizes)))
+        while True:
+            with lock:
+                k, m = next(todo, (None, 0))
+                if k is None:
+                    return
+                u = rng.standard_normal(out=u_buf[:m])
+            try:
+                chunks[k] = evaluate(k * MC_BATCH, u, x_buf[:, :m].T)
+            except Exception as exc:   # raised on the calling thread
+                errors.append((k, exc))
+                todo = iter(())        # no thread takes another chunk
+                return
 
-    def collect():
-        buffers, future = pending.popleft()
-        chunks.append(future.result())
-        free.append(buffers)
-
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
     try:
-        for start, m in zip(range(0, n, MC_BATCH), sizes):
-            u_buf, x_buf = (free.pop() if free else
-                            (np.empty(shape), np.empty(shape)))
-            u = rng.standard_normal(out=u_buf[:m])
-            pending.append(((u_buf, x_buf),
-                            pool.submit(evaluate, start, u, x_buf[:m])))
-            if len(pending) > workers:
-                collect()
-        while pending:
-            collect()
+        work()
     finally:
-        pool.shutdown(cancel_futures=True)
+        todo = iter(())                # helpers stop if this thread raised
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
 
     counts, rows, bits = zip(*chunks)
     n_fail = np.sum(counts, axis=0)
@@ -242,7 +256,12 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None):
         raise DomainError("n_per_level * p0 must be at least 10")
     root = np.random.SeedSequence(seed)
     streams = root.spawn(MAX_LEVELS + 2)
-    G = lambda u: lsf_mod.evaluate(limit_state, joint.to_physical(u), a)
+    g_evals = 0
+
+    def G(u):
+        nonlocal g_evals
+        g_evals += len(u)
+        return lsf_mod.evaluate(limit_state, joint.to_physical(u), a)
 
     rng = make_rng(streams[0])
     u = rng.standard_normal((n_per_level, joint.dim))
@@ -273,7 +292,11 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None):
         u, g, lam, acc_last = _conditional_level(
             G, seeds_u, seeds_g, t, n_per_level, rng, lam)
     else:
-        raise StagnationError(f"no failure level within {MAX_LEVELS} levels")
+        raise StagnationError(
+            f"no failure level within {MAX_LEVELS} levels at p0 = {p0!r}, "
+            f"n_per_level = {n_per_level}: the last threshold reached was "
+            f"g = {t:.6g}, so pf is below about p0^{MAX_LEVELS} = "
+            f"{p0 ** MAX_LEVELS:.3g}")
 
     pf = float(np.prod([p for _, p in levels]))
 
@@ -291,4 +314,4 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None):
         acc_last = acc
     return SubsetResult(pf_hat=pf, levels=tuple(levels),
                         last_level_samples=x_fail,
-                        accept_rate=acc_last, n_chains=ns)
+                        accept_rate=acc_last, n_chains=ns, g_evals=g_evals)

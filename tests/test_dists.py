@@ -17,7 +17,8 @@ from relsens import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
 from relsens.condest import GRID_Z_HI, GRID_Z_LO
 from relsens.errors import (DomainError, FitError, InvalidCorrelationError,
                             NatafError)
-from conftest import EX1_RXX, EX1_SIGNS, PF_DEP, PF_IND
+from relsens.config import load_config
+from conftest import CONFIG_DIR, EX1_RXX, EX1_SIGNS, PF_DEP, PF_IND
 
 
 # -- moment fits ---------------------------------------------------------------
@@ -410,6 +411,29 @@ def test_to_physical_writes_into_out(ex2_joint):
     z = u @ ex2_joint.chol_z.T
     for i, m in enumerate(ex2_joint.marginals):
         assert x[:, i].tobytes() == m.from_standard_normal(z[:, i]).tobytes()
+
+
+@pytest.mark.parametrize("config",
+                         sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_to_physical_keeps_the_bits_of_the_row_major_product(config):
+    # to_physical forms chol_z u^T; that it has the bits of u chol_z^T, the
+    # product crude-MC and subset samples were pinned with, is a property
+    # of the BLAS, checked here at every row count up to 64 and at chunk
+    # sizes the samplers use
+    joint = load_config(CONFIG_DIR / config).joint
+    d = joint.dim
+    u_all = np.random.Generator(np.random.Philox(5)).standard_normal(
+        (25_001, d))
+    for m in [*range(1, 65), 151, 2000, 3594, 25_000, 25_001]:
+        u = u_all[:m]
+        z = u @ joint.chol_z.T
+        ref = np.empty((m, d))
+        for i, marginal in enumerate(joint.marginals):
+            ref[:, i] = marginal.from_standard_normal(z[:, i])
+        assert joint.to_physical(u).tobytes() == ref.tobytes(), m
+        for out in (np.empty((d, m)).T, np.empty((m, d))):
+            joint.to_physical(u, out=out)
+            assert out.tobytes() == ref.tobytes(), m
 
 
 def test_independent_copula_is_identity(ex1_joint):

@@ -161,6 +161,31 @@ def test_starved_safety_runs_name_the_count_and_the_setting(
                                f"found {count}")
 
 
+@pytest.mark.parametrize("stage", ["safety", "design"])
+@pytest.mark.parametrize("method", ["mc", "subset"])
+def test_g_evals_count_every_row_passed_to_g(monkeypatch, method, stage):
+    overrides = {"n": 60_017, "n_per_level": 500, "grid_points": 32}
+    if stage == "safety":
+        raw = json.loads((ROOT / "configs" / "example1_safety.json").read_text())
+        raw.update(method=method, **overrides)
+    else:
+        raw = _design_config(method, 0.8, 1.2, 3, **overrides)
+    cfg = config_mod.validate_config(raw)
+    rows = []
+    evaluate_g = lsf.evaluate
+
+    def counting(limit_state, x, a=None):
+        rows.append(len(x))
+        return evaluate_g(limit_state, x, a)
+
+    monkeypatch.setattr(sample.lsf_mod, "evaluate", counting)
+    res = pipeline.run_analysis(cfg)
+    assert res.diagnostics["g_evals"] == sum(rows)
+    if method == "mc":
+        designs = 1 if stage == "safety" else 3
+        assert sum(rows) == cfg.n * designs
+
+
 def test_cli_design_report_has_details_and_counts(tmp_path):
     cfg_path = tmp_path / "subset.json"
     cfg_path.write_text(json.dumps(_design_config(

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relsens import (LimitState, crude_mc, evaluate, lognormal_linear_pf,
-                     sample, subset_simulation)
+from relsens import (GaussianCopulaJoint, LimitState, Marginal, crude_mc,
+                     evaluate, lognormal_linear_pf, sample, subset_simulation)
 from relsens.errors import DomainError, EvalError, StagnationError
 from conftest import PF_IND
 
@@ -156,6 +156,21 @@ def test_subset_stagnation_detected(ex1_joint):
         subset_simulation(ex1_joint, stuck, n_per_level=500, p0=0.1, seed=0)
 
 
+def test_subset_without_a_failure_level_names_its_settings_and_reach():
+    # pf = Phi(-12) ~ 1.8e-33 lies below p0^30 = 1e-30
+    joint = GaussianCopulaJoint.fit([Marginal("normal", (0.0, 1.0))])
+    far = LimitState.from_expression("12 - Z", ("Z",))
+    with pytest.raises(StagnationError) as info:
+        subset_simulation(joint, far, n_per_level=500, p0=0.1, seed=3)
+    message = str(info.value)
+    assert message.startswith("no failure level within 30 levels at "
+                              "p0 = 0.1, n_per_level = 500: the last "
+                              "threshold reached was g = ")
+    assert message.endswith(", so pf is below about p0^30 = 1e-30")
+    last = float(message.split("g = ")[1].split(",")[0])
+    assert 0.0 < last < 1.0
+
+
 def test_subset_keeps_one_level_of_chains_in_memory(ex1_joint_dep, ex1_lsf):
     # each pass writes its chains into one preallocated array of u and one
     # of g, and a level is dropped once the next one's seeds are taken:
@@ -273,23 +288,47 @@ def test_crude_mc_keeps_few_chunks_in_memory(monkeypatch, cpus, budget_mib,
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_crude_mc_reuses_the_buffers_of_collected_chunks(monkeypatch, cpus,
                                                          ex2_joint, ex2_lsf):
-    # ten chunks and a ragged tail map into at most workers + 1 buffers, one
-    # per chunk in flight, each handed on once its chunk has been collected
+    # ten chunks and a ragged tail map into exactly one buffer per working
+    # thread, which that thread reuses for every chunk it takes
     class RecordingJoint:
         dim = ex2_joint.dim
 
         def __init__(self):
-            self.buffers = set()
+            self.owners = {}
 
         def to_physical(self, u, out=None):
-            self.buffers.add(id(out.base))
+            self.owners.setdefault(id(out.base), set()).add(
+                threading.get_ident())
+            time.sleep(0.002)     # the other threads take the next chunks
             return ex2_joint.to_physical(u, out=out)
 
     monkeypatch.setattr(sample, "MC_BATCH", 1000)
     joint = RecordingJoint()
     res = _mc_at(monkeypatch, cpus, joint, ex2_lsf, 10_123, 37)
     assert res.workers == cpus
-    assert 1 < len(joint.buffers) <= cpus + 1
+    assert len(joint.owners) == res.workers
+    threads = set.union(*joint.owners.values())
+    assert len(threads) == res.workers
+    assert all(len(owner) == 1 for owner in joint.owners.values())
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_crude_mc_starts_one_thread_fewer_than_its_workers(monkeypatch, cpus,
+                                                           ex1_joint, ex1_lsf):
+    # the calling thread works too: at one CPU no thread is started
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    res = _mc_at(monkeypatch, cpus, ex1_joint, ex1_lsf,
+                 4 * sample.MC_BATCH, 38)
+    assert res.workers == cpus
+    assert len(started) == cpus - 1
+    assert not any(thread.is_alive() for thread in started)
 
 
 def test_crude_mc_sample_equals_one_draw_mapped_at_once(monkeypatch,
@@ -310,14 +349,19 @@ def test_crude_mc_sample_equals_one_draw_mapped_at_once(monkeypatch,
             assert res.failure_samples.tobytes() == x.tobytes()
 
 
+def _first_rows(joint, batch, n, seed):
+    """The first physical row of each chunk, which tells the chunks apart."""
+    rng = sample.make_rng(seed)
+    return [joint.to_physical(rng.standard_normal((batch, joint.dim)))[0]
+            for _ in range(n // batch)]
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_crude_mc_raises_the_earliest_worker_error(monkeypatch, cpus,
                                                    ex1_joint, ex1_lsf):
     batch, n, seed = 1000, 8000, 35
     monkeypatch.setattr(sample, "MC_BATCH", batch)
-    rng = sample.make_rng(seed)
-    first_rows = [ex1_joint.to_physical(rng.standard_normal((batch, 4)))[0]
-                  for _ in range(n // batch)]
+    first_rows = _first_rows(ex1_joint, batch, n, seed)
     evaluate_g = sample.lsf_mod.evaluate
 
     def failing(limit_state, x, a=None):
@@ -333,6 +377,34 @@ def test_crude_mc_raises_the_earliest_worker_error(monkeypatch, cpus,
     with pytest.raises(EvalError, match="chunk 2"):
         _mc_at(monkeypatch, cpus, ex1_joint, ex1_lsf, n, seed)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_crude_mc_takes_no_chunk_after_an_error(monkeypatch, cpus, ex1_joint,
+                                                ex1_lsf):
+    # chunk 1 fails at once while the others take 50 ms: chunks 0 and 1
+    # and those taken before the failure (at most one per other worker) are
+    # evaluated, and none after it
+    batch, n, seed = 1000, 8000, 39
+    monkeypatch.setattr(sample, "MC_BATCH", batch)
+    first_rows = _first_rows(ex1_joint, batch, n, seed)
+    evaluate_g = sample.lsf_mod.evaluate
+    seen = []
+
+    def failing(limit_state, x, a=None):
+        k = next(k for k, row in enumerate(first_rows)
+                 if np.array_equal(x[0], row))
+        seen.append(k)
+        if k == 1:
+            raise EvalError("chunk 1")
+        time.sleep(0.05)
+        return evaluate_g(limit_state, x, a)
+
+    monkeypatch.setattr(sample.lsf_mod, "evaluate", failing)
+    with pytest.raises(EvalError, match="chunk 1"):
+        _mc_at(monkeypatch, cpus, ex1_joint, ex1_lsf, n, seed)
+    assert sorted(seen) == list(range(len(seen)))
+    assert 2 <= len(seen) <= max(cpus, 2)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
