@@ -36,6 +36,10 @@ far-tail values included. The targets are split by d_min:
   at 3e-30 near |D| = 4; a near target's sum is at least exp(-9), so
   even at n = 1e5 that is below 1e-21 relative. |D| is bounded by the
   reach, so the Horner sums cannot overflow.
+- A call whose near targets' windows hold fewer terms than the series
+  would take, n K moments plus K per (target, box) pair, sums them
+  directly as well: a short grid would otherwise pay the n K moments
+  for a handful of targets.
 
 What is left is rounding: the values match the sum over all n points to
 1e-13 relative. Both sums run over the flat list of (target, point) or
@@ -104,13 +108,21 @@ def _pair_sums(lo, hi, term):
     return sums, total
 
 
-def _series_pairs(p, s, t, reach):
+def _series_pairs(p, s, t, reach, direct_terms):
     """Box-series sums of the near targets t over the sorted points p, and
-    the number of (target, box) pairs (see the module docstring)."""
+    the terms they take: n K box moments and K per (target, box) pair (see
+    the module docstring). None, with no moments built, where that is more
+    than ``direct_terms``, the terms of the targets' direct windows."""
     width = BOX_WIDTH * s
     box = np.floor((p - p[0]) * (1.0 / width))
     starts = np.flatnonzero(np.diff(box, prepend=-1.0))
     centres = p[0] + (box[starts] + 0.5) * width
+    reach = reach + 0.5 * width
+    lo = np.searchsorted(centres, t - reach, side="left")
+    hi = np.searchsorted(centres, t + reach, side="right")
+    terms = SERIES_TERMS * (len(p) + int(np.sum(hi - lo)))
+    if terms > direct_terms:
+        return None
     d = p - (p[0] + (box + 0.5) * width)
     del box                          # n-length arrays go before the pair passes
     d *= 1.0 / s
@@ -121,7 +133,6 @@ def _series_pairs(p, s, t, reach):
         mom[k] = np.add.reduceat(w, starts) / math.factorial(k)
         w *= d
     del d, w
-    reach = reach + 0.5 * width
 
     def horner(k, j):
         dist = (t[k] - centres[j]) * (1.0 / s)
@@ -131,9 +142,7 @@ def _series_pairs(p, s, t, reach):
             acc += row.take(j, out=coef)
         return acc * np.exp(-dist * dist)
 
-    return _pair_sums(np.searchsorted(centres, t - reach, side="left"),
-                      np.searchsorted(centres, t + reach, side="right"),
-                      horner)
+    return _pair_sums(lo, hi, horner)[0], terms
 
 
 @dataclass(frozen=True)
@@ -142,8 +151,9 @@ class KdeModel:
 
     ``points`` are kept sorted, which the windowed sums rely on.
     ``kernel_terms`` counts the work its density calls did: kernel terms
-    summed directly, plus n K box-moment terms for each call with a near
-    target, plus K terms per (near target, box) pair (K = SERIES_TERMS).
+    summed directly, plus, for each call whose near targets take the box
+    series, n K box-moment terms and K terms per (near target, box) pair
+    (K = SERIES_TERMS).
     """
 
     points: np.ndarray = field(repr=False)
@@ -174,11 +184,10 @@ class KdeModel:
         c = sqrt(2 ln(n / TRUNCATION_RTOL)): a point beyond it adds less
         than TRUNCATION_RTOL / n times the largest term of the sum.
         """
-        return self._windows(t, self._nearest(t))
+        return self._windows(t, self._reach(self._nearest(t)))
 
-    def _windows(self, t, d_min):
+    def _windows(self, t, reach):
         p = self.points
-        reach = self._reach(d_min)
         return (np.searchsorted(p, t - reach, side="left"),
                 np.searchsorted(p, t + reach, side="right"))
 
@@ -187,17 +196,20 @@ class KdeModel:
 
         Targets within NEAR_CUT = 3 units of h sqrt(2) of a point are
         summed by the box series, the others directly over their windows
-        (see ``windows`` and the module docstring). Series truncation is
-        below 1e-21 relative and the omitted window terms below
-        TRUNCATION_RTOL (1e-16) relative, so each value equals the direct
-        sum over all n points to within rounding: 1e-13 relative. A value
-        is exactly zero only where every kernel term of its window
-        underflows, which only a tail target's can.
+        (see ``windows`` and the module docstring). Where the near targets'
+        windows hold fewer terms than the series would take (n K moments,
+        K per (target, box) pair), as on a short grid, they are summed
+        directly too. Series truncation is below 1e-21 relative and the
+        omitted window terms below TRUNCATION_RTOL (1e-16) relative, so
+        each value equals the direct sum over all n points to within
+        rounding: 1e-13 relative. A value is exactly zero only where every
+        kernel term of its window underflows, which only a tail target's
+        can.
 
         The t are summed in sorted order, so a permutation of t gives the
         same values permuted. ``kernel_terms`` grows by the direct terms,
-        the n K moment terms if any target is near, and K terms per
-        (near target, box) pair (K = SERIES_TERMS).
+        plus the series' n K moment terms and K terms per (near target,
+        box) pair where it runs (K = SERIES_TERMS).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p = self.points
@@ -206,18 +218,25 @@ class KdeModel:
         order = np.argsort(t, kind="stable")
         ts = t[order]
         d_min = self._nearest(ts)
+        reach = self._reach(d_min)
+        lo, hi = self._windows(ts, reach)
         near = d_min <= NEAR_CUT * s
-        tail = ts[~near]
         scale = -0.5 / (h * h)
         sums = np.empty(len(ts))
         with np.errstate(under="ignore"):
-            sums[~near], terms = _pair_sums(
-                *self._windows(tail, d_min[~near]),
-                lambda k, j: np.exp((tail[k] - p[j]) ** 2 * scale))
+            series = None
             if near.any():
-                sums[near], pairs = _series_pairs(
-                    p, s, ts[near], self._reach(d_min[near]))
-                terms += SERIES_TERMS * (len(p) + pairs)
+                series = _series_pairs(p, s, ts[near], reach[near],
+                                       int(np.sum(hi[near] - lo[near])))
+                if series is None:
+                    near[:] = False
+            tail = ts[~near]
+            sums[~near], terms = _pair_sums(
+                lo[~near], hi[~near],
+                lambda k, j: np.exp((tail[k] - p[j]) ** 2 * scale))
+            if series is not None:
+                sums[near], series_terms = series
+                terms += series_terms
         sums[np.isnan(ts)] = np.nan
         object.__setattr__(self, "kernel_terms", self.kernel_terms + terms)
         out = np.empty_like(sums)
@@ -244,8 +263,9 @@ class ConditionalPfCurve:
     The decision layer integrates against ``density_prior``, so every
     curve carries it. ``density_conditional`` is f(x_i | F) where a
     sampling method produced the curve (the prior itself at pf = 1), and
-    ``kernel_terms`` the work its KDE did: kernel terms summed directly,
-    n K box moments and K per (near target, box) pair (see ``KdeModel``).
+    ``kernel_terms`` the work its KDE did: kernel terms summed directly
+    and, where the series ran, n K box moments and K per (near target,
+    box) pair (see ``KdeModel``).
     """
 
     grid: np.ndarray

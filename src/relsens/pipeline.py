@@ -1,13 +1,31 @@
 """Orchestration: from a validated RunConfig to curves and reports.
 
-One estimator serves both decision stages. ``estimate`` computes pf and
-every input's conditional-pf curve at each value of the design grid,
-which it carries as an array axis; a design-free limit state (the safety
-stage) is the one-row case. The design stage picks the prior-optimal
-design from those rows, reports the curves of its row and takes each
-input's design EVPPI straight from the rows, so no reliability analysis
-is repeated. The decision layer is shared. ``run_analysis`` times two
-stages: ``reliability``, then ``safety_evppi`` or ``design_evppi``.
+One estimator serves both decision stages. ``estimate`` computes pf at
+each value of the design grid, which it carries as an array axis, and
+gives every input's conditional-pf curve at each; a design-free limit
+state (the safety stage) is the one-row case. The design stage picks the
+prior-optimal design from pf, reports the curves of its row and takes
+each input's design EVPPI straight from the rows, so no reliability
+analysis is repeated. The decision layer is shared.
+
+Two stages run on the worker threads of ``sample.run_on_workers``, the
+package's one thread loop: crude MC's chunks, and the per-input stage of
+``run_analysis``, one task per input. A task takes the input's (designs
+x grid) conditional pf rows, its curve at the reported row and, at the
+design stage, its design EVPPI; at analytic and FORM it evaluates the
+closed forms, one Phi pass over 151 x 512 values per input at example
+1's design stage. The loop sizes itself from the work, so a safety run's
+curves (a few thousand values) start no thread. The KDE fits of mc and
+subset run one after another in ``estimate``: their pair sums make many
+small numpy calls, and on 2 threads the four curves of a run were slower
+(medians on a 2-CPU VM: 18.5 -> 20.0 ms on dependent-subset's sample,
+12-15 -> 16-18 ms on column-mc's).
+
+``run_analysis`` times two stages: ``reliability`` (the FORM search, the
+sampling and the KDE fits), then ``safety_evppi`` or ``design_evppi``,
+which holds the per-input stage and the report. ``diagnostics.workers``
+is the number of threads crude MC drew on at mc, and the per-input
+stage's otherwise.
 """
 
 from __future__ import annotations
@@ -34,19 +52,19 @@ class AnalysisResult:
 class Estimate:
     """Reliability results with one row per design (one row for safety).
 
-    ``at_row(j)`` gives row j's per-input ConditionalPfCurve objects and
-    its method diagnostics; ``diagnostics`` holds figures of all rows.
+    ``values(i)`` gives input i's (n_designs, n_grid) conditional pf rows,
+    and ``curve(i, j, row)`` its ConditionalPfCurve at design row j, whose
+    pf values are ``row`` = values(i)[j]. At analytic and FORM these
+    evaluate the closed forms when called; at mc and subset they read the
+    curves ``estimate`` fitted. ``row_diagnostics(j)`` gives row j's
+    method diagnostics, and ``diagnostics`` holds figures of all rows.
     """
 
     pf: np.ndarray                     # (n_designs,)
-    values: dict                       # name -> (n_designs, n_grid) pf(x_i)
-    at_row: object
+    values: object
+    curve: object
+    row_diagnostics: object
     diagnostics: dict
-
-
-def _grids(cfg):
-    return {name: condest.default_grid(m, cfg.grid_points)
-            for name, m in zip(cfg.names, cfg.marginals)}
 
 
 def estimate(cfg, designs=None):
@@ -54,7 +72,7 @@ def estimate(cfg, designs=None):
 
     ``designs`` is the design grid, or None for a design-free limit state.
     """
-    grids = _grids(cfg)
+    grids = [condest.default_grid(m, cfg.grid_points) for m in cfg.marginals]
     if cfg.method == "analytic":
         return _analytic(cfg, grids, designs)
     if cfg.method == "form":
@@ -69,31 +87,25 @@ def estimate(cfg, designs=None):
 def _function_estimate(cfg, grids, pf, values, source, row_diagnostics,
                        diagnostics):
     """Estimate of a closed-form method: row curves wrap the value rows."""
-    def at_row(j):
-        curves = {name: condest.curve_from_function(
-                      m, lambda x, row=values[name][j]: row, pf[j],
-                      grids[name], source=source)
-                  for name, m in zip(cfg.names, cfg.marginals)}
-        return curves, row_diagnostics(j)
+    def curve(i, j, row):
+        return condest.curve_from_function(cfg.marginals[i], lambda x: row,
+                                           pf[j], grids[i], source=source)
 
-    return Estimate(pf, values, at_row, diagnostics)
+    return Estimate(pf, values, curve, row_diagnostics, diagnostics)
 
 
 def _analytic(cfg, grids, designs):
     problem = config_mod.analytic_problem(cfg, designs)
     pf = dists.lognormal_linear_pf(problem)
-    values = {name: dists.lognormal_linear_conditional_pf(problem, i,
-                                                          grids[name])
-              for i, name in enumerate(cfg.names)}
-    return _function_estimate(cfg, grids, pf, values, "analytic",
-                              lambda j: {}, {})
+    return _function_estimate(
+        cfg, grids, pf,
+        lambda i: dists.lognormal_linear_conditional_pf(problem, i, grids[i]),
+        "analytic", lambda j: {}, {})
 
 
 def _form(cfg, grids, designs):
     res = form.solve_form(cfg.joint, cfg.limit_state, designs)
     pf = special.std_normal_cdf(-res.beta0)
-    values = {name: form.conditional_pf_x(cfg.joint, i, grids[name], res)
-              for i, name in enumerate(cfg.names)}
     labels = ["reliability"] if designs is None else designs.tolist()
     diagnostics = {"form": {
         "solves": len(res.beta0), "iterations": res.iterations,
@@ -106,8 +118,10 @@ def _form(cfg, grids, designs):
                 "alpha_sq": (res.alpha[j] ** 2).tolist(),
                 "form_iterations": int(res.row_iterations[j])}
 
-    return _function_estimate(cfg, grids, pf, values, "form", row_diagnostics,
-                              diagnostics)
+    return _function_estimate(
+        cfg, grids, pf,
+        lambda i: form.conditional_pf_x(cfg.joint, i, grids[i], res),
+        "form", row_diagnostics, diagnostics)
 
 
 def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
@@ -117,7 +131,8 @@ def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
     ``failure_rows(j)`` returns the ``counts[j]`` failure samples of row
     j; every row needs condest.MIN_FAILURE_VALUES of them for the density
     fits, at the safety and the design stage alike. ``g_evals`` counts
-    the rows g was evaluated at, over all rows.
+    the rows g was evaluated at, over all rows. The fits run here, one
+    after another.
     """
     counts = [int(c) for c in counts]
     starved = [j for j, c in enumerate(counts) if c < condest.MIN_FAILURE_VALUES]
@@ -135,16 +150,16 @@ def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
     rows = []
     for j in range(len(pf)):
         samples = failure_rows(j)
-        rows.append({name: condest.conditional_pf_from_failure_samples(
-                         cfg.marginals[i], samples[:, i], pf[j], grids[name],
+        rows.append([condest.conditional_pf_from_failure_samples(
+                         m, samples[:, i], pf[j], grids[i],
                          n_chains=n_chains[j])
-                     for i, name in enumerate(cfg.names)})
-    values = {name: np.vstack([row[name].pf_values for row in rows])
-              for name in cfg.names}
+                     for i, m in enumerate(cfg.marginals)])
     diagnostics = {"g_evals": g_evals}
     if designs is not None:
         diagnostics["n_failure_samples_per_design"] = counts
-    return Estimate(pf, values, lambda j: (rows[j], row_diagnostics(j)),
+    return Estimate(pf,
+                    lambda i: np.vstack([row[i].pf_values for row in rows]),
+                    lambda i, j, row: rows[j][i], row_diagnostics,
                     diagnostics)
 
 
@@ -193,9 +208,19 @@ def run_analysis(cfg):
     # curves of the prior-optimal design's row
     prior = None if designs is None else dec.prior_design(est.pf, cfg.design)
     j = 0 if prior is None else prior["index"]
-    curves, row_diagnostics = est.at_row(j)
-    pf = float(est.pf[j])
     t1 = time.perf_counter()
+
+    def input_stage(i, _):
+        values = est.values(i)
+        curve = est.curve(i, j, values[j])
+        return curve, (None if prior is None else
+                       dec.evppi_design(curve, values, est.pf, cfg.design))
+
+    stage_results, workers = sample.run_on_workers(
+        len(cfg.names), est.pf.size * cfg.grid_points * len(cfg.names),
+        lambda: (None, input_stage))
+    curves = {name: c for name, (c, _) in zip(cfg.names, stage_results)}
+    pf = float(est.pf[j])
 
     # validate_config admits exactly one of the safety and design blocks
     safety_report = design_block = None
@@ -208,12 +233,18 @@ def run_analysis(cfg):
             method=method_label, pf=pf)
     else:
         stage = "design_evppi"
-        design_block = _design_evppi(cfg, est, prior, curves)
+        details = {name: d for name, (_, d) in zip(cfg.names, stage_results)}
+        report = dec.evppi_report(cfg.names,
+                                  [d["evppi"] for d in details.values()],
+                                  f"{cfg.method}-design")
+        design_block = {"prior": prior, "pf_per_design": est.pf.tolist(),
+                        "report": report, "details": details}
     stage_seconds = {"reliability": t1 - t0,
                      stage: time.perf_counter() - t1}
 
     diagnostics = {"method": cfg.method, "seed": cfg.seed,
-                   **row_diagnostics, **est.diagnostics}
+                   **est.row_diagnostics(j), **est.diagnostics}
+    diagnostics.setdefault("workers", workers)     # crude MC reports its own
     kde_inputs = {name: {"n_failure_samples": c.n_failure_samples,
                          "ess": c.ess, "clip_fraction": c.clip_fraction,
                          "kernel_terms": c.kernel_terms}
@@ -223,18 +254,6 @@ def run_analysis(cfg):
     diagnostics["stage_seconds"] = stage_seconds
     return AnalysisResult(pf=pf, curves=curves, safety_report=safety_report,
                           design=design_block, diagnostics=diagnostics)
-
-
-def _design_evppi(cfg, est, prior, ref_curves):
-    """The inner-optimization EVPPI of every input over the design rows."""
-    details = {name: dec.evppi_design(ref_curves[name], est.values[name],
-                                      est.pf, cfg.design)
-               for name in cfg.names}
-    report = dec.evppi_report(cfg.names,
-                              [details[n]["evppi"] for n in cfg.names],
-                              f"{cfg.method}-design")
-    return {"prior": prior, "pf_per_design": est.pf.tolist(),
-            "report": report, "details": details}
 
 
 # -- FORM sensitivity curves ----------------------------------------------------

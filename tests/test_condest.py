@@ -10,7 +10,7 @@ from relsens import (ConditionalPfCurve, Marginal,
                      conditional_pf_from_failure_samples, crude_mc,
                      default_grid, kde_fit, lognormal_linear_conditional_pf,
                      lognormal_linear_pf, std_normal_inv)
-from relsens import cli, config as config_mod, pipeline, sample
+from relsens import cli, condest, config as config_mod, pipeline, sample
 from relsens.condest import (BOX_WIDTH, NEAR_CUT, PAIR_CHUNK, SERIES_TERMS,
                              TRUNCATION_RTOL, KdeModel, effective_sample_size,
                              silverman_bandwidth)
@@ -120,15 +120,18 @@ def own_boxes(values, h, t):
 
 
 def expected_terms(model, t):
-    """kernel_terms of one density call: the tail targets' windows, the
-    n K box moments if any target is near, and K per near target's box."""
+    """kernel_terms of one density call: the tail targets' windows, then
+    the n K box moments and K per near target's box if any target is near,
+    or the near targets' windows where those hold fewer terms."""
     h = model.bandwidth
     s = h * math.sqrt(2.0)
     near = nearest_distance(model.points, t) <= NEAR_CUT * s
-    lo, hi = model.windows(t[~near])
+    lo, hi = model.windows(t)
+    windows = hi - lo
     moments = len(model.points) if near.any() else 0
     boxes = int(own_boxes(model.points, h, t[near]).sum())
-    return int((hi - lo).sum()) + SERIES_TERMS * (moments + boxes)
+    series = SERIES_TERMS * (moments + boxes)
+    return int(windows[~near].sum()) + min(series, int(windows[near].sum()))
 
 
 @pytest.mark.parametrize("sample, core, series", [
@@ -197,6 +200,36 @@ def test_tail_targets_either_side_of_the_points_never_share_a_block():
     assert model.kernel_terms == int((hi - lo).sum()) < 3000
     assert np.allclose(got, exact_density(v, model.bandwidth, t),
                        rtol=1e-13, atol=0.0)
+
+
+def test_a_short_grid_sums_its_near_targets_directly():
+    # 16 grid targets over 20 000 points: their windows hold fewer terms
+    # than the n K box moments alone, so they are summed directly, and the
+    # values stay within rounding of the box series they took before
+    v = np.random.default_rng(23).standard_normal(20_000)
+    m = Marginal("normal", (0.0, 1.0))
+    model = kde_fit(v, m)
+    h = model.bandwidth
+    t = default_grid(m, 16)
+    got = model.density_transformed(t)
+    lo, hi = model.windows(t)
+    assert model.kernel_terms == int((hi - lo).sum()) < SERIES_TERMS * len(v)
+    near = nearest_distance(v, t) <= NEAR_CUT * h * math.sqrt(2.0)
+    assert near.sum() > 10
+    c = math.sqrt(2.0 * math.log(len(v) / TRUNCATION_RTOL))
+    series, terms = condest._series_pairs(
+        model.points, h * math.sqrt(2.0), t[near],
+        np.hypot(nearest_distance(v, t[near]), c * h), math.inf)
+    assert terms + int((hi - lo)[~near].sum()) > model.kernel_terms
+    norm = len(v) * h * math.sqrt(2.0 * math.pi)
+    assert np.allclose(got[near], series / norm, rtol=1e-13, atol=0.0)
+    assert np.allclose(got, exact_density(v, h, t), rtol=1e-13, atol=0.0)
+    # the shipped 512-point grid keeps the series
+    wide = KdeModel(points=model.points, bandwidth=h)
+    t = default_grid(m, 512)
+    wide.density_transformed(t)
+    lo, hi = wide.windows(t)
+    assert wide.kernel_terms == expected_terms(wide, t) < int((hi - lo).sum())
 
 
 @pytest.mark.parametrize("others", ["none", "right-tail", "core"])

@@ -3,14 +3,16 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relsens import cli, sample
+from relsens import cli, form, sample
 from relsens.config import load_config, validate_config
-from relsens.errors import ConfigError
+from relsens.errors import ConfigError, DomainError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -388,8 +390,8 @@ def test_cli_run_seed_override_changes_mc(tmp_path):
 
 
 def _runs_on_one_and_four_cpus(tmp_path, monkeypatch, raw):
-    """Run ``raw`` as crude MC would on one CPU and on four; return the two
-    output directories and the workers each report names."""
+    """Run ``raw`` as the worker threads would on one CPU and on four;
+    return the two output directories and the workers each report names."""
     cfg_path = tmp_path / "mc.json"
     cfg_path.write_text(json.dumps(raw))
     outs, workers = [], []
@@ -504,6 +506,81 @@ def test_cli_mc_design_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
                                                       raw)
     assert workers == [1, 4]
     _assert_same_csvs(one, four, 5)
+
+
+def _report_without_timings(out):
+    report = json.loads((out / "report.json").read_text())
+    del report["diagnostics"]["stage_seconds"], report["manifest"]["wall_seconds"]
+    return report
+
+
+@pytest.mark.parametrize("stage", ["safety", "design"])
+@pytest.mark.parametrize("method", ["analytic", "form"])
+def test_cli_closed_forms_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
+                                                         method, stage):
+    # the design stage's four inputs, each 151 designs x 512 grid points,
+    # run on four threads at four CPUs; a safety run's 2048 values on one
+    name = ("example1_design.json" if stage == "design"
+            else "example1_safety_dependent.json")
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["method"] = method
+    (one, four), workers = _runs_on_one_and_four_cpus(tmp_path, monkeypatch,
+                                                      raw)
+    assert workers == ([1, 4] if stage == "design" else [1, 1])
+    # the table and four pf curves; a safety run adds four cvppi curves
+    _assert_same_csvs(one, four, 5 if stage == "design" else 9)
+    reports = [_report_without_timings(out) for out in (one, four)]
+    for report in reports:
+        del report["diagnostics"]["workers"]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_cli_closed_form_raises_the_earliest_inputs_error(tmp_path, monkeypatch,
+                                                          capsys, cpus):
+    # inputs 1 and 3 fail, input 3 first in time wherever they run at once
+    conditional_pf_x = form.conditional_pf_x
+
+    def failing(joint, i, x_i, res):
+        if i == 1:
+            time.sleep(0.05)
+        if i in (1, 3):
+            raise DomainError(f"input {i} failed")
+        return conditional_pf_x(joint, i, x_i, res)
+
+    monkeypatch.setattr(form, "conditional_pf_x", failing)
+    monkeypatch.setattr(sample, "_available_cpus", lambda: cpus)
+    threads = threading.active_count()
+    assert cli.main(["run", str(CONFIG_DIR / "example1_design.json"),
+                     "--method", "form", "--out",
+                     str(tmp_path / "out")]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure in run: input 1 failed\n"
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("stage,starts", [("safety", 0), ("design", 3)])
+@pytest.mark.parametrize("method", ["analytic", "form"])
+def test_cli_closed_form_threads_follow_the_work(tmp_path, monkeypatch, method,
+                                                 stage, starts):
+    # at four CPUs a safety run's curves are too little work for a thread
+    # start; a design run's four inputs take one thread each
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(sample, "_available_cpus", lambda: 4)
+    name = ("example1_design.json" if stage == "design"
+            else "example1_safety_dependent.json")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(CONFIG_DIR / name), "--method", method,
+                     "--out", str(out)]) == 0
+    assert len(started) == starts
+    report = json.loads((out / "report.json").read_text())
+    assert report["diagnostics"]["workers"] == starts + 1
 
 
 def test_cli_sweep(tmp_path):

@@ -34,7 +34,7 @@ def test_analytic_broadcast_equals_per_design_loop():
         for i, (name, m) in enumerate(zip(cfg.names, cfg.marginals)):
             grid = condest.default_grid(m, cfg.grid_points)
             loop = dists.lognormal_linear_conditional_pf(problem, i, grid)
-            assert np.allclose(est.values[name][j], loop, rtol=1e-14, atol=0.0)
+            assert np.allclose(est.values(i)[j], loop, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("case", ["design_free", "design_grid"])
@@ -51,7 +51,7 @@ def test_every_estimator_returns_one_row_per_design(method, case):
     m = 1 if designs is None else len(designs)
     est = pipeline.estimate(cfg, designs)
     assert est.pf.shape == (m,)
-    assert all(est.values[name].shape == (m, 64) for name in cfg.names)
+    assert all(est.values(i).shape == (m, 64) for i in range(len(cfg.names)))
     if method == "analytic":
         problem = config_mod.analytic_problem(cfg, designs)
         assert np.shape(problem.const_term) == (m,)
@@ -96,8 +96,8 @@ def test_design_reference_row_is_the_sweep_row():
     j = res.design["prior"]["index"]
     assert res.pf == res.design["pf_per_design"][j]
     sweep = pipeline.estimate(cfg, cfg.design.grid)
-    for name in cfg.names:
-        assert np.array_equal(res.curves[name].pf_values, sweep.values[name][j])
+    for i, name in enumerate(cfg.names):
+        assert np.array_equal(res.curves[name].pf_values, sweep.values(i)[j])
     assert res.diagnostics["form"]["solves"] == cfg.design.grid.size
 
 
