@@ -260,9 +260,11 @@ def kde_fit(values, marginal):
 class ConditionalPfCurve:
     """pf(x_i) on a grid, with the prior density f(x_i) on that grid.
 
-    The decision layer integrates against ``density_prior``, so every
-    curve carries it. ``density_conditional`` is f(x_i | F) where a
-    sampling method produced the curve (the prior itself at pf = 1), and
+    ``pf_values`` holds pf(x_i) at the ``grid`` values, ``source`` names
+    the estimator and ``pf_uncond`` is pf. The decision layer integrates
+    against ``density_prior``, so every curve carries it. From a sampling
+    method, ``density_conditional`` is f(x_i | F) (the prior at pf = 1),
+    ``clip_fraction`` the share of grid values clipped to pf = 1, and
     ``kernel_terms`` the work its KDE did: kernel terms summed directly
     and, where the series ran, n K box moments and K per (near target,
     box) pair (see ``KdeModel``).
@@ -275,8 +277,6 @@ class ConditionalPfCurve:
     density_prior: np.ndarray = field(repr=False)
     density_conditional: np.ndarray = field(repr=False, default=None)
     clip_fraction: float = 0.0
-    n_failure_samples: int = 0
-    ess: float = float("nan")
     kernel_terms: int = 0
 
     def __post_init__(self):
@@ -319,14 +319,12 @@ def effective_sample_size(values, stride=1):
 
 
 def conditional_pf_from_failure_samples(marginal, failure_values, pf_hat,
-                                        grid, n_chains=1):
+                                        grid):
     """Estimate pf(x_i) on a grid from one input's failure-sample values.
 
     Values are clipped to [0, 1]; the clipped fraction is recorded on the
-    curve. ``n_chains`` is the number of MCMC chains interleaved
-    step-major in ``failure_values`` (1 for independent draws); it only
-    sets the lags of the ESS. At pf_hat = 1 every sample failed, so
-    f(x | F) = f(x) and the curve is pf(x_i) = 1 exactly, with no fit.
+    curve. At pf_hat = 1 every sample failed, so f(x | F) = f(x) and the
+    curve is pf(x_i) = 1 exactly, with no fit.
     """
     if not 0.0 < pf_hat <= 1.0:
         raise DomainError("pf_hat must lie in (0, 1]")
@@ -350,8 +348,6 @@ def conditional_pf_from_failure_samples(marginal, failure_values, pf_hat,
         grid=grid, pf_values=pf, source="kde",
         pf_uncond=float(pf_hat), density_prior=prior,
         density_conditional=cond, clip_fraction=clip_fraction,
-        n_failure_samples=len(np.asarray(failure_values)),
-        ess=effective_sample_size(failure_values, stride=n_chains),
         kernel_terms=terms)
 
 

@@ -311,10 +311,11 @@ def nataf_pair(mi, mj, rho_x):
         return 0.0
     if mi.kind == NORMAL and mj.kind == NORMAL:
         return float(rho_x)
-    if mi.kind == LOGNORMAL and mj.kind == LOGNORMAL:
-        di, dj = mi.cov, mj.cov
-        return math.log1p(rho_x * di * dj) / (mi.params[1] * mj.params[1])
     try:
+        if mi.kind == LOGNORMAL and mj.kind == LOGNORMAL:
+            # log1p raises at 1 + rho_x cov_i cov_j <= 0, which no pair attains
+            return (math.log1p(rho_x * mi.cov * mj.cov)
+                    / (mi.params[1] * mj.params[1]))
         return _bisect(lambda r: _pair_physical_correlation(r, mi, mj) - rho_x,
                        -0.999, 0.999)
     except ValueError as exc:

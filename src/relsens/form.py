@@ -35,7 +35,7 @@ import numpy as np
 
 from . import lsf as lsf_mod
 from . import special
-from .errors import DomainError, SingularPointError
+from .errors import DomainError, NonFiniteGError, SingularPointError
 
 FD_STEP = 1e-5                  # central-difference step in standard space
 TOL_U = 1e-6                    # converged: step length at most this
@@ -98,6 +98,8 @@ def find_design_points(G, u0, max_iterations=100):
     halves its step, up to 30 times, unless it is settled: its full step
     is at most TOL_U long and its |G| at most TOL_G (1 + |G(0)|). A
     settled row keeps its current point, so it converges in that round.
+    A trial whose point or stencil gives a non-finite G is rejected for its
+    row alone: G is evaluated again without that row's points.
     """
     u = np.array(u0, dtype=float)
     m, n = u.shape
@@ -115,6 +117,18 @@ def find_design_points(G, u0, max_iterations=100):
         vals = g_of((points[:, None, :] + offsets).reshape(-1, n),
                     np.repeat(rows, k)).reshape(-1, k)
         return vals[:, 0], (vals[:, 1:n + 1] - vals[:, n + 1:]) / (2.0 * FD_STEP)
+
+    def trial_g_and_grad(points, rows):
+        # G = inf fails the Armijo test; exc.row counts k points per row
+        g, grad = np.full(len(points), np.inf), np.zeros_like(points)
+        live = np.arange(len(points))
+        while live.size:
+            try:
+                g[live], grad[live] = g_and_grad(points[live], rows[live])
+                break
+            except NonFiniteGError as exc:
+                live = np.delete(live, exc.row // k)
+        return g, grad
 
     rows = np.arange(m)
     g0_scale = 1.0 + np.abs(g_of(np.zeros((m, n)), rows))
@@ -147,7 +161,7 @@ def find_design_points(G, u0, max_iterations=100):
         todo = np.arange(len(active))
         for _ in range(30):
             trial = ua[todo] + step[todo, None] * d[todo]
-            g_t, gr_t = g_and_grad(trial, active[todo])
+            g_t, gr_t = trial_g_and_grad(trial, active[todo])
             ok = (0.5 * _rowdot(trial, trial) + c[todo] * np.abs(g_t)
                   <= m0[todo] - 1e-12 * m0[todo])
             accepted = todo[ok]

@@ -8,6 +8,15 @@ prior-optimal design from pf, reports the curves of its row and takes
 each input's design EVPPI straight from the rows, so no reliability
 analysis is repeated. The decision layer is shared.
 
+At mc and subset a design row is the one-design run at its design value
+on the run's seed: crude MC evaluates every design on one sample, and
+subset simulation runs every design on the seed's streams. Each fact
+about a row's sample is stated once, by its sampler. Crude MC reports
+starvation and ``n_failure_samples_per_design``, and no autocorrelation
+ESS, as its rows are independent draws: a row's ESS is its
+``n_failure_samples``. Subset reports the chain ESS (Au & Beck 2001) of
+each input at the reported row as ``diagnostics.ess``.
+
 Two stages run on the worker threads of ``sample.run_on_workers``, the
 package's one thread loop: crude MC's chunks, and the per-input stage of
 ``run_analysis``, one task per input. A task takes the input's (designs
@@ -22,10 +31,10 @@ small numpy calls, and on 2 threads the four curves of a run were slower
 12-15 -> 16-18 ms on column-mc's).
 
 ``run_analysis`` times two stages: ``reliability`` (the FORM search, the
-sampling and the KDE fits), then ``safety_evppi`` or ``design_evppi``,
-which holds the per-input stage and the report. ``diagnostics.workers``
-is the number of threads crude MC drew on at mc, and the per-input
-stage's otherwise.
+sampling, the KDE fits and the reported row's diagnostics, such as
+subset's ESS), then ``safety_evppi`` or ``design_evppi``, which holds the
+per-input stage and the report. ``diagnostics.workers`` is the number of
+threads crude MC drew on at mc, and the per-input stage's otherwise.
 """
 
 from __future__ import annotations
@@ -124,39 +133,15 @@ def _form(cfg, grids, designs):
         "form", row_diagnostics, diagnostics)
 
 
-def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
-                  g_evals, row_diagnostics):
-    """Estimate of a sampling method from each row's failure samples.
-
-    ``failure_rows(j)`` returns the ``counts[j]`` failure samples of row
-    j; every row needs condest.MIN_FAILURE_VALUES of them for the density
-    fits, at the safety and the design stage alike. ``g_evals`` counts
-    the rows g was evaluated at, over all rows. The fits run here, one
-    after another.
-    """
-    counts = [int(c) for c in counts]
-    starved = [j for j, c in enumerate(counts) if c < condest.MIN_FAILURE_VALUES]
-    if starved:
-        setting = "n" if cfg.method == "mc" else "n_per_level"
-        if designs is None:
-            where, found = "", f"found {counts[0]}"
-        else:
-            a = designs.tolist()
-            where, found = "per design ", "too few at " + ", ".join(
-                f"a = {a[j]!r} ({counts[j]})" for j in starved)
-        raise DomainError(
-            f"need at least {condest.MIN_FAILURE_VALUES} failure values "
-            f"{where}for the density fits (raise {setting}); {found}")
+def _kde_estimate(cfg, grids, pf, failure_rows, diagnostics, row_diagnostics):
+    """Estimate of a sampling method: fits the failure samples
+    ``failure_rows(j)`` of each row j here, one after another."""
     rows = []
     for j in range(len(pf)):
         samples = failure_rows(j)
         rows.append([condest.conditional_pf_from_failure_samples(
-                         m, samples[:, i], pf[j], grids[i],
-                         n_chains=n_chains[j])
+                         m, samples[:, i], pf[j], grids[i])
                      for i, m in enumerate(cfg.marginals)])
-    diagnostics = {"g_evals": g_evals}
-    if designs is not None:
-        diagnostics["n_failure_samples_per_design"] = counts
     return Estimate(pf,
                     lambda i: np.vstack([row[i].pf_values for row in rows]),
                     lambda i, j, row: rows[j][i], row_diagnostics,
@@ -166,37 +151,49 @@ def _kde_estimate(cfg, grids, designs, pf, counts, failure_rows, n_chains,
 def _mc(cfg, grids, designs):
     mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed,
                          a=designs)
+    counts = mc.n_fail.tolist()
+    starved = [j for j, c in enumerate(counts) if c < condest.MIN_FAILURE_VALUES]
+    if starved:
+        if designs is None:
+            where, found = "", f"found {counts[0]}"
+        else:
+            a = designs.tolist()
+            where, found = "per design ", "too few at " + ", ".join(
+                f"a = {a[j]!r} ({counts[j]})" for j in starved)
+        raise DomainError(
+            f"need at least {condest.MIN_FAILURE_VALUES} failure values "
+            f"{where}for the density fits (raise n); {found}")
     lo, hi = mc.ci95
 
     def row_diagnostics(j):
         return {"n": mc.n, "ci95": [float(lo[j]), float(hi[j])],
-                "n_failure_samples": int(mc.n_fail[j]), "workers": mc.workers}
+                "n_failure_samples": counts[j], "workers": mc.workers}
 
-    return _kde_estimate(cfg, grids, designs, mc.pf_hat, mc.n_fail,
-                         mc.failures, [1] * len(mc.pf_hat),
-                         mc.n * len(mc.pf_hat), row_diagnostics)
+    diagnostics = {"g_evals": mc.n * len(counts)}
+    if designs is not None:
+        diagnostics["n_failure_samples_per_design"] = counts
+    return _kde_estimate(cfg, grids, mc.pf_hat, mc.failures, diagnostics,
+                         row_diagnostics)
 
 
 def _subset(cfg, grids, designs):
-    # one run per design, each on its own stream
-    starts = ([(cfg.seed, None)] if designs is None else
-              [(cfg.seed + j + 1, a) for j, a in enumerate(designs)])
     runs = [sample.subset_simulation(cfg.joint, cfg.limit_state,
-                                     cfg.n_per_level, cfg.p0, seed, a=a)
-            for seed, a in starts]
-    pf = np.array([ss.pf_hat for ss in runs])
+                                     cfg.n_per_level, cfg.p0, cfg.seed, a=a)
+            for a in ([None] if designs is None else designs)]
 
     def row_diagnostics(j):
-        return {"levels": [list(t) for t in runs[j].levels],
-                "n_failure_samples": len(runs[j].last_level_samples),
-                "accept_rate": runs[j].accept_rate,
-                "samples_correlated": True}
+        ss = runs[j]
+        x = ss.last_level_samples
+        return {"levels": [list(t) for t in ss.levels],
+                "n_failure_samples": len(x), "accept_rate": ss.accept_rate,
+                "ess": {name: condest.effective_sample_size(
+                            x[:, i], stride=ss.n_chains)
+                        for i, name in enumerate(cfg.names)}}
 
-    return _kde_estimate(cfg, grids, designs, pf,
-                         [len(ss.last_level_samples) for ss in runs],
+    return _kde_estimate(cfg, grids, np.array([ss.pf_hat for ss in runs]),
                          lambda j: runs[j].last_level_samples,
-                         [ss.n_chains for ss in runs],
-                         sum(ss.g_evals for ss in runs), row_diagnostics)
+                         {"g_evals": sum(ss.g_evals for ss in runs)},
+                         row_diagnostics)
 
 
 def run_analysis(cfg):
@@ -208,6 +205,7 @@ def run_analysis(cfg):
     # curves of the prior-optimal design's row
     prior = None if designs is None else dec.prior_design(est.pf, cfg.design)
     j = 0 if prior is None else prior["index"]
+    row_diagnostics = est.row_diagnostics(j)
     t1 = time.perf_counter()
 
     def input_stage(i, _):
@@ -243,10 +241,9 @@ def run_analysis(cfg):
                      stage: time.perf_counter() - t1}
 
     diagnostics = {"method": cfg.method, "seed": cfg.seed,
-                   **est.row_diagnostics(j), **est.diagnostics}
+                   **row_diagnostics, **est.diagnostics}
     diagnostics.setdefault("workers", workers)     # crude MC reports its own
-    kde_inputs = {name: {"n_failure_samples": c.n_failure_samples,
-                         "ess": c.ess, "clip_fraction": c.clip_fraction,
+    kde_inputs = {name: {"clip_fraction": c.clip_fraction,
                          "kernel_terms": c.kernel_terms}
                   for name, c in curves.items() if c.source == "kde"}
     if kde_inputs:

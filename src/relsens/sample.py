@@ -1,9 +1,11 @@
 """Sampling estimators of the failure probability.
 
 Crude Monte Carlo and subset simulation. All randomness flows through
-the counter-based Philox generator with an explicit seed; subset
-simulation draws a dedicated substream per level, so runs are exactly
-reproducible.
+the counter-based Philox generator with an explicit seed, so runs are
+exactly reproducible. Subset simulation draws a dedicated substream per
+level, spawned from the seed alone: runs at other design values on the
+same seed share its streams (the pipeline's design rows are such runs),
+and runs on other seeds share none.
 
 Crude MC draws its sample in chunks of MC_BATCH (25 000) rows, in
 order, from one stream, on the package's one thread loop,
@@ -178,16 +180,10 @@ def crude_mc(joint, limit_state, n, seed, a=None):
     failure_samples holds exactly the physical rows with g <= 0 (at some
     design), in draw order.
 
-    The sample is drawn in chunks of MC_BATCH rows, in order, from the one
-    Philox stream of ``seed``, by ``run_on_workers``: ``workers`` threads,
-    one per available CPU and at most one per chunk, the calling thread
-    among them. Each thread owns one pair of buffers, its draws and its
-    physical rows, so ``workers`` chunks are in flight. Under the loop's
-    lock a thread takes the next chunk and draws it into its buffer;
-    outside the lock it maps, evaluates and reduces the chunk to its
-    failure count per design, its failure rows and their packed failure
-    bits. The error of the earliest failing chunk is raised here, with a
-    non-finite g reported at its row's index in the whole sample.
+    The sample is drawn in chunks of MC_BATCH rows on ``run_on_workers``
+    (see the module docstring). The error of the earliest failing chunk is
+    raised here, with a non-finite g reported at its row's index in the
+    whole sample.
     """
     if n < 1:
         raise DomainError("n must be at least 1")

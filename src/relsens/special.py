@@ -18,7 +18,10 @@ of a large batch in one buffer.
 
 scipy has no bivariate normal CDF to 1e-12, so ``bivariate_normal_cdf``
 is Genz's reformulation of the Drezner-Wesolowsky integral, absolute
-error below 1e-12 (in practice ~5e-16). ``scipy.special.owens_t``
+error below 1e-12 (in practice ~5e-16), on numpy's 20-point
+Gauss-Legendre rule at every r. Genz takes 6 or 12 points below
+|r| = 0.75, which at beta 8 put ``form-curves``' safety EVPPI up to 4.5%
+high, against 1.4% with 20. ``scipy.special.owens_t``
 (through Owen's 1956 formula) was checked as a replacement against
 60-digit mpmath quadrature and is less accurate: at h = 1, k = 1.0000001,
 rho = 0.9999999 its worst absolute error was 1.7e-15 against Genz's
@@ -27,6 +30,8 @@ to 1e-20, where Genz returns 1e-27 or less.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -86,20 +91,15 @@ def std_normal_inv(p):
 # bivariate normal CDF (Genz's version of Drezner-Wesolowsky)
 # ---------------------------------------------------------------------------
 
-_GL6_W = np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904])
-_GL6_X = np.array([0.9324695142031522, 0.6612093864662647, 0.2386191860831970])
-_GL12_W = np.array([0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-                    0.2031674267230659, 0.2334925365383547, 0.2491470458134029])
-_GL12_X = np.array([0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
-                    0.5873179542866171, 0.3678314989981802, 0.1252334085114692])
-_GL20_W = np.array([0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
-                    0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
-                    0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
-                    0.1527533871307259])
-_GL20_X = np.array([0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
-                    0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
-                    0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
-                    0.07652652113349733])
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1],
+    built on the first call: only ``form-curves`` evaluates the bivariate
+    normal CDF, so no ``run`` imports numpy.polynomial for it."""
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(20)
+    nodes.flags.writeable = weights.flags.writeable = False   # shared
+    return nodes, weights
 
 
 def _bvnu(dh, dk, r):
@@ -117,14 +117,8 @@ def _bvnu(dh, dk, r):
     h, k = dh, dk
     hk = h * k
     bvn = 0.0
-    if abs(r) < 0.3:
-        w, xg = _GL6_W, _GL6_X
-    elif abs(r) < 0.75:
-        w, xg = _GL12_W, _GL12_X
-    else:
-        w, xg = _GL20_W, _GL20_X
-    w = np.concatenate([w, w])
-    xg = np.concatenate([1.0 - xg, 1.0 + xg])
+    nodes, w = _gauss_legendre()
+    xg = 1.0 + nodes                 # the rule on [0, 2]
 
     if abs(r) < 0.925:
         hs = (h * h + k * k) / 2.0

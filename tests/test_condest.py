@@ -406,7 +406,6 @@ def test_example1_curve_against_analytic(ex1_joint, ex1_lsf, ex1_problem,
     curve = conditional_pf_from_failure_samples(m, fails[:, 0], PF_IND, grid)
     oracle = lognormal_linear_conditional_pf(ex1_problem, 0, grid)
     assert np.max(np.abs(curve.pf_values / oracle - 1.0)) < 0.30
-    assert curve.n_failure_samples == 1000
     assert curve.source == "kde"
 
 
@@ -468,8 +467,8 @@ def test_every_sample_failing_gives_the_exact_flat_curve():
     assert np.array_equal(curve.pf_values, np.ones(64))
     assert np.array_equal(curve.density_conditional, curve.density_prior)
     assert curve.density_prior.min() > 0.0
-    assert (curve.kernel_terms, curve.clip_fraction, curve.n_failure_samples,
-            curve.source) == (0, 0.0, 5, "kde")
+    assert (curve.kernel_terms, curve.clip_fraction,
+            curve.source) == (0, 0.0, "kde")
 
 
 def test_clip_fraction_reported():
@@ -530,14 +529,20 @@ def _pipeline_config(base, overrides):
     return config_mod.validate_config(raw)
 
 
-def test_mc_ess_is_the_unstrided_estimate():
+def test_mc_run_states_no_autocorrelation_ess():
+    # crude MC's failure rows are independent draws, so a row's ESS is its
+    # n_failure_samples, which the run states once
     cfg = _pipeline_config("example1_safety_dependent.json",
                            {"method": "mc", "n": 100_000, "seed": 3,
                             "grid_points": 64})
     res = pipeline.run_analysis(cfg)
     samples = crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed).failure_samples
-    for i, name in enumerate(cfg.names):
-        assert res.curves[name].ess == _ess_unstrided(samples[:, i])
+    assert res.diagnostics["n_failure_samples"] == len(samples)
+    assert "ess" not in res.diagnostics
+    for diag in res.diagnostics["kde_inputs"].values():
+        assert set(diag) == {"clip_fraction", "kernel_terms"}
+    for i in range(len(cfg.names)):
+        assert effective_sample_size(samples[:, i]) == _ess_unstrided(samples[:, i])
 
 
 def test_subset_ess_sees_chain_correlation():
@@ -545,9 +550,17 @@ def test_subset_ess_sees_chain_correlation():
                            {"method": "subset", "n_per_level": 20_000,
                             "seed": 1})
     res = pipeline.run_analysis(cfg)
-    for name, diag in res.diagnostics["kde_inputs"].items():
-        assert diag["n_failure_samples"] == 20_000
-        assert diag["ess"] < 10_000, name
+    ss = sample.subset_simulation(cfg.joint, cfg.limit_state, cfg.n_per_level,
+                                  cfg.p0, cfg.seed)
+    x = ss.last_level_samples
+    assert res.diagnostics["n_failure_samples"] == len(x) == 20_000
+    assert list(res.diagnostics["ess"]) == list(cfg.names)
+    for i, name in enumerate(cfg.names):
+        ess = res.diagnostics["ess"][name]
+        assert ess == effective_sample_size(x[:, i], stride=ss.n_chains)
+        assert ess < 10_000, name
+    for diag in res.diagnostics["kde_inputs"].values():
+        assert set(diag) == {"clip_fraction", "kernel_terms"}
 
 
 def test_kernel_terms_count_the_block_sums():
@@ -621,8 +634,7 @@ def test_kde_runs_reproduce_pinned_values(run):
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     for name, diag in res.diagnostics["kde_inputs"].items():
         curve = res.curves[name]
-        assert diag == {"n_failure_samples": curve.n_failure_samples,
-                        "ess": curve.ess, "clip_fraction": curve.clip_fraction,
+        assert diag == {"clip_fraction": curve.clip_fraction,
                         "kernel_terms": curve.kernel_terms}
 
 

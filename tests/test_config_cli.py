@@ -302,6 +302,23 @@ def test_cli_rejects_configs_that_fail_at_run_time(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_cli_form_runs_where_a_trial_step_gives_a_non_finite_g(tmp_path):
+    # the first HL-RF trial takes Y's Weibull map to 0, where g is not
+    # finite: the line search rejects that step instead of ending the run
+    raw = json.loads((CONFIG_DIR / "example2_safety.json").read_text())
+    raw["inputs"][0]["cov"] = 0.085
+    raw["inputs"][1]["mean"] = 6
+    raw["inputs"][3]["mean"] = 850
+    raw["method"] = "form"
+    path = _write_config(tmp_path / "column.json", raw)
+    out = tmp_path / "run"
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "report.json").read_text())["diagnostics"]
+    assert diagnostics["form"]["not_converged"] == []
+    assert diagnostics["beta0"] == pytest.approx(9.184, abs=1e-3)
+
+
 def test_cli_run_outputs(tmp_path):
     out = tmp_path / "run"
     code = cli.main(["run", str(CONFIG_DIR / "example1_safety.json"),
@@ -368,9 +385,10 @@ def test_cli_run_reports_kde_diagnostics_per_input(tmp_path):
     per_input = report["diagnostics"]["kde_inputs"]
     assert list(per_input) == ["R", "S", "XR", "XS"]
     n_fail = report["diagnostics"]["n_failure_samples"]
+    # crude MC's rows are independent draws: no autocorrelation ESS
+    assert "ess" not in report["diagnostics"]
     for diag in per_input.values():
-        assert diag["n_failure_samples"] == n_fail
-        assert 0.0 < diag["ess"] <= n_fail
+        assert set(diag) == {"clip_fraction", "kernel_terms"}
         assert 0.0 <= diag["clip_fraction"] <= 1.0
         assert diag["kernel_terms"] > 0
     # each figure is written once: pf at the top, the KDE maxima nowhere

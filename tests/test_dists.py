@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -15,9 +16,9 @@ from relsens import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
                      lognormal_linear_conditional_pf, lognormal_linear_pf,
                      nataf_fit, std_normal_inv, validate_correlation)
 from relsens.condest import GRID_Z_HI, GRID_Z_LO
-from relsens.errors import (DomainError, FitError, InvalidCorrelationError,
-                            NatafError)
-from relsens.config import load_config
+from relsens.errors import (ConfigError, DomainError, FitError,
+                            InvalidCorrelationError, NatafError)
+from relsens.config import load_config, validate_config
 from conftest import CONFIG_DIR, EX1_RXX, EX1_SIGNS, PF_DEP, PF_IND
 
 
@@ -349,6 +350,21 @@ def test_nataf_lognormal_closed_form():
     expect = math.log(1.01) / math.sqrt(math.log(1.04) * math.log(1.01))
     assert dists.nataf_pair(a, b, 0.5) == pytest.approx(expect, rel=1e-12)
     assert expect == pytest.approx(0.50367, abs=5e-5)
+
+
+def test_nataf_lognormal_pair_rejects_an_unattainable_correlation():
+    # 1 + rho_x di dj <= 0 has no copula correlation; validate says where
+    a = fit_params_from_moments("lognormal", 100.0, 2.3)
+    b = fit_params_from_moments("lognormal", 1.0, 1.9)
+    with pytest.raises(NatafError, match="rho_x=-0.5"):
+        dists.nataf_pair(a, b, -0.5)
+    raw = json.loads((CONFIG_DIR / "example1_safety_dependent.json")
+                     .read_text())
+    raw["inputs"][1]["cov"] = 2.3
+    raw["inputs"][3]["cov"] = 1.9
+    raw["correlation"][1][3] = raw["correlation"][3][1] = -0.5
+    with pytest.raises(ConfigError, match="^correlation: no copula correlation"):
+        validate_config(raw)
 
 
 def test_nataf_zero_preserved():

@@ -14,7 +14,7 @@ from relsens import (conditional_pf_u, conditional_pf_x, evpi_safety,
                      std_normal_cdf, std_normal_inv, threshold_u)
 from relsens.condest import default_grid
 from relsens.decision import SafetyDecision
-from relsens.errors import DomainError
+from relsens.errors import DomainError, NonFiniteGError
 from relsens.form import find_design_points, standard_space_lsf
 from conftest import BETA0_IND, EX1_SIGNS
 
@@ -148,6 +148,36 @@ def test_lockstep_rows_converge_on_their_own_counts(ex1_joint, ex1_design_lsf):
     assert not capped.converged
     assert np.array_equal(capped.row_iterations,
                           np.minimum(full.row_iterations, 6))
+
+
+def test_a_non_finite_trial_halves_the_step_of_its_row_alone():
+    # row 0: g = sqrt(4 - u_0) - 0.5, not finite beyond u_0 = 4, where its
+    # first full step (to u_0 = 6) lands; row 1: a linear g, whose first
+    # step is accepted. G raises as lsf.evaluate does.
+    alpha = np.array([0.6, 0.8])
+
+    def G(u, rows):
+        with np.errstate(invalid="ignore"):
+            g = np.where(rows == 0, np.sqrt(4.0 - u[:, 0]) - 0.5,
+                         2.0 - u @ alpha)
+        bad = ~np.isfinite(g)
+        if bad.any():
+            raise NonFiniteGError(int(np.argmax(bad)), {})
+        return g
+
+    def solo(row):
+        return find_design_points(lambda u, rows: G(u, np.full(len(u), row)),
+                                  np.zeros((1, 2)))
+
+    both = find_design_points(G, np.zeros((2, 2)))
+    assert both.converged
+    assert both.beta0[0] == pytest.approx(3.75, abs=1e-8)
+    assert both.beta0[1] == pytest.approx(2.0, abs=1e-8)
+    for row in (0, 1):
+        one = solo(row)
+        assert both.beta0[row] == one.beta0[0]
+        assert np.array_equal(both.u_star[row], one.u_star[0])
+        assert both.row_iterations[row] == one.iterations
 
 
 def test_form_result_invariants(ex1_joint, ex1_lsf):

@@ -124,6 +124,45 @@ def test_design_mc_row_equals_single_design_run():
     assert counts[res.design["prior"]["index"]] == len(one.failure_samples)
 
 
+def test_design_subset_rows_equal_single_design_runs():
+    # row j is the one-design run at a_j on the run's seed, whatever its
+    # index in the grid: pf, the four curves, the levels and the chain ESS
+    sizes = {"n_per_level": 500, "seed": 5, "grid_points": 64}
+    cfg = config_mod.validate_config(_design_config("subset", 0.5, 1.5, 5,
+                                                    **sizes))
+    est = pipeline.estimate(cfg, cfg.design.grid)
+    for j, a in enumerate(cfg.design.grid.tolist()):
+        one_cfg = config_mod.validate_config(_design_config("subset", a, a, 1,
+                                                            **sizes))
+        one = pipeline.estimate(one_cfg, one_cfg.design.grid)
+        assert est.pf[j] == one.pf[0]
+        for i in range(len(cfg.names)):
+            assert np.array_equal(est.values(i)[j], one.values(i)[0])
+        assert est.row_diagnostics(j) == one.row_diagnostics(0)
+    res = pipeline.run_analysis(cfg)
+    j = res.design["prior"]["index"]
+    assert j > 0                     # the reported row is not the first
+    x = sample.subset_simulation(cfg.joint, cfg.limit_state, cfg.n_per_level,
+                                 cfg.p0, cfg.seed, a=cfg.design.grid[j])
+    assert res.pf == x.pf_hat
+    assert res.diagnostics["ess"] == {
+        name: condest.effective_sample_size(x.last_level_samples[:, i],
+                                            stride=x.n_chains)
+        for i, name in enumerate(cfg.names)}
+
+
+def test_design_subset_runs_on_adjacent_seeds_share_no_row_stream():
+    # designs 1e-4 apart: when row j ran on seed + j + 1, seed 2's row j
+    # reran seed 1's row j + 1 and repeated its curves
+    curves = []
+    for seed in (1, 2):
+        cfg = config_mod.validate_config(_design_config(
+            "subset", 1.0, 1.0004, 5, n_per_level=500, seed=seed,
+            grid_points=64))
+        curves.append(pipeline.estimate(cfg, cfg.design.grid).values(0))
+    assert not any(np.array_equal(r, s) for r in curves[0] for s in curves[1])
+
+
 def test_starved_designs_are_named():
     cfg = config_mod.validate_config(_design_config("mc", 1.0, 2.0, 11,
                                                     n=20_000, seed=3))
@@ -139,26 +178,18 @@ def test_starved_designs_are_named():
     assert msg.endswith(", ".join(f"a = {a!r} ({c})" for a, c in starved))
 
 
-@pytest.mark.parametrize("method, size, setting", [
-    ("mc", {"n": 1000}, "n"), ("subset", {"n_per_level": 100}, "n_per_level")],
-    ids=["mc", "subset"])
-def test_starved_safety_runs_name_the_count_and_the_setting(
-        monkeypatch, method, size, setting):
+def test_starved_safety_mc_run_names_the_count_and_n():
+    # subset simulation always ends with n_per_level >= 100 failure samples,
+    # so only crude MC can starve
     raw = json.loads((ROOT / "configs" / "example1_safety.json").read_text())
-    cfg = config_mod.validate_config(dict(raw, method=method, **size))
-    if method == "subset":
-        # the schema's n_per_level of at least 100 always yields 100 failure
-        # values, so raise the floor to see the subset wording
-        monkeypatch.setattr(condest, "MIN_FAILURE_VALUES", 101)
-    count = (int(sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n,
-                                 cfg.seed).n_fail[0])
-             if method == "mc" else 100)
+    cfg = config_mod.validate_config(dict(raw, method="mc", n=1000))
+    count = int(sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n,
+                                cfg.seed).n_fail[0])
     with pytest.raises(DomainError) as info:
         pipeline.run_analysis(cfg)
     floor = condest.MIN_FAILURE_VALUES
     assert str(info.value) == (f"need at least {floor} failure values for "
-                               f"the density fits (raise {setting}); "
-                               f"found {count}")
+                               f"the density fits (raise n); found {count}")
 
 
 @pytest.mark.parametrize("stage", ["safety", "design"])
@@ -193,7 +224,10 @@ def test_cli_design_report_has_details_and_counts(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["diagnostics"]["n_failure_samples_per_design"] == [500] * 3
+    diagnostics = report["diagnostics"]
+    assert diagnostics["n_failure_samples"] == 500
+    assert "n_failure_samples_per_design" not in diagnostics
+    assert list(diagnostics["ess"]) == ["R", "S", "XR", "XS"]
     details = report["design"]["details"]
     assert list(details) == ["R", "S", "XR", "XS"]
     for entry, detail in zip(report["design"]["report"]["entries"],

@@ -1,9 +1,12 @@
-"""The config schema walker against jsonschema, the reference implementation.
+"""The config schema walker against jsonschema, the reference implementation,
+and the contract that every valid config runs.
 
 Mutated versions of the shipped configs must get the same accept/reject
 decision from ``relsens.config`` and from ``jsonschema``; where jsonschema
 finds exactly one violation, the walker must report the same path and
-message.
+message. Configs whose values, not structure, are mutated must be rejected
+by ``validate_config`` or run, apart from two run-time failures whose
+messages say what to change.
 """
 
 import copy
@@ -14,9 +17,9 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relsens import config
+from relsens import config, pipeline
 from relsens.config import validate_config
-from relsens.errors import ConfigError
+from relsens.errors import ConfigError, DomainError, StagnationError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = {p.name: json.loads(p.read_text())
@@ -149,3 +152,68 @@ def test_schema_error_keeps_path_and_message():
 def test_walker_rejects_unimplemented_schema_keywords(schema, where):
     with pytest.raises(NotImplementedError, match=where):
         config._check_keywords(schema)
+
+
+# -- every valid config runs -------------------------------------------------------
+
+# the run-time failures a valid config may still meet, each naming the
+# setting to raise: crude MC with too few failure samples for the density
+# fits, and subset simulation with no failure level within 30 levels (which
+# names p0 and n_per_level)
+RUN_TIME_FAILURES = ((DomainError, "for the density fits (raise n); "),
+                     (StagnationError, "no failure level within 30 levels"))
+
+
+def _factor(data, decades):
+    return 10.0 ** data.draw(st.floats(-decades, decades))
+
+
+def _mutate_values(raw, data):
+    """Scale means and CoVs by up to 10^+-1.5 and costs by up to 10^+-3,
+    redraw one correlation, draw a design grid of 1-12 values, the curve
+    grid and the method."""
+    for spec in raw["inputs"]:
+        spec["mean"] *= _factor(data, 1.5)
+        spec["cov"] *= _factor(data, 1.5)
+    if "correlation" in raw:
+        d = len(raw["inputs"])
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(d)
+                                          for j in range(i + 1, d)]))
+        raw["correlation"][i][j] = raw["correlation"][j][i] = data.draw(
+            st.floats(-0.95, 0.95))
+    decision = raw["decision"]
+    if "safety" in decision:
+        for key in ("c_f", "c_r"):
+            decision["safety"][key] *= _factor(data, 3.0)
+    else:
+        design = decision["design"]
+        design["c_f"] *= _factor(data, 3.0)
+        design["cost"] = f"{1e5 * _factor(data, 3.0)!r}*a"
+        start = data.draw(st.floats(0.2, 3.0))
+        design["grid"] = {"start": start,
+                          "stop": start + data.draw(st.floats(0.0, 2.0)),
+                          "count": data.draw(st.integers(1, 12))}
+    raw["grid_points"] = data.draw(st.integers(16, 128))
+    raw["method"] = data.draw(st.sampled_from(["analytic", "form", "mc",
+                                              "subset"]))
+    if raw["method"] == "mc":
+        raw["n"] = data.draw(st.sampled_from([50_000, 200_000]))
+    elif raw["method"] == "subset":
+        raw["n_per_level"] = 1000
+    return raw
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_configs_are_rejected_or_run(name, data):
+    raw = _mutate_values(copy.deepcopy(SHIPPED[name]), data)
+    try:
+        cfg = validate_config(raw)
+    except ConfigError:
+        return
+    try:
+        pipeline.run_analysis(cfg)
+    except (DomainError, StagnationError) as exc:
+        assert any(isinstance(exc, kind) and text in str(exc)
+                   for kind, text in RUN_TIME_FAILURES), repr(exc)
