@@ -15,7 +15,6 @@ final garbage collection over all loaded modules) would add only time.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -41,8 +40,9 @@ THREADS_HELP = ("accepted for compatibility and not used: crude MC and the "
                 "either")
 
 
-def _fmt(x):
-    return repr(float(x))
+def _floats(values):
+    """The shortest round-trip decimal form of each of ``values``."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
 
 
 def _sha256(path):
@@ -53,16 +53,22 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Write ``header`` and the rows of ``columns``, each a sequence of
+    strings, as ``csv.writer`` writes them: comma-separated, every line
+    ended by CR LF. No field is quoted, as none needs it: they are
+    numbers, input names (identifiers) and fixed words. The rows are
+    streamed, not joined into one string per file."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
-def _report_rows(report):
-    return [[e.name, _fmt(e.absolute), _fmt(e.normalized), _fmt(e.relative)]
-            for e in report.entries]
+def _report_columns(report):
+    entries = report.entries
+    return [[e.name for e in entries],
+            *(_floats([getattr(e, key) for e in entries])
+              for key in ("absolute", "normalized", "relative"))]
 
 
 def _strict_json(obj):
@@ -129,7 +135,7 @@ def cmd_run(args):
                         else result.design["report"])
         table_path = outdir / "evppi_table.csv"
         _write_csv(table_path, ["input", "absolute", "normalized", "relative"],
-                   _report_rows(table_report))
+                   _report_columns(table_report))
         written.append(table_path)
 
         for name in cfg.names:
@@ -139,16 +145,14 @@ def cmd_run(args):
                     if curve.density_conditional is not None
                     else np.full_like(curve.grid, np.nan))
             _write_csv(cpath, ["x", "pf", "density_prior", "density_conditional"],
-                       ([_fmt(x), _fmt(p), _fmt(dp), _fmt(dc)]
-                        for x, p, dp, dc in zip(curve.grid, curve.pf_values,
-                                                curve.density_prior, cond)))
+                       [_floats(v) for v in (curve.grid, curve.pf_values,
+                                             curve.density_prior, cond)])
             written.append(cpath)
             if cfg.safety is not None:
                 vpath = outdir / f"cvppi_{name}.csv"
                 values = dec.cvppi_curve(curve, cfg.safety)
                 _write_csv(vpath, ["x", "cvppi"],
-                           [[_fmt(x), _fmt(v)]
-                            for x, v in zip(curve.grid, values)])
+                           [_floats(curve.grid), _floats(values)])
                 written.append(vpath)
 
         report = {
@@ -209,17 +213,14 @@ def cmd_sweep(args):
                                    cfg.names, cfg.safety.c_f, ratios,
                                    result.pf)
         header = ["ratio"]
-        for n in cfg.names:
-            header += [f"{n}_absolute", f"{n}_relative", f"{n}_normalized"]
-        out_rows = []
-        for row in rows:
-            rep = row["report"]
-            vals = [_fmt(row["ratio"])]
-            for e in rep.entries:
-                vals += [_fmt(e.absolute), _fmt(e.relative), _fmt(e.normalized)]
-            out_rows.append(vals)
-        _write_csv(outdir / "sweep.csv", header, out_rows)
-        print(f"wrote sweep.csv ({len(out_rows)} ratios) to {outdir}")
+        columns = [_floats([row["ratio"] for row in rows])]
+        for k, n in enumerate(cfg.names):
+            for key in ("absolute", "relative", "normalized"):
+                header.append(f"{n}_{key}")
+                columns.append(_floats([getattr(row["report"].entries[k], key)
+                                        for row in rows]))
+        _write_csv(outdir / "sweep.csv", header, columns)
+        print(f"wrote sweep.csv ({len(rows)} ratios) to {outdir}")
         _warn_form_non_convergence(result)
         return EXIT_OK
     except RelsensError as exc:
@@ -237,9 +238,10 @@ def cmd_form_curves(args):
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "curves.csv"
-    _write_csv(path, ["mode", "beta", "pf", "alpha", "alpha_sq", "evppi"],
-               [[args.mode, _fmt(r["beta"]), _fmt(r["pf"]), _fmt(r["alpha"]),
-                 _fmt(r["alpha_sq"]), _fmt(r["evppi"])] for r in rows])
+    keys = ["beta", "pf", "alpha", "alpha_sq", "evppi"]
+    _write_csv(path, ["mode", *keys],
+               [[args.mode] * len(rows),
+                *(_floats([r[key] for r in rows]) for key in keys)])
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 

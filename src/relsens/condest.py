@@ -60,7 +60,7 @@ import numpy as np
 
 from . import special
 from .errors import DegenerateSampleError, DomainError
-from .quantile import linear_quantile
+from .quantile import sorted_quantile
 
 TRUNCATION_RTOL = 1e-16
 PAIR_CHUNK = 8192                    # (target, point or box) pairs per pass
@@ -71,17 +71,26 @@ MIN_FAILURE_VALUES = 20
 GRID_Z_LO, GRID_Z_HI = -4.753424308822899, 4.753424308817087
 
 
-def silverman_bandwidth(values):
+def silverman_bandwidth(values, ordered=None):
     """1.06 min(sd, iqr/1.34) n^(-1/5).
 
     When ties make the IQR zero the spread falls back to sd alone, as R's
-    ``bw.nrd0`` does; only a sample with zero sd is degenerate. The
-    quartiles are ``np.percentile``'s, to the bit (``linear_quantile``).
+    ``bw.nrd0`` does; only a sample with zero sd is degenerate. The sd is
+    ``np.std(values, ddof=1)`` and the quartiles ``np.percentile(values,
+    [75, 25])``, to the bit. The quartiles are read from ``ordered``,
+    ``values`` sorted, which a caller that sorts them anyway passes in
+    (``kde_fit``); without it they are sorted here. The sd is summed over
+    ``values`` in their own order, as a reordered sum may differ in its
+    last bits. On 20 000 values on a 2-CPU VM the quartiles of a sorted
+    sample take a few microseconds, against 0.37 ms for
+    ``np.percentile``'s multi-pivot partition.
     """
     values = np.asarray(values, dtype=float)
+    if ordered is None:
+        ordered = np.sort(values)
     n = len(values)
     sd = float(np.std(values, ddof=1))
-    q75, q25 = linear_quantile(values, [0.75, 0.25])
+    q75, q25 = sorted_quantile(ordered, 0.75), sorted_quantile(ordered, 0.25)
     iqr_spread = (q75 - q25) / 1.34
     spread = min(sd, iqr_spread) if iqr_spread > 0.0 else sd
     if spread <= 0.0:
@@ -149,7 +158,8 @@ def _series_pairs(p, s, t, reach, direct_terms):
 class KdeModel:
     """Gaussian KDE of one input's failure-sample values in z space.
 
-    ``points`` are kept sorted, which the windowed sums rely on.
+    ``points`` are kept sorted, which the windowed sums rely on: points
+    that are not sorted yet are sorted on construction.
     ``kernel_terms`` counts the work its density calls did: kernel terms
     summed directly, plus, for each call whose near targets take the box
     series, n K box-moment terms and K terms per (near target, box) pair
@@ -161,8 +171,11 @@ class KdeModel:
     kernel_terms: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
+        p = np.asarray(self.points, dtype=float)
+        # checking is cheaper than sorting, which costs as much on sorted
+        # points as on shuffled ones
         object.__setattr__(self, "points",
-                           np.sort(np.asarray(self.points, dtype=float)))
+                           p if np.all(p[:-1] <= p[1:]) else np.sort(p))
 
     def _nearest(self, t):
         """Distance from each t to its nearest point."""
@@ -252,8 +265,10 @@ def kde_fit(values, marginal):
         raise DomainError(f"need at least {MIN_FAILURE_VALUES} failure values "
                           "for a density fit")
     pts = np.asarray(marginal.to_standard_normal(values), dtype=float)
-    # bandwidth from the unsorted values: sorting would reorder the sd sum
-    return KdeModel(points=pts, bandwidth=silverman_bandwidth(pts))
+    ordered = np.sort(pts)
+    # the sd from the unsorted values: sorting would reorder its sum
+    return KdeModel(points=ordered,
+                    bandwidth=silverman_bandwidth(pts, ordered))
 
 
 @dataclass(frozen=True)

@@ -1,42 +1,50 @@
-"""numpy's default (linear) sample quantile, without numpy.ma.
+"""numpy's default (linear) sample quantile, read from order statistics
+the caller already has.
 
-``np.quantile`` and ``np.percentile`` call ``np.unique`` on the indices
-they partition at, and ``np.unique`` imports ``numpy.ma`` on its first
-call (about 20 ms and 1 MB per process). Subset simulation's thresholds
-and the KDE bandwidth's interquartile range need nothing but the linear
-quantile of a finite 1-D sample, so ``linear_quantile`` computes it with
-``np.partition`` alone, in the same operations as numpy and so to the
-same bits (checked against numpy 2.4).
+``np.quantile(values, q)`` lies a fraction t of the way from the order
+statistic at index i = floor((n - 1) q) to the one at i + 1 (clamped to
+n - 1), t = (n - 1) q - i, and numpy rounds the step as its ``_lerp``
+does. The sampling path needs only such quantiles of finite 1-D samples:
+subset simulation's thresholds and the KDE bandwidth's quartiles. Both
+already order their sample for another reason, subset simulation to
+take its seeds and the KDE to window its sums, so they read the two
+order statistics from that ordering (``quantile_position`` and ``lerp``,
+or ``sorted_quantile`` on a sorted sample) and get numpy's bits. That
+skips the second pass over the sample that ``np.quantile`` makes:
+``np.partition`` at numpy's 4-6 partition points took 0.26-0.37 ms on
+20 000 values on a 2-CPU VM, against 0.03 ms for a single-pivot
+partition and 0.1 ms for ``np.sort``. It also avoids the numpy.ma import
+that ``np.quantile`` brings through ``np.unique`` (about 20 ms and 1 MB
+per process).
+
+Where the sample holds both 0.0 and -0.0, which of them an order
+statistic is depends on how it was ordered, so a zero quantile's sign
+may differ from numpy's; no caller tells the two apart.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 
-def linear_quantile(values, q):
-    """np.quantile(values, q) for finite 1-D ``values`` and q in [0, 1).
-
-    The virtual index is (n - 1) q; its floor and the next index (clamped
-    to n - 1) pick two order statistics a <= b, and with t the fractional
-    part the result is numpy's ``_lerp``: a + (b - a) t, or
-    b - (b - a)(1 - t) where t >= 0.5. A scalar q gives a float, an array
-    of q an array.
-    """
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    q = np.asarray(q, dtype=float)
+def quantile_position(n, q):
+    """(i, t) for the linear q-quantile of n values: it lies t of the way
+    from the order statistic at index i to the one at min(i + 1, n - 1)."""
     virtual = (n - 1) * q
-    lo = np.floor(virtual)
-    i = lo.astype(np.intp)
-    j = np.minimum(i + 1, n - 1)
-    # numpy's own partition points, sorted and without repeats: equal
-    # values (0.0 and -0.0 among them) then land where numpy's land
-    kth = sorted({0, -1, *i.ravel().tolist(), *j.ravel().tolist()})
-    part = np.partition(values, kth)
-    a, b = part[i], part[j]
-    t = virtual - lo
+    i = math.floor(virtual)
+    return i, virtual - i
+
+
+def lerp(a, b, t):
+    """a + (b - a) t as numpy's ``_lerp`` rounds it: from b, as
+    b - (b - a)(1 - t), where t >= 0.5."""
     diff = b - a
-    out = np.asarray(a + diff * t)
-    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    return out if out.ndim else float(out)
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
+def sorted_quantile(ordered, q):
+    """np.quantile(ordered, q) for a sorted, finite 1-D ``ordered`` and q
+    in [0, 1)."""
+    i, t = quantile_position(len(ordered), q)
+    j = min(i + 1, len(ordered) - 1)
+    return lerp(float(ordered[i]), float(ordered[j]), t)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from relsens import (ConditionalPfCurve, Marginal,
                      conditional_pf_from_failure_samples, crude_mc,
@@ -16,6 +17,7 @@ from relsens.condest import (BOX_WIDTH, NEAR_CUT, PAIR_CHUNK, SERIES_TERMS,
                              silverman_bandwidth)
 from relsens.errors import DegenerateSampleError, DomainError
 from conftest import PF_IND
+from test_quantile import samples
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +45,26 @@ def test_bandwidth_formula():
     q75, q25 = np.percentile(v, [75, 25])
     expect = 1.06 * min(sd, (q75 - q25) / 1.34) * 500 ** (-0.2)
     assert silverman_bandwidth(v) == pytest.approx(expect, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(v=samples())
+def test_bandwidth_is_np_std_and_np_percentile_bit_for_bit(v):
+    # the formula on numpy's own sd and quartiles; the quartiles come from
+    # the sorted values, whether sorted here or passed in, and the sd from
+    # the values in their own order
+    sd = np.std(v, ddof=1)
+    q75, q25 = np.percentile(v, [75, 25])
+    iqr_spread = (q75 - q25) / 1.34
+    spread = min(sd, iqr_spread) if iqr_spread > 0.0 else sd
+    for ordered in (None, np.sort(v)):
+        if spread <= 0.0:
+            with pytest.raises(DegenerateSampleError):
+                silverman_bandwidth(v, ordered)
+        else:
+            got = silverman_bandwidth(v, ordered)
+            assert np.float64(got).tobytes() == np.float64(
+                1.06 * spread * len(v) ** (-0.2)).tobytes()
 
 
 def test_bandwidth_falls_back_to_sd_when_iqr_is_zero():

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relsens import cli, form, sample
+from dataclasses import replace
+
+from relsens import cli, decision, form, pipeline, sample
 from relsens.config import load_config, validate_config
 from relsens.errors import ConfigError, DomainError
 
@@ -698,6 +703,146 @@ def test_cli_form_curves_design_mode(tmp_path):
         # normalized by the alpha = 1 closed-form value: strictly inside (0, 1)
         assert np.all((curve > 0.0) & (curve < 1.0))
         assert np.all(np.diff(curve) >= -1e-12)
+
+
+# -- CSV files: the bytes csv.writer wrote --------------------------------------
+
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+            1.7976931348623157e308]
+
+
+def _csv_module_bytes(header, rows):
+    """The bytes of a file csv.writer writes ``header`` and ``rows`` to,
+    each number in its shortest round-trip form."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([[x if isinstance(x, str) else repr(float(x))
+                       for x in row] for row in rows])
+    return buf.getvalue().encode()
+
+
+def _with_specials(values):
+    out = np.array(values, dtype=float)
+    out[:len(SPECIALS)] = SPECIALS
+    return out
+
+
+def _entries_with_specials(report):
+    return replace(report, entries=tuple(
+        replace(e, absolute=SPECIALS[k], normalized=SPECIALS[k + 1],
+                relative=SPECIALS[k + 2])
+        for k, e in enumerate(report.entries)))
+
+
+def _report_rows(report):
+    return [[e.name, e.absolute, e.normalized, e.relative]
+            for e in report.entries]
+
+
+@pytest.mark.parametrize("name", ["example1_safety.json",
+                                  "example1_design.json"])
+def test_cli_run_csvs_are_what_csv_writer_writes(tmp_path, monkeypatch,
+                                                 name):
+    results = []
+
+    def run_analysis(cfg):
+        result = real(cfg)
+        for curve in result.curves.values():
+            for key in ("grid", "pf_values", "density_prior"):
+                object.__setattr__(curve, key,
+                                   _with_specials(getattr(curve, key)))
+            object.__setattr__(curve, "density_conditional",
+                               _with_specials(curve.density_prior[::-1]))
+        if result.safety_report is not None:
+            result.safety_report = _entries_with_specials(
+                result.safety_report)
+        else:
+            result.design["report"] = _entries_with_specials(
+                result.design["report"])
+        results.append(result)
+        return result
+
+    real = pipeline.run_analysis
+    monkeypatch.setattr(pipeline, "run_analysis", run_analysis)
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):   # cvppi of inf pf
+        assert cli.main(["run", str(CONFIG_DIR / name),
+                         "--out", str(out)]) == 0
+    result, = results
+    cfg = load_config(CONFIG_DIR / name)
+    expect = {"evppi_table.csv": _csv_module_bytes(
+        ["input", "absolute", "normalized", "relative"],
+        _report_rows(result.safety_report or result.design["report"]))}
+    for n, curve in result.curves.items():
+        expect[f"pf_curve_{n}.csv"] = _csv_module_bytes(
+            ["x", "pf", "density_prior", "density_conditional"],
+            zip(curve.grid, curve.pf_values, curve.density_prior,
+                curve.density_conditional))
+        if cfg.safety is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = decision.cvppi_curve(curve, cfg.safety)
+            expect[f"cvppi_{n}.csv"] = _csv_module_bytes(
+                ["x", "cvppi"], zip(curve.grid, values))
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(expect)
+    for fname, data in expect.items():
+        assert (out / fname).read_bytes() == data, fname
+    first_rows = (out / "pf_curve_R.csv").read_bytes().split(b"\r\n")[1:7]
+    assert [row.split(b",")[0] for row in first_rows] == [
+        b"nan", b"inf", b"-inf", b"-0.0", b"5e-324",
+        b"1.7976931348623157e+308"]
+
+
+def test_cli_sweep_csv_is_what_csv_writer_writes(tmp_path, monkeypatch):
+    sweeps = []
+
+    def threshold_sweep(*args):
+        rows = real(*args)
+        for row, x in zip(rows, SPECIALS):
+            row["ratio"] = x
+        rows[1]["report"] = _entries_with_specials(rows[1]["report"])
+        sweeps.append(rows)
+        return rows
+
+    real = decision.threshold_sweep
+    monkeypatch.setattr(decision, "threshold_sweep", threshold_sweep)
+    assert cli.main(["sweep", str(CONFIG_DIR / "example1_safety.json"),
+                     "--out", str(tmp_path), "--ratio-count", "9"]) == 0
+    rows, = sweeps
+    header = ["ratio"]
+    for e in rows[0]["report"].entries:
+        header += [f"{e.name}_absolute", f"{e.name}_relative",
+                   f"{e.name}_normalized"]
+    expect = _csv_module_bytes(header, [
+        [row["ratio"], *(x for e in row["report"].entries
+                         for x in (e.absolute, e.relative, e.normalized))]
+        for row in rows])
+    assert (tmp_path / "sweep.csv").read_bytes() == expect
+
+
+@pytest.mark.parametrize("mode", ["safety", "design"])
+def test_cli_form_curves_csv_is_what_csv_writer_writes(tmp_path, monkeypatch,
+                                                       mode):
+    keys = ["beta", "pf", "alpha", "alpha_sq", "evppi"]
+    tables = []
+
+    def form_evppi_curves(*args):
+        rows = real(*args)
+        for k, key in enumerate(keys):
+            for row, x in zip(rows[k:], SPECIALS):
+                row[key] = x
+        tables.append(rows)
+        return rows
+
+    real = pipeline.form_evppi_curves
+    monkeypatch.setattr(pipeline, "form_evppi_curves", form_evppi_curves)
+    assert cli.main(["form-curves", "--betas", "1,2.5", "--mode", mode,
+                     "--out", str(tmp_path)]) == 0
+    rows, = tables
+    expect = _csv_module_bytes(["mode", *keys],
+                               [[mode, *(r[key] for key in keys)]
+                                for r in rows])
+    assert (tmp_path / "curves.csv").read_bytes() == expect
 
 
 def test_cli_form_curves_rejects_bad_beta(tmp_path):

@@ -6,11 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relsens import (GaussianCopulaJoint, LimitState, Marginal, crude_mc,
                      evaluate, lognormal_linear_pf, sample, subset_simulation)
 from relsens.errors import DomainError, EvalError, StagnationError
-from conftest import PF_IND
+from relsens.config import load_config
+from conftest import CONFIG_DIR, PF_IND
+from test_quantile import samples
 
 
 A_HALF = math.exp(-0.9416278773557891)       # design factor giving pf = 1/2
@@ -169,6 +172,78 @@ def test_subset_without_a_failure_level_names_its_settings_and_reach():
     assert message.endswith(", so pf is below about p0^30 = 1e-30")
     last = float(message.split("g = ")[1].split(",")[0])
     assert 0.0 < last < 1.0
+
+
+def _np_selection(g, p0, ns, ties=None):
+    """The selection subset simulation made with np.quantile and a full
+    np.argsort; ``ties`` collects the number of adjacent equal pairs among
+    the selected ns g values."""
+    order = np.argsort(g)[:ns]
+    if ties is not None:
+        low = g[order]
+        ties.append(int(np.count_nonzero(np.diff(low) == 0.0)))
+    return float(np.quantile(g, p0)), order
+
+
+def _assert_same_run(got, want):
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    assert bits(got.levels) == bits(want.levels)
+    assert bits(got.pf_hat) == bits(want.pf_hat)
+    assert bits(got.accept_rate) == bits(want.accept_rate)
+    assert (got.g_evals, got.n_chains) == (want.g_evals, want.n_chains)
+    assert bits(got.last_level_samples) == bits(want.last_level_samples)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=samples(), p0=st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.9]))
+def test_subset_selection_is_np_quantile_and_argsort(g, p0):
+    ns = int(np.floor(p0 * len(g)))
+    t, seeds = sample._threshold_and_seeds(g, p0, ns)
+    want_t, want_seeds = _np_selection(g, p0, ns)
+    assert type(t) is float
+    # a zero threshold's sign may differ where 0.0 and -0.0 tie; subset
+    # simulation takes any zero threshold as the failure level
+    assert np.float64(t).tobytes() == np.float64(want_t).tobytes() or (
+        t == want_t == 0.0)
+    assert len(set(seeds.tolist())) == ns
+    assert np.array_equal(g[seeds], g[want_seeds])
+
+
+@pytest.mark.parametrize("n_per_level", [500, 2000])
+@pytest.mark.parametrize("name", ["example1_safety_dependent.json",
+                                  "example2_safety.json"])
+def test_subset_runs_as_with_np_quantile_and_argsort(monkeypatch, name,
+                                                     n_per_level):
+    cfg = load_config(CONFIG_DIR / name)
+    for seed in (1, 2, 3):
+        args = (cfg.joint, cfg.limit_state, n_per_level, cfg.p0, seed)
+        got = subset_simulation(*args)
+        with monkeypatch.context() as m:
+            m.setattr(sample, "_threshold_and_seeds", _np_selection)
+            want = subset_simulation(*args)
+        _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("n_per_level", [500, 2000])
+def test_subset_design_rows_run_as_with_np_quantile_and_argsort(
+        monkeypatch, n_per_level):
+    # the rare designs reach 3 or more levels, whose g hold the exact ties
+    # that rejected moves leave among the selected seeds
+    cfg = load_config(CONFIG_DIR / "example1_design.json")
+    levels, ties = [], []
+    for a in np.linspace(0.5, 1.5, 11):
+        args = (cfg.joint, cfg.limit_state, n_per_level, cfg.p0, 4, a)
+        got = subset_simulation(*args)
+        with monkeypatch.context() as m:
+            m.setattr(sample, "_threshold_and_seeds",
+                      lambda g, p0, ns: _np_selection(g, p0, ns, ties))
+            want = subset_simulation(*args)
+        _assert_same_run(got, want)
+        levels.append(len(got.levels))
+    assert max(levels) >= 3 and min(levels) == 1
+    assert sum(ties) > 0
 
 
 def test_subset_keeps_one_level_of_chains_in_memory(ex1_joint_dep, ex1_lsf):
