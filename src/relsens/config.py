@@ -21,6 +21,7 @@ unchecked.
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
 import re
@@ -309,30 +310,31 @@ def load_config(path):
 
 def _ln_terms(node, sign=1.0):
     """Flatten a +/- chain of ln(var) terms; None when the shape differs."""
-    if isinstance(node, lsf_mod.BinOp) and node.op in ("+", "-"):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
         left = _ln_terms(node.left, sign)
-        right = _ln_terms(node.right, sign if node.op == "+" else -sign)
+        right = _ln_terms(node.right,
+                          sign if isinstance(node.op, ast.Add) else -sign)
         if left is None or right is None:
             return None
         return left + right
-    if isinstance(node, lsf_mod.Neg):
+    if isinstance(node, ast.UnaryOp):    # unary minus, the only one admitted
         return _ln_terms(node.operand, -sign)
-    if (isinstance(node, lsf_mod.Call) and node.func == "ln"
-            and isinstance(node.args[0], lsf_mod.Var)):
-        return [(node.args[0].name, sign)]
+    if (isinstance(node, ast.Call) and node.func.id == "ln"
+            and isinstance(node.args[0], ast.Name)):
+        return [(node.args[0].id, sign)]
     return None
 
 
 def _product_factors(node):
     """Variable names in a pure product chain; None when it is not one."""
-    if isinstance(node, lsf_mod.BinOp) and node.op == "*":
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
         left = _product_factors(node.left)
         right = _product_factors(node.right)
         if left is None or right is None:
             return None
         return left + right
-    if isinstance(node, lsf_mod.Var):
-        return [node.name]
+    if isinstance(node, ast.Name):
+        return [node.id]
     return None
 
 
@@ -341,9 +343,10 @@ def _log_linear_terms(limit_state):
     ln(var) terms, or a difference of two variable products; both share
     the failure event with sum sign * ln(name) <= 0. None when the shape
     differs. A name may be the design parameter."""
-    terms = _ln_terms(limit_state.ast)
-    node = limit_state.ast
-    if terms is None and isinstance(node, lsf_mod.BinOp) and node.op == "-":
+    node = limit_state.tree
+    terms = _ln_terms(node)
+    if (terms is None and isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)):
         pos = _product_factors(node.left)
         neg = _product_factors(node.right)
         if pos is not None and neg is not None:

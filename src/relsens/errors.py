@@ -26,7 +26,7 @@ class NatafError(RelsensError, RuntimeError):
 
 
 class LsfSyntaxError(RelsensError, ValueError):
-    """Expression text could not be parsed; carries the byte offset."""
+    """Expression text could not be parsed; carries the character offset."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")

@@ -1,13 +1,25 @@
 """Limit-state functions: a small arithmetic expression language plus the
 built-in model functions used by the worked examples.
 
-Failure is the event {g <= 0}. Expressions may reference declared input
-names and the reserved design symbol ``a``; names are case-sensitive.
+Failure is the event {g <= 0}. An expression combines decimal literals
+(``2``, ``0.5``, ``.5``, ``1e-3``), ASCII names and calls to ``ln``,
+``exp``, ``sqrt``, ``abs`` (one argument) and ``min``, ``max`` (two) with
+binary ``+ - * / ^`` and unary ``-``; ``^`` is right-associative and binds
+tighter than unary ``-`` (``-2^2`` is ``-(2^2)``), and ``*``, ``/`` bind
+tighter than ``+``, ``-``. Names are case-sensitive and refer to declared
+inputs or the reserved design symbol ``a``; Python's reserved words
+(``lambda``, ``if``, ``True``, ...) cannot name an input that an
+expression uses. Text is parsed by Python's ``ast`` and admitted only when
+every node is of the kinds above; constants are float64 and every
+variable-free part must be finite.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,207 +29,109 @@ from .errors import (EvalError, LsfSyntaxError, NonFiniteGError,
 
 DESIGN_SYMBOL = "a"
 
-FUNCTIONS_1 = ("ln", "exp", "sqrt", "abs")
-FUNCTIONS_2 = ("min", "max")
-
-
-# -- AST ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-
-
-# -- lexer -------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<num>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*/^(),])
-""", re.VERBOSE)
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LsfSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            kind = "num" if m.group("num") else ("name" if m.group("name") else "op")
-            tokens.append((kind, m.group(0), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-# -- parser (precedence climbing; ^ right-assoc and tighter than unary -) ----
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, val, off = self.next()
-        if val != value:
-            raise LsfSyntaxError(f"expected {value!r}, found {val or 'end of input'!r}", off)
-
-    def parse(self):
-        node = self.expr()
-        kind, val, off = self.peek()
-        if kind != "end":
-            raise LsfSyntaxError(f"unexpected trailing input {val!r}", off)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek()[1] == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek()[1] == "^":
-            self.next()
-            return BinOp("^", node, self.unary())
-        return node
-
-    def atom(self):
-        kind, val, off = self.next()
-        if kind == "num":
-            return Num(float(val))
-        if kind == "name":
-            if self.peek()[1] == "(":
-                return self.call(val, off)
-            return Var(val)
-        if val == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise LsfSyntaxError(f"expected a value, found {val or 'end of input'!r}", off)
-
-    def call(self, name, off):
-        if name not in FUNCTIONS_1 and name not in FUNCTIONS_2:
-            raise LsfSyntaxError(f"unknown function {name!r}", off)
-        self.expect("(")
-        args = [self.expr()]
-        while self.peek()[1] == ",":
-            self.next()
-            args.append(self.expr())
-        self.expect(")")
-        want = 1 if name in FUNCTIONS_1 else 2
-        if len(args) != want:
-            raise LsfSyntaxError(f"{name} takes {want} argument(s)", off)
-        return Call(name, tuple(args))
+FUNCTIONS = {"ln": np.log, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs,
+             "min": np.minimum, "max": np.maximum}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow, ast.USub: operator.neg}
+_NODES = (ast.Name, ast.Load, ast.Constant, ast.Call, *_OPERATORS)
+_EXPRESSIONS = (ast.BinOp, ast.UnaryOp, ast.Constant, ast.Call)
+_CHARACTERS = re.compile(r"[A-Za-z0-9_.+\-*/^(),\s]*")
+_DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# nodes on a path from the root, operator nodes included; _eval recurses
+# once per level, and this leaves room below Python's recursion limit
+_MAX_DEPTH = 500
 
 
 def parse(text):
-    """Parse expression text into an AST."""
-    if not text or not text.strip():
+    """Parse expression text into a whitelisted ``ast`` expression node
+    whose constants are float64."""
+    if not text.strip():
         raise LsfSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    allowed = _CHARACTERS.match(text).end()
+    if allowed < len(text):
+        raise LsfSyntaxError(f"unexpected character {text[allowed]!r}", allowed)
+    if "**" in text:
+        raise LsfSyntaxError("unexpected '**'; write '^'", text.index("**"))
+    # `^` becomes `**`; offset[i] is the user's offset of python_text[i]
+    offset = [i for i, c in enumerate(text) for _ in range(1 + (c == "^"))]
+    offset.append(len(text))
+    python_text = re.sub(r"\s", " ", text).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(python_text, mode="eval").body
+    except SyntaxError as exc:
+        at = min(max((exc.offset or 1) - 1, 0), len(python_text))
+        raise LsfSyntaxError(exc.msg, offset[at]) from None
+    except (MemoryError, RecursionError):    # Python's parser ran out of stack
+        raise LsfSyntaxError("expression nests too deeply", 0) from None
+    # breadth first, as ast.walk, so every node comes before its descendants
+    nodes, children, level = [], {}, [tree]
+    for _ in range(_MAX_DEPTH):
+        nodes += level
+        for node in level:
+            children[id(node)] = list(ast.iter_child_nodes(node))
+        level = [child for node in level for child in children[id(node)]]
+        if not level:
+            break
+    else:
+        raise LsfSyntaxError("expression nests too deeply", 0)
+    funcs = set()
+    for node in nodes:
+        at = offset[getattr(node, "col_offset", 0)]
+        # a node with an operator (BinOp, UnaryOp, BoolOp) is judged by it,
+        # as the operator node has no position of its own
+        kind = type(getattr(node, "op", node))
+        if kind not in _NODES:
+            raise LsfSyntaxError(f"unsupported syntax ({kind.__name__})", at)
+        if isinstance(node, ast.Constant):
+            literal = python_text[node.col_offset:node.end_col_offset]
+            if not _DECIMAL.fullmatch(literal):
+                raise LsfSyntaxError(f"unsupported literal {literal!r}", at)
+            node.value = np.float64(literal)
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "id", None)
+            if func not in FUNCTIONS:
+                raise LsfSyntaxError(
+                    f"unknown function {ast.unparse(node.func)!r}", at)
+            if len(node.args) != FUNCTIONS[func].nin:
+                raise LsfSyntaxError(
+                    f"{func} takes {FUNCTIONS[func].nin} argument(s)", at)
+            funcs.add(id(node.func))
+    constant = set()    # ids of the nodes that reference no variable
+    with np.errstate(all="ignore"):
+        for node in reversed(nodes):    # innermost first
+            if ((isinstance(node, ast.Name) and id(node) not in funcs)
+                    or any(id(c) not in constant for c in children[id(node)])):
+                continue
+            constant.add(id(node))
+            if isinstance(node, _EXPRESSIONS) and not np.isfinite(
+                    value := _eval(node, {})):
+                start, end = offset[node.col_offset], offset[node.end_col_offset]
+                raise LsfSyntaxError(
+                    f"constant {text[start:end]!r} is not finite ({value})", start)
+    return tree
 
 
 def variables(node):
-    """Set of variable names referenced by an AST."""
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return variables(node.operand)
-    if isinstance(node, BinOp):
-        return variables(node.left) | variables(node.right)
-    if isinstance(node, Call):
-        out = set()
-        for a in node.args:
-            out |= variables(a)
-        return out
-    return set()
+    """Set of variable names an expression node references."""
+    funcs = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and id(n) not in funcs}
 
-
-# -- evaluation ---------------------------------------------------------------
 
 def _eval(node, env):
-    if isinstance(node, Num):
+    if isinstance(node, ast.Constant):
         return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, env)
-    if isinstance(node, BinOp):
-        lv = _eval(node.left, env)
-        rv = _eval(node.right, env)
-        if node.op == "+":
-            return lv + rv
-        if node.op == "-":
-            return lv - rv
-        if node.op == "*":
-            return lv * rv
-        if node.op == "/":
-            return lv / rv
-        return lv ** rv
-    if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        if node.func == "ln":
-            return np.log(args[0])
-        if node.func == "exp":
-            return np.exp(args[0])
-        if node.func == "sqrt":
-            return np.sqrt(args[0])
-        if node.func == "abs":
-            return np.abs(args[0])
-        if node.func == "min":
-            return np.minimum(args[0], args[1])
-        return np.maximum(args[0], args[1])
-    raise TypeError(f"not an AST node: {node!r}")
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        return _OPERATORS[type(node.op)](_eval(node.operand, env))
+    if isinstance(node, ast.BinOp):
+        return _OPERATORS[type(node.op)](_eval(node.left, env),
+                                         _eval(node.right, env))
+    return FUNCTIONS[node.func.id](*[_eval(a, env) for a in node.args])
 
 
 @dataclass(frozen=True)
@@ -225,15 +139,15 @@ class LimitState:
     """An evaluable g(x, a); failure is {g <= 0}."""
 
     source: str
-    ast: object
+    tree: ast.expr
     input_names: tuple
     has_design_param: bool
 
     @classmethod
     def from_expression(cls, text, input_names, source="expression"):
-        ast = parse(text) if isinstance(text, str) else text
+        tree = parse(text)
         names = tuple(input_names)
-        used = variables(ast)
+        used = variables(tree)
         unknown = used - set(names) - {DESIGN_SYMBOL}
         if unknown:
             raise UnknownIdentifierError(
@@ -241,7 +155,7 @@ class LimitState:
         if DESIGN_SYMBOL in names:
             raise UnknownIdentifierError(
                 f"{DESIGN_SYMBOL!r} is reserved for the design parameter")
-        return cls(source, ast, names, DESIGN_SYMBOL in used)
+        return cls(source, tree, names, DESIGN_SYMBOL in used)
 
 
 def evaluate(limit_state, x, a=None):
@@ -268,7 +182,7 @@ def evaluate(limit_state, x, a=None):
                             f"{x.shape[0]} (one per row), got shape {a.shape}")
         env[DESIGN_SYMBOL] = a if a.ndim else float(a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = np.asarray(_eval(limit_state.ast, env), dtype=float)
+        g = np.asarray(_eval(limit_state.tree, env), dtype=float)
     g = np.broadcast_to(g, (x.shape[0],)).copy() if g.ndim == 0 else g
     bad = ~np.isfinite(g)
     if np.any(bad):

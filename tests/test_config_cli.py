@@ -283,7 +283,22 @@ def _starved_subset_level(raw):
     raw.update(method="subset", n_per_level=100, p0=0.05)
 
 
-# these configs used to pass validate and fail in run with exit 3
+def _form_expression(text):
+    def edit(raw):
+        raw.update(method="form", lsf={"expression": text})
+    return edit
+
+
+def _form_design_cost(text):
+    def edit(raw):
+        raw["method"] = "form"
+        raw["decision"]["design"]["cost"] = text
+    return edit
+
+
+# these configs used to pass validate and fail in run with exit 3; those
+# with a non-finite constant part failed in run or validate with a Python
+# traceback (exit 1), or ran on a complex constant's real part
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("name, edit, field", [
     ("example1_design.json", _negative_analytic_design, "decision/design/grid"),
@@ -293,8 +308,16 @@ def _starved_subset_level(raw):
     ("example1_design.json", _negative_design_at("subset", n_per_level=2000),
      "decision/design/grid"),
     ("example1_safety.json", _starved_subset_level, "n_per_level"),
+    ("example1_safety.json", _form_expression("XR*R - XS*S + 0*10^400"), "lsf"),
+    ("example1_safety.json", _form_expression("XR*R - XS*S + 1/0"), "lsf"),
+    ("example1_safety.json", _form_expression("XR*R - (-8)^(1/3)*XS*S"), "lsf"),
+    ("example1_design.json", _form_design_cost("1/0*a"), "decision/design"),
+    ("example1_design.json", _form_design_cost("(-1)^0.5*a"), "decision/design"),
 ], ids=["analytic_negative_design", "form_negative_design", "mc_negative_design",
-        "subset_negative_design", "subset_n_per_level_times_p0"])
+        "subset_negative_design", "subset_n_per_level_times_p0",
+        "lsf_overflowing_constant", "lsf_constant_division_by_zero",
+        "lsf_complex_constant", "cost_constant_division_by_zero",
+        "cost_complex_constant"])
 def test_cli_rejects_configs_that_fail_at_run_time(tmp_path, capsys, command,
                                                    name, edit, field):
     raw = json.loads((CONFIG_DIR / name).read_text())

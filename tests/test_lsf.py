@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -5,35 +6,112 @@ import pytest
 
 from relsens import LimitState, builtin, evaluate, parse
 from relsens.errors import EvalError, LsfSyntaxError, UnknownIdentifierError
-from relsens.lsf import BinOp, Neg, Num, variables
+from relsens.lsf import variables
 
 
 # -- parsing -------------------------------------------------------------------
 
 def test_parse_example_expression():
-    ast = parse("ln(XR)+ln(R)-ln(XS)-ln(S)")
-    assert variables(ast) == {"XR", "R", "XS", "S"}
+    tree = parse("ln(XR)+ln(R)-ln(XS)-ln(S)")
+    assert variables(tree) == {"XR", "R", "XS", "S"}
 
 
 def test_precedence_and_associativity():
-    assert parse("1+2*3") == BinOp("+", Num(1.0), BinOp("*", Num(2.0), Num(3.0)))
-    assert parse("1-2-3") == BinOp("-", BinOp("-", Num(1.0), Num(2.0)), Num(3.0))
-    assert parse("2^3^2") == BinOp("^", Num(2.0), BinOp("^", Num(3.0), Num(2.0)))
+    for text, same_as in [("1+2*3", "1+(2*3)"), ("1-2-3", "(1-2)-3"),
+                          ("2^3^2", "2^(3^2)"), ("2^-1", "2^(-1)"),
+                          ("2*-3^2", "2*(-(3^2))")]:
+        assert ast.dump(parse(text)) == ast.dump(parse(same_as))
     # ^ binds tighter than unary minus
-    assert parse("-2^2") == Neg(BinOp("^", Num(2.0), Num(2.0)))
-    assert parse("2^-1") == BinOp("^", Num(2.0), Neg(Num(1.0)))
+    assert ast.dump(parse("-2^2")) == ast.dump(parse("-(2^2)"))
+    assert ast.dump(parse("-2^2")) != ast.dump(parse("(-2)^2"))
 
 
 def test_syntax_error_carries_offset():
-    with pytest.raises(LsfSyntaxError) as err:
-        parse("1 + $")
-    assert err.value.offset == 4
-    with pytest.raises(LsfSyntaxError):
-        parse("sin(x)")          # unknown function
-    with pytest.raises(LsfSyntaxError):
-        parse("min(x)")          # wrong arity
-    with pytest.raises(LsfSyntaxError):
-        parse("")
+    # each ^ is parsed as Python's two-character **, and offsets still index
+    # the expression as written
+    for text, offset in [("1 + $", 4), ("2^3 4", 4), ("x^2^2 )", 6),
+                         ("x + 2**3", 5), ("x^2 + 1/0", 6)]:
+        with pytest.raises(LsfSyntaxError) as err:
+            parse(text)
+        assert err.value.offset == offset
+
+
+_EX1 = ("R", "S", "XR", "XS")
+
+
+@pytest.mark.parametrize("text, names, accepted", [
+    ("ln(XR)+ln(R)-ln(XS)-ln(S)", _EX1, True),
+    ("a*XR*R - XS*S", _EX1, True),
+    ("1 - M1/(0.03*(1000*Y)) - (P/(0.19*(1000*Y)))^2", ("M1", "P", "Y"), True),
+    ("--x + 2^-1 + abs(x) + sqrt(exp(x)) + max(x, 1)", ("x",), True),
+    (".5 + 1. + 1.e5 + 2E+1 + 3e-2 + 00.5", (), True),
+    ("1 +\n2", (), True),
+    ("x\t+\r1", ("x",), True),
+    ("min(x, y,)", ("x", "y"), True),
+    ("ln(ln)", ("ln",), True),
+    ("exp(exp) - min(min, max)", ("exp", "min", "max"), True),
+    ("", (), False),
+    ("   ", (), False),
+    ("1 + $", (), False),
+    ("é", (), False),
+    ("1 # c", (), False),
+    ("sin(x)", ("x",), False),
+    ("x(1)", ("x",), False),
+    ("min(x)", ("x",), False),
+    ("ln(x, x)", ("x",), False),
+    ("min(x, y=1)", ("x", "y"), False),
+    ("min(*x)", ("x",), False),
+    ("(1+2", (), False),
+    ("2^3 4", (), False),
+    ("x^2^2 )", ("x",), False),
+    ("**", (), False),
+    ("2**3", (), False),
+    ("x // 2", ("x",), False),
+    ("+x", ("x",), False),
+    ("a.b", ("b",), False),
+    ("x if y else z", ("x", "y", "z"), False),
+    ("(x, y)", ("x", "y"), False),
+    ("0x1F", (), False),
+    ("1_0", (), False),
+    ("1j", (), False),
+    ("01", (), False),
+    ("True*2", ("True",), False),
+    ("lambda", ("lambda",), False),
+    ("2*lambda", ("lambda",), False),
+    ("not x", ("x",), False),
+    ("x and y", ("x", "y"), False),
+])
+def test_accepted_and_rejected_expressions(text, names, accepted):
+    if accepted:
+        LimitState.from_expression(text, names)
+    else:
+        with pytest.raises(LsfSyntaxError):
+            LimitState.from_expression(text, names)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("XR*R - XS*S + 0*10^400", 16),        # overflows to inf
+    ("XR*R - XS*S + 1/0", 14),
+    ("XR*R - (-8)^(1/3)*XS*S", 7),         # nan, not a complex number
+    ("1/0*a", 0),
+    ("(-1)^0.5*a", 0),
+    ("x + ln(0)", 4),
+    ("min(x, 1e400)", 7),
+])
+def test_non_finite_constant_part_is_a_syntax_error(text, offset):
+    with pytest.raises(LsfSyntaxError, match="not finite") as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
+def test_expression_nesting_is_bounded():
+    # evaluation recurses once per level, so a deeper tree is a syntax error
+    # rather than a RecursionError at run time
+    shallow = LimitState.from_expression("R" + "+1" * 400, ("R",))
+    assert evaluate(shallow, np.ones((1, 1)))[0] == 401.0
+    for text in ("R" + "+1" * 600, "-" * 10_000 + "R", "R" + "+1" * 100_000):
+        with pytest.raises(LsfSyntaxError, match="nests too deeply"):
+            parse(text)
 
 
 def test_bind_rejects_undeclared_names():
