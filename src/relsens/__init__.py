@@ -14,7 +14,7 @@ from .condest import (ConditionalPfCurve, KdeModel,
 from .decision import (DesignDecision, EvppiEntry, EvppiReport,
                        SafetyDecision, cvppi_curve, evpi_safety,
                        evppi_design, evppi_report, evppi_safety,
-                       prior_action, prior_design, threshold_sweep)
+                       prior_choice, prior_design, threshold_sweep)
 from .dists import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
                     fit_params_from_moments, lognormal_linear_conditional_pf,
                     lognormal_linear_pf, nataf_fit, validate_correlation)

@@ -148,15 +148,15 @@ class RunConfig:
     marginals: tuple
     joint: dists.GaussianCopulaJoint
     limit_state: lsf_mod.LimitState
-    safety: SafetyDecision = None
-    design: DesignDecision = None
-    method: str = "analytic"
-    n: int = None
-    n_per_level: int = None
-    p0: float = 0.1
-    seed: int = 0
-    grid_points: int = DEFAULT_GRID_POINTS
-    outputs: str = "out"
+    safety: SafetyDecision | None
+    design: DesignDecision | None
+    method: str
+    n: int | None
+    n_per_level: int | None
+    p0: float
+    seed: int
+    grid_points: int
+    outputs: str
 
 
 def _build_marginal(spec):
@@ -253,13 +253,13 @@ def validate_config(raw):
         except RelsensError as exc:
             raise ConfigError(f"decision/design: {exc}") from exc
 
-    method = raw["method"]
+    method, p0 = raw["method"], raw.get("p0", 0.1)
     if method == "mc" and "n" not in raw:
         raise ConfigError("method mc requires n")
     if method == "subset":
         if "n_per_level" not in raw:
             raise ConfigError("method subset requires n_per_level")
-        if raw["n_per_level"] * raw.get("p0", 0.1) < 10:
+        if raw["n_per_level"] * p0 < 10:
             raise ConfigError("n_per_level: method subset needs "
                               "n_per_level * p0 of at least 10")
     if method == "analytic":
@@ -275,7 +275,7 @@ def validate_config(raw):
         names=names, marginals=marginals, joint=joint, limit_state=limit_state,
         safety=safety, design=design, method=method,
         n=n, n_per_level=n_per_level,
-        p0=raw.get("p0", 0.1), seed=int(raw["seed"]),
+        p0=p0, seed=int(raw["seed"]),
         grid_points=int(raw.get("grid_points", DEFAULT_GRID_POINTS)),
         outputs=raw.get("outputs", "out"))
 

@@ -1,10 +1,12 @@
 """Decision models and the EVPPI engines built on conditional-pf curves.
 
-Two decision contexts are covered. The safety assessment is the binary
-choice between accepting the system and replacing it, where c_r/c_f acts
-as the probability threshold. The reliability-based design picks a value
-of the design parameter from a discrete grid, trading design cost
-against expected failure cost.
+Both decision contexts are a choice among actions, each with a cost c_k
+and a failure probability pf_k, at an expected loss of c_k + c_f pf_k.
+The reliability-based design has one action per value of the design
+parameter on a discrete grid, costing c_d(a). The safety assessment is
+the two-action case: doing nothing costs 0 and fails with pf, replacing
+costs c_r and never fails, so c_r/c_f acts as the probability threshold.
+The prior choice is the first action of least expected loss.
 
 Every EVPPI is a quadrature of conditional pf values against the prior
 density a curve carries, so no model is evaluated here. A safety EVPPI
@@ -22,10 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lsf as lsf_mod
-from .errors import ConfigError, DomainError
-
-DO_NOTHING = "do_nothing"
-REPLACE = "replace"
+from .errors import ConfigError, DomainError, NonFiniteGError
 
 
 @dataclass(frozen=True)
@@ -38,18 +37,25 @@ class SafetyDecision:
             raise DomainError("costs must be finite and satisfy c_f > c_r > 0")
 
     @property
-    def ratio(self):
-        return self.c_r / self.c_f
+    def costs(self):
+        return np.array([0.0, self.c_r])
+
+    @staticmethod
+    def failure_rows(pf):
+        """Each action's failure probability: (pf, 0)."""
+        pf = np.asarray(pf, dtype=float)
+        return np.stack([pf, np.zeros_like(pf)])
 
 
 @dataclass(frozen=True)
 class DesignDecision:
-    """Failure cost, design-cost expression in ``a`` and the design grid."""
+    """Failure cost, design-cost expression in ``a`` and the design grid;
+    ``costs`` is the design cost at each grid value."""
 
     c_f: float
     cost_model: str
     grid: np.ndarray
-    _cost_ast: object = field(repr=False, init=False, default=None)
+    costs: np.ndarray = field(repr=False, init=False)
 
     def __post_init__(self):
         if not np.inf > self.c_f > 0.0:
@@ -60,42 +66,48 @@ class DesignDecision:
             raise DomainError(
                 "design grid must be nonempty, finite, strictly increasing")
         object.__setattr__(self, "grid", g)
-        ast = lsf_mod.parse(self.cost_model)
-        extra = lsf_mod.variables(ast) - {lsf_mod.DESIGN_SYMBOL}
-        if extra:
-            raise DomainError(f"cost model may only reference 'a', got {sorted(extra)}")
-        object.__setattr__(self, "_cost_ast", ast)
-        if not np.all(np.isfinite(self.design_cost(g))):
-            raise DomainError("cost model is not finite on the design grid")
+        cost = lsf_mod.LimitState.from_expression(self.cost_model, ())
+        try:
+            costs = lsf_mod.evaluate(cost, np.empty((g.size, 0)),
+                                     g if cost.has_design_param else None)
+        except NonFiniteGError:
+            raise DomainError("cost model is not finite on the design grid") from None
+        object.__setattr__(self, "costs", costs)
 
-    def design_cost(self, a):
-        a = np.asarray(a, dtype=float)
-        out = np.asarray(lsf_mod._eval(self._cost_ast, {lsf_mod.DESIGN_SYMBOL: a}),
-                         dtype=float)
-        out = np.broadcast_to(out, a.shape) if out.shape != a.shape else out
-        return out if out.ndim else float(out)
+
+# ---------------------------------------------------------------------------
+# the action-cost table
+# ---------------------------------------------------------------------------
+
+def loss_table(failure_rows, decision):
+    """Expected losses c_k + c_f pf_k, one row per action, from the
+    failure probabilities ``failure_rows`` with one row per action."""
+    loss = decision.c_f * np.asarray(failure_rows, dtype=float)
+    loss += decision.costs.reshape((-1,) + (1,) * (loss.ndim - 1))
+    return loss
+
+
+def prior_choice(failure, decision):
+    """(index, expected loss) of the action of least expected loss, from
+    each action's failure probability; ties go to the first action."""
+    failure = np.asarray(failure, dtype=float)
+    if not np.all((failure >= 0.0) & (failure <= 1.0)):
+        raise DomainError("pf must lie in [0, 1]")
+    losses = loss_table(failure, decision)
+    k = int(np.argmin(losses))       # argmin returns the first minimizer
+    return k, float(losses[k])
 
 
 # ---------------------------------------------------------------------------
 # safety assessment
 # ---------------------------------------------------------------------------
 
-def prior_action(pf, decision):
-    """Optimal action before any observation; ties go to doing nothing."""
-    if not 0.0 <= pf <= 1.0:
-        raise DomainError("pf must lie in [0, 1]")
-    return DO_NOTHING if pf <= decision.ratio else REPLACE
-
-
 def cvppi_curve(curve, decision):
-    """Pointwise value of knowing x_i: |c_f pf(x) - c_r| where the
-    conditionally optimal action differs from the prior one, else 0."""
-    prior = prior_action(curve.pf_uncond, decision)
-    cond_replace = curve.pf_values > decision.ratio
-    changed = cond_replace != (prior == REPLACE)
-    return np.where(changed,
-                    np.abs(decision.c_f * curve.pf_values - decision.c_r),
-                    0.0)
+    """Pointwise value of knowing x_i: the prior action's expected loss
+    minus the least expected loss at x_i."""
+    prior, _ = prior_choice(decision.failure_rows(curve.pf_uncond), decision)
+    loss = loss_table(decision.failure_rows(curve.pf_values), decision)
+    return loss[prior] - loss.min(axis=0)
 
 
 def evppi_safety(curve, decision):
@@ -106,9 +118,8 @@ def evppi_safety(curve, decision):
 
 def evpi_safety(pf, decision):
     """Value of resolving all uncertainty in the safety decision."""
-    if not 0.0 <= pf <= 1.0:
-        raise DomainError("pf must lie in [0, 1]")
-    if pf <= decision.ratio:
+    prior, _ = prior_choice(decision.failure_rows(pf), decision)
+    if prior == 0:
         return pf * (decision.c_f - decision.c_r)
     return decision.c_r * (1.0 - pf)
 
@@ -122,21 +133,15 @@ def prior_design(pf_per_design, decision):
     pf = np.asarray(pf_per_design, dtype=float)
     if pf.shape != decision.grid.shape:
         raise ConfigError("pf_per_design must match the design grid")
-    losses = decision.design_cost(decision.grid) + pf * decision.c_f
-    j = int(np.argmin(losses))       # argmin returns the first minimizer
-    return {"a_opt": float(decision.grid[j]),
-            "expected_loss": float(losses[j]),
-            "index": j,
-            "pf": float(pf[j])}
+    j, loss = prior_choice(pf, decision)
+    return {"a_opt": float(decision.grid[j]), "expected_loss": loss,
+            "index": j, "pf": float(pf[j])}
 
 
 def posterior_loss_curve(pf_rows, decision):
     """min_j [c_d(a_j) + c_f pf_j(x)] at each grid point, from the
     (n_designs, n_grid) array ``pf_rows`` of conditional pf values."""
-    costs = decision.design_cost(decision.grid)
-    loss = decision.c_f * pf_rows
-    loss += costs[:, None]
-    return loss.min(axis=0)
+    return loss_table(pf_rows, decision).min(axis=0)
 
 
 def evppi_design(curve, pf_rows, pf_per_design, decision):
@@ -144,7 +149,10 @@ def evppi_design(curve, pf_rows, pf_per_design, decision):
 
     ``pf_rows`` holds the conditional pf values, one row per design value,
     on the grid of ``curve``, which supplies only that grid and the prior
-    density.
+    density. The value is the prior loss minus the trapezoid of the
+    posterior loss. perfbench's ``ORACLE_DESIGN`` was frozen from this
+    quadrature, so it stays until ROADMAP item 12's region formulas
+    replace it.
 
     Sampling noise can push the raw estimate slightly negative; the
     value is floored at zero and the raw difference is reported.

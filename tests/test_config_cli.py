@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,28 @@ def test_cli_rejects_nan_and_infinity(tmp_path, capsys, command, token, edit,
     args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
     assert cli.main(args) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_design_cost_not_finite_on_the_grid_exits_2_without_a_warning(
+        tmp_path, capsys, command):
+    # sqrt(a) is NaN at the negative design values; the limit state puts
+    # no sign constraint on a, so the cost model is what rejects the grid
+    raw = json.loads((CONFIG_DIR / "example1_design.json").read_text())
+    raw.update(lsf={"expression": "XR*R - XS*S + 10*a"})
+    raw["decision"]["design"]["cost"] = "1e5*sqrt(a)"
+    raw["decision"]["design"]["grid"]["start"] = -0.5
+    path = _write_config(tmp_path / "bad.json", raw)
+    out = tmp_path / "out"
+    args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("decision/design: cost model is not finite on the "
+                        "design grid\n")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

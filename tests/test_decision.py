@@ -7,17 +7,18 @@ import pytest
 
 from relsens import (DesignDecision, SafetyDecision, crude_mc, cvppi_curve,
                      evpi_safety, evppi_design, evppi_form_safety,
-                     evppi_report, evppi_safety,
+                     evppi_report, evppi_safety, lsf,
                      lognormal_linear_conditional_pf, lognormal_linear_pf,
-                     prior_action, prior_design, solve_form, std_normal_inv,
-                     threshold_sweep)
+                     pipeline, prior_choice, prior_design, solve_form,
+                     std_normal_inv, threshold_sweep)
 from relsens.condest import (ConditionalPfCurve,
                              conditional_pf_from_failure_samples,
                              curve_from_function, default_grid)
-from relsens.decision import DO_NOTHING, REPLACE, posterior_loss_curve
-from relsens.errors import ConfigError, DomainError
+from relsens.config import load_config
+from relsens.decision import posterior_loss_curve
+from relsens.errors import ConfigError, DomainError, UnknownIdentifierError
 from relsens.form import conditional_pf_x
-from conftest import BETA0_IND, PF_DEP, PF_IND
+from conftest import BETA0_IND, CONFIG_DIR, PF_DEP, PF_IND
 
 EXACT_EVPPI = np.array([349077.6, 454015.3, 130691.2, 349077.6])
 CF = 1e8
@@ -51,13 +52,16 @@ def design_curves(problem, marginals, i, grid_a, x_grid=None):
 # -- prior action and CVPPI -------------------------------------------------------
 
 def test_prior_action_cases():
+    # the safety decision's actions: 0 does nothing, 1 replaces
     d = SafetyDecision(c_f=1e8, c_r=1e6)
-    assert prior_action(7.4e-3, d) == DO_NOTHING
-    assert prior_action(d.ratio, d) == DO_NOTHING        # tie rule
+    assert prior_choice(d.failure_rows(7.4e-3), d) == (0, 7.4e-3 * 1e8)
+    tie = d.c_r / d.c_f
+    assert prior_choice(d.failure_rows(tie), d)[0] == 0    # tie rule
     d2 = SafetyDecision(c_f=1e8, c_r=1e5)
-    assert prior_action(1.7e-2, d2) == REPLACE
-    with pytest.raises(DomainError):
-        prior_action(1.2, d)
+    assert prior_choice(d2.failure_rows(1.7e-2), d2) == (1, 1e5)
+    for pf in (1.2, -1e-3, math.nan):
+        with pytest.raises(DomainError, match=r"pf must lie in \[0, 1\]"):
+            prior_choice(d.failure_rows(pf), d)
 
 
 def test_cvppi_flat_curve_is_zero(ex1_marginals):
@@ -73,14 +77,14 @@ def test_cvppi_nonzero_exactly_in_change_region(ex1_problem, ex1_marginals):
     curve = analytic_curve(ex1_problem, ex1_marginals, 0)
     d = SafetyDecision(c_f=1e8, c_r=1e6)
     values = cvppi_curve(curve, d)
-    assert np.array_equal(values > 0, curve.pf_values > d.ratio)
+    assert np.array_equal(values > 0, curve.pf_values > d.c_r / d.c_f)
 
 
 def test_cvppi_zero_at_decision_boundary(ex1_marginals):
     m = ex1_marginals[0]
     grid = np.array([80.0, 90.0, 100.0])
     d = SafetyDecision(c_f=1e8, c_r=1e6)
-    curve = ConditionalPfCurve(grid, np.array([0.5, d.ratio, 1e-4]),
+    curve = ConditionalPfCurve(grid, np.array([0.5, d.c_r / d.c_f, 1e-4]),
                                "analytic", PF_IND, m.pdf(grid))
     values = cvppi_curve(curve, d)
     assert values[1] == 0.0
@@ -415,7 +419,7 @@ def test_posterior_loss_curve_equals_the_plain_expression_bit_for_bit(
         ex1_design_sweep):
     cfg, res = ex1_design_sweep
     d = cfg.design
-    costs = d.design_cost(d.grid)
+    costs = d.costs
     for i in range(cfg.joint.dim):
         rows = _form_sweep_rows(cfg, res, i)
         want = (costs[:, None] + d.c_f * rows).min(axis=0)
@@ -438,3 +442,51 @@ def test_posterior_loss_curve_peaks_near_its_loss_matrix(ex1_design_sweep):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * rows.nbytes
+
+
+@pytest.mark.parametrize("cost", [None, "1e5", "0*a + 5"])
+def test_design_costs_are_the_cost_model_on_the_grid_bit_for_bit(cost):
+    # the expression evaluated directly, as the design cost was before it
+    # became a limit state of the design value alone
+    d = load_config(CONFIG_DIR / "example1_design.json").design
+    if cost is not None:
+        d = DesignDecision(c_f=d.c_f, cost_model=cost, grid=d.grid)
+    want = np.asarray(lsf._eval(lsf.parse(d.cost_model), {"a": d.grid}),
+                      dtype=float)
+    want = np.broadcast_to(want, d.grid.shape)
+    assert d.costs.shape == d.grid.shape
+    assert d.costs.tobytes() == want.tobytes()
+
+
+def test_a_cost_model_may_reference_only_the_design_value():
+    with pytest.raises(UnknownIdentifierError, match=r"\['R'\]"):
+        DesignDecision(c_f=CF, cost_model="R*a", grid=np.array([1.0]))
+
+
+@pytest.mark.parametrize("method", ["analytic", "form"])
+@pytest.mark.parametrize("name", ["example1_safety.json",
+                                  "example1_safety_dependent.json"])
+def test_cvppi_and_safety_evppi_equal_the_change_region_expression_bit_for_bit(
+        name, method):
+    # the accept/replace choice as it was written before it became the
+    # two-action loss table: |c_f pf(x) - c_r| where the action at x differs
+    # from the prior one, else 0, and its trapezoid
+    cfg = load_config(CONFIG_DIR / name)
+    result = pipeline.run_analysis(replace(cfg, method=method))
+    c_f = cfg.safety.c_f
+    decisions = [SafetyDecision(c_f=c_f, c_r=r * c_f)
+                 for r in np.geomspace(1e-5, 0.3, 40)] + [cfg.safety]
+    zeros = 0
+    for d in decisions:
+        for curve in result.curves.values():
+            pf = curve.pf_values
+            prior_is_replace = curve.pf_uncond > d.c_r / d.c_f
+            want = np.where((pf > d.c_r / d.c_f) != prior_is_replace,
+                            np.abs(d.c_f * pf - d.c_r), 0.0)
+            got = cvppi_curve(curve, d)
+            assert got.tobytes() == want.tobytes()
+            evppi = float(np.trapezoid(want * curve.density_prior, curve.grid))
+            assert evppi_safety(curve, d) == evppi
+            zeros += evppi == 0.0
+    # some (input, ratio) pairs never change the decision: exactly 0
+    assert zeros >= 12
