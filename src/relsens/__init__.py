@@ -21,7 +21,7 @@ from .dists import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
 from .form import (FormResult, conditional_pf_u, conditional_pf_x,
                    evppi_form_design, evppi_form_safety, solve_form,
                    threshold_u)
-from .lsf import LimitState, builtin, evaluate, parse
+from .lsf import LimitState, evaluate, parse
 from .sample import McResult, SubsetResult, crude_mc, subset_simulation
 from .special import (bivariate_normal_cdf, std_normal_cdf, std_normal_inv,
                       std_normal_pdf)

@@ -366,12 +366,12 @@ def conditional_pf_from_failure_samples(marginal, failure_values, pf_hat,
         kernel_terms=terms)
 
 
-def curve_from_function(marginal, pf_of_x, pf_uncond, grid,
+def curve_from_function(marginal, pf_values, pf_uncond, grid,
                         source="analytic"):
-    """Wrap a vectorized pf(x_i) callable as a curve on ``grid``."""
+    """Wrap pf(x_i) values, one per point of ``grid``, as a curve."""
     grid = np.asarray(grid, dtype=float)
     return ConditionalPfCurve(
-        grid=grid, pf_values=np.asarray(pf_of_x(grid), dtype=float),
+        grid=grid, pf_values=np.asarray(pf_values, dtype=float),
         source=source, pf_uncond=float(pf_uncond),
         density_prior=np.asarray(marginal.pdf(grid), dtype=float))
 

@@ -1,10 +1,9 @@
 """Declarative run configuration: JSON schema plus semantic validation.
 
 Inputs are specified by moments (mean and c.o.v., the canonical form) or
-by native parameters. The limit state is a builtin id or expression
-text. The decision block carries a safety case (design-free limit state)
-or a design case (limit state with the design parameter ``a``), never
-both.
+by native parameters. The limit state is expression text. The decision
+block carries a safety case (design-free limit state) or a design case
+(limit state with the design parameter ``a``), never both.
 
 ``schema/config.schema.json`` is the single source of the structural
 rules. A small walker in this module checks a config against it with
@@ -12,16 +11,16 @@ JSON Schema semantics for the keywords the schema uses: ``type``
 (``object``, ``array``, ``string``, ``number``, ``integer``; a bool is
 not a number, an integer-valued float is an integer), ``required``,
 ``properties``, ``additionalProperties: false``, ``items``,
-``minItems``, ``maxItems``, ``minProperties``, ``maxProperties``,
-``enum``, ``pattern``, ``minimum``, ``exclusiveMinimum`` and
-``exclusiveMaximum``. The schema is read once per process, and any other
-keyword in it raises ``NotImplementedError``, so a schema edit cannot go
-unchecked.
+``minItems``, ``maxItems``, ``minProperties``, ``enum``, ``pattern``,
+``minimum``, ``exclusiveMinimum`` and ``exclusiveMaximum``. The schema
+is read once per process, and any other keyword in it raises
+``NotImplementedError``, so a schema edit cannot go unchecked.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
 import json
 import re
@@ -52,8 +51,8 @@ _TYPES = {
 _KEYWORDS = {
     "$schema", "title",                   # annotations: nothing to check
     "type", "required", "properties", "additionalProperties", "items",
-    "minItems", "maxItems", "minProperties", "maxProperties", "enum",
-    "pattern", "minimum", "exclusiveMinimum", "exclusiveMaximum"}
+    "minItems", "maxItems", "minProperties", "enum", "pattern", "minimum",
+    "exclusiveMinimum", "exclusiveMaximum"}
 
 
 def _check_keywords(schema, where="<root>"):
@@ -125,9 +124,6 @@ def _schema_error(value, schema):
         if len(value) < schema.get("minProperties", 0):
             return [], (f"{value!r} "
                         f"{_too_few(schema['minProperties'], 'does not have enough properties')}")
-        if len(value) > schema.get("maxProperties", len(value)):
-            return [], (f"{value!r} "
-                        f"{_too_many(schema['maxProperties'], 'has too many properties')}")
         properties = schema.get("properties", {})
         extras = sorted(k for k in value if k not in properties)
         if extras and schema.get("additionalProperties") is False:
@@ -172,6 +168,15 @@ def _build_marginal(spec):
     return dists.fit_params_from_moments(kind, spec["mean"], spec["cov"])
 
 
+@contextlib.contextmanager
+def _at(where):
+    """Raise a package error from the block as a ConfigError at ``where``."""
+    try:
+        yield
+    except RelsensError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def validate_config(raw):
     """Schema plus semantic validation; returns a RunConfig.
 
@@ -186,39 +191,21 @@ def validate_config(raw):
     if len(set(names)) != len(names):
         raise ConfigError("inputs: names must be unique")
 
-    try:
+    with _at("inputs"):
         marginals = tuple(_build_marginal(s) for s in raw["inputs"])
-    except RelsensError as exc:
-        raise ConfigError(f"inputs: {exc}") from exc
 
     correlation = raw.get("correlation")
-    try:
+    with _at("correlation"):
         if correlation is not None:
             correlation = np.asarray(correlation, dtype=float)
             if correlation.shape != (len(names), len(names)):
-                raise ConfigError(
-                    f"correlation: expected a {len(names)}x{len(names)} matrix")
+                raise ConfigError(f"expected a {len(names)}x{len(names)} matrix")
             dists.validate_correlation(correlation)
         joint = dists.GaussianCopulaJoint.fit(marginals, correlation)
-    except ConfigError:
-        raise
-    except RelsensError as exc:
-        raise ConfigError(f"correlation: {exc}") from exc
 
-    lspec = raw["lsf"]
-    try:
-        if "builtin" in lspec:
-            limit_state = lsf_mod.builtin(lspec["builtin"])
-            if limit_state.input_names != names:
-                raise ConfigError(
-                    f"lsf: builtin {lspec['builtin']!r} expects inputs "
-                    f"{list(limit_state.input_names)}, config declares {list(names)}")
-        else:
-            limit_state = lsf_mod.LimitState.from_expression(lspec["expression"], names)
-    except ConfigError:
-        raise
-    except RelsensError as exc:
-        raise ConfigError(f"lsf: {exc}") from exc
+    with _at("lsf"):
+        limit_state = lsf_mod.LimitState.from_expression(
+            raw["lsf"]["expression"], names)
 
     safety = design = None
     dblock = raw["decision"]
@@ -229,10 +216,8 @@ def validate_config(raw):
                 "so the accept/replace case has no fixed system to assess; "
                 "use a design-free limit state for the safety block")
         s = dblock["safety"]
-        try:
+        with _at("decision/safety"):
             safety = SafetyDecision(c_f=s["c_f"], c_r=s["c_r"])
-        except RelsensError as exc:
-            raise ConfigError(f"decision/safety: {exc}") from exc
     if "design" in dblock:
         d = dblock["design"]
         if not limit_state.has_design_param:
@@ -248,10 +233,8 @@ def validate_config(raw):
             raise ConfigError("decision/design/grid: the design value enters "
                               "the limit state as a factor or as ln(a), so it "
                               "must be positive")
-        try:
+        with _at("decision/design"):
             design = DesignDecision(c_f=d["c_f"], cost_model=d["cost"], grid=grid)
-        except RelsensError as exc:
-            raise ConfigError(f"decision/design: {exc}") from exc
 
     method, p0 = raw["method"], raw.get("p0", 0.1)
     if method == "mc" and "n" not in raw:
@@ -263,10 +246,8 @@ def validate_config(raw):
             raise ConfigError("n_per_level: method subset needs "
                               "n_per_level * p0 of at least 10")
     if method == "analytic":
-        try:
+        with _at("method analytic"):
             as_lognormal_linear(limit_state, marginals)
-        except RelsensError as exc:
-            raise ConfigError(f"method analytic: {exc}") from exc
 
     # the schema admits integer-valued floats such as 1e6 as integers
     n, n_per_level = (int(raw[k]) if k in raw else None

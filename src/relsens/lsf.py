@@ -1,5 +1,4 @@
-"""Limit-state functions: a small arithmetic expression language plus the
-built-in model functions used by the worked examples.
+"""Limit-state functions: a small arithmetic expression language.
 
 Failure is the event {g <= 0}. An expression combines decimal literals
 (``2``, ``0.5``, ``.5``, ``1e-3``), ASCII names and calls to ``ln``,
@@ -138,13 +137,12 @@ def _eval(node, env):
 class LimitState:
     """An evaluable g(x, a); failure is {g <= 0}."""
 
-    source: str
     tree: ast.expr
     input_names: tuple
     has_design_param: bool
 
     @classmethod
-    def from_expression(cls, text, input_names, source="expression"):
+    def from_expression(cls, text, input_names):
         tree = parse(text)
         names = tuple(input_names)
         used = variables(tree)
@@ -155,7 +153,7 @@ class LimitState:
         if DESIGN_SYMBOL in names:
             raise UnknownIdentifierError(
                 f"{DESIGN_SYMBOL!r} is reserved for the design parameter")
-        return cls(source, tree, names, DESIGN_SYMBOL in used)
+        return cls(tree, names, DESIGN_SYMBOL in used)
 
 
 def evaluate(limit_state, x, a=None):
@@ -192,32 +190,3 @@ def evaluate(limit_state, x, a=None):
         raise NonFiniteGError(i, values)
     return g
 
-
-# -- built-in limit states -----------------------------------------------------
-
-_X2_S1 = 0.03    # plastic flexural modulus, m^3
-_X2_S2 = 0.015   # plastic flexural modulus, m^3
-_X2_A = 0.190    # cross-section area, m^2
-
-_BUILTIN_EXPRESSIONS = {
-    # resistance/load component model on log scale
-    "example1_safety": ("ln(XR) + ln(R) - ln(XS) - ln(S)", ("R", "S", "XR", "XS")),
-    # same component with a resistance-scaling design factor
-    "example1_design": ("a*XR*R - XS*S", ("R", "S", "XR", "XS")),
-    # short column under biaxial bending plus axial force.
-    # Inputs carry their table units (M1, M2 in kNm; P in kN; Y in MPa);
-    # Y is multiplied by 1000 inside so every term is in kN and m.
-    "example2_column": (
-        f"1 - M1/({_X2_S1}*(1000*Y)) - M2/({_X2_S2}*(1000*Y))"
-        f" - (P/({_X2_A}*(1000*Y)))^2",
-        ("M1", "M2", "P", "Y")),
-}
-
-
-def builtin(builtin_id):
-    """A built-in LimitState by id."""
-    try:
-        text, names = _BUILTIN_EXPRESSIONS[builtin_id]
-    except KeyError:
-        raise EvalError(f"unknown builtin limit state {builtin_id!r}") from None
-    return LimitState.from_expression(text, names, source=builtin_id)

@@ -97,8 +97,8 @@ def _function_estimate(cfg, grids, pf, values, source, row_diagnostics,
                        diagnostics):
     """Estimate of a closed-form method: row curves wrap the value rows."""
     def curve(i, j, row):
-        return condest.curve_from_function(cfg.marginals[i], lambda x: row,
-                                           pf[j], grids[i], source=source)
+        return condest.curve_from_function(cfg.marginals[i], row, pf[j],
+                                           grids[i], source=source)
 
     return Estimate(pf, values, curve, row_diagnostics, diagnostics)
 

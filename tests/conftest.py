@@ -5,7 +5,7 @@ import pytest
 
 from relsens import (GaussianCopulaJoint, LognormalLinearProblem,
                      fit_params_from_moments)
-from relsens import builtin, crude_mc, solve_form
+from relsens import crude_mc, solve_form
 from relsens.config import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -63,12 +63,12 @@ def ex1_problem_dep(ex1_marginals):
 
 @pytest.fixture(scope="session")
 def ex1_lsf():
-    return builtin("example1_safety")
+    return load_config(CONFIG_DIR / "example1_safety.json").limit_state
 
 
 @pytest.fixture(scope="session")
 def ex1_design_lsf():
-    return builtin("example1_design")
+    return load_config(CONFIG_DIR / "example1_design.json").limit_state
 
 
 @pytest.fixture(scope="session")
@@ -84,7 +84,7 @@ def ex2_joint(ex2_marginals):
 
 @pytest.fixture(scope="session")
 def ex2_lsf():
-    return builtin("example2_column")
+    return load_config(CONFIG_DIR / "example2_safety.json").limit_state
 
 
 @pytest.fixture(scope="session")

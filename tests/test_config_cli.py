@@ -34,7 +34,7 @@ def _base_config(**overrides):
             {"name": "XR", "dist": "lognormal", "mean": 1, "cov": 0.1},
             {"name": "XS", "dist": "lognormal", "mean": 1, "cov": 0.2},
         ],
-        "lsf": {"builtin": "example1_safety"},
+        "lsf": {"expression": "ln(XR) + ln(R) - ln(XS) - ln(S)"},
         "decision": {"safety": {"c_f": 1e8, "c_r": 1e6}},
         "method": "analytic",
         "seed": 5,
@@ -148,7 +148,7 @@ def test_analytic_rejects_non_lognormal():
 
 
 def test_safety_block_rejected_for_design_lsf():
-    raw = _base_config(lsf={"builtin": "example1_design"})
+    raw = _base_config(lsf={"expression": "a*XR*R - XS*S"})
     with pytest.raises(ConfigError, match="design parameter"):
         validate_config(raw)
 
@@ -277,6 +277,19 @@ def test_cli_rejects_the_deleted_kde_transform_key(tmp_path, capsys):
     path = _write_config(tmp_path / "column.json", raw)
     assert cli.main(["validate", str(path)]) == 2
     assert "'kde_transform' was unexpected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_the_deleted_builtin_lsf_key(tmp_path, capsys, command):
+    # a limit state is given by its expression text; the built-in ids are gone
+    raw = json.loads((CONFIG_DIR / "example1_safety.json").read_text())
+    raw["lsf"] = {"builtin": "example1_safety"}
+    path = _write_config(tmp_path / "builtin.json", raw)
+    out = tmp_path / "out"
+    args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert cli.main(args) == 2
+    assert "lsf: 'expression' is a required property" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_a_marginal_parameter_that_overflows(tmp_path, capsys):

@@ -29,8 +29,7 @@ def analytic_curve(problem, marginals, i, grid=None):
     if grid is None:
         grid = default_grid(marginals[i], 512)
     return curve_from_function(
-        marginals[i],
-        lambda x: lognormal_linear_conditional_pf(problem, i, x),
+        marginals[i], lognormal_linear_conditional_pf(problem, i, grid),
         pf, grid)
 
 
@@ -168,7 +167,7 @@ def test_safety_evppi_closed_form_agreement(ex1_joint, ex1_joint_dep, ex1_lsf,
                 m.from_standard_normal(std_normal_inv(1e-12)),
                 m.from_standard_normal(std_normal_inv(1.0 - 1e-12)), 65536)
             curve = curve_from_function(
-                m, lambda x: conditional_pf_x(joint, i, x, res)[0],
+                m, conditional_pf_x(joint, i, grid, res)[0],
                 pf, grid, source="form")
             quadr = evppi_safety(curve, d)
             rho_i = float(res.alpha[0] @ joint.chol_z[i])

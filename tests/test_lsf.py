@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from relsens import LimitState, builtin, evaluate, parse
+from relsens import LimitState, evaluate, parse
 from relsens.errors import EvalError, LsfSyntaxError, UnknownIdentifierError
 from relsens.lsf import variables
 
@@ -198,8 +198,3 @@ def test_per_row_design_values_match_scalar_calls(ex1_design_lsf):
     for wrong in (a[:39], np.append(a, 1.0), a.reshape(20, 2)):
         with pytest.raises(EvalError, match="design parameter a"):
             evaluate(ex1_design_lsf, xs, wrong)
-
-
-def test_builtin_unknown_id():
-    with pytest.raises(EvalError):
-        builtin("nope")

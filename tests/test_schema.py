@@ -119,7 +119,7 @@ def test_walker_agrees_with_jsonschema_on_mutated_configs(name, data):
     (["inputs", 0, "params"], [4.6, 0.2], True),
     (["inputs", 0, "params"], [4.6, 0.2, 1.0], False),
     (["inputs", 0, "params"], [4.6], False),
-    (["lsf", "expression"], "ln(R) - ln(S)", False),   # maxProperties
+    (["lsf", "builtin"], "example1_safety", False),
 ])
 def test_walker_types_and_bounds(path, value, ok):
     raw = copy.deepcopy(SHIPPED["example1_safety.json"])
@@ -148,6 +148,7 @@ def test_schema_error_keeps_path_and_message():
     ({"additionalProperties": {"type": "number"}}, "<root>"),
     ({"type": ["number", "null"]}, "<root>"),
     ({"type": "boolean"}, "<root>"),
+    ({"type": "object", "maxProperties": 1}, "<root>"),
 ])
 def test_walker_rejects_unimplemented_schema_keywords(schema, where):
     with pytest.raises(NotImplementedError, match=where):
