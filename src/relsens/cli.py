@@ -33,11 +33,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-THREADS_HELP = ("accepted for compatibility and not used: crude MC and the "
-                "per-input curve stage run at most one worker thread per "
-                "CPU in the process's affinity mask (restrict it with "
-                "taskset), whatever this value; results never depend on "
-                "either")
+THREADS_HELP = ("accepted for compatibility and not used: crude MC runs at "
+                "most one worker thread per CPU in the process's affinity "
+                "mask (restrict it with taskset), whatever this value, and "
+                "every other stage runs on one thread; results never depend "
+                "on either")
 
 
 def _floats(values):
@@ -97,6 +97,15 @@ def _load(args):
     return config_mod.validate_config(_apply_overrides(raw, args))
 
 
+def _analyse(cfg):
+    """Run the analysis of ``cfg``, then make its output directory: a run
+    that fails leaves no directory behind."""
+    result = pipeline.run_analysis(cfg)
+    outdir = Path(cfg.outputs)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return result, outdir
+
+
 def _warn_form_non_convergence(result):
     failed = result.diagnostics.get("form", {}).get("not_converged")
     if failed:
@@ -122,11 +131,9 @@ def cmd_run(args):
     t0 = time.perf_counter()
     cfg = _load(args)                  # JSON, schema, marginal and Nataf fits
     load_seconds = time.perf_counter() - t0
-    outdir = Path(cfg.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        result = pipeline.run_analysis(cfg)
+        result, outdir = _analyse(cfg)
         result.diagnostics["stage_seconds"] = {
             "load": load_seconds, **result.diagnostics["stage_seconds"]}
 
@@ -205,10 +212,8 @@ def cmd_sweep(args):
         print("ratio grid must lie inside (0, 1)", file=sys.stderr)
         return EXIT_CONFIG
     ratios = np.geomspace(args.ratio_min, args.ratio_max, args.ratio_count)
-    outdir = Path(cfg.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
-        result = pipeline.run_analysis(cfg)
+        result, outdir = _analyse(cfg)
         rows = dec.threshold_sweep([result.curves[n] for n in cfg.names],
                                    cfg.names, cfg.safety.c_f, ratios,
                                    result.pf)

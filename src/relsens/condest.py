@@ -368,10 +368,11 @@ def conditional_pf_from_failure_samples(marginal, failure_values, pf_hat,
 
 def curve_from_function(marginal, pf_values, pf_uncond, grid,
                         source="analytic"):
-    """Wrap pf(x_i) values, one per point of ``grid``, as a curve."""
+    """Wrap a copy of pf(x_i) values, one per point of ``grid``, as a
+    curve: a row of a larger array does not keep that array alive."""
     grid = np.asarray(grid, dtype=float)
     return ConditionalPfCurve(
-        grid=grid, pf_values=np.asarray(pf_values, dtype=float),
+        grid=grid, pf_values=np.array(pf_values, dtype=float),
         source=source, pf_uncond=float(pf_uncond),
         density_prior=np.asarray(marginal.pdf(grid), dtype=float))
 

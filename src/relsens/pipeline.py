@@ -17,24 +17,27 @@ ESS, as its rows are independent draws: a row's ESS is its
 ``n_failure_samples``. Subset reports the chain ESS (Au & Beck 2001) of
 each input at the reported row as ``diagnostics.ess``.
 
-Two stages run on the worker threads of ``sample.run_on_workers``, the
-package's one thread loop: crude MC's chunks, and the per-input stage of
-``run_analysis``, one task per input. A task takes the input's (designs
-x grid) conditional pf rows, its curve at the reported row and, at the
-design stage, its design EVPPI; at analytic and FORM it evaluates the
-closed forms, one Phi pass over 151 x 512 values per input at example
-1's design stage. The loop sizes itself from the work, so a safety run's
-curves (a few thousand values) start no thread. The KDE fits of mc and
-subset run one after another in ``estimate``: their pair sums make many
-small numpy calls, and on 2 threads the four curves of a run were slower
-(medians on a 2-CPU VM: 18.5 -> 20.0 ms on dependent-subset's sample,
-12-15 -> 16-18 ms on column-mc's).
+Only crude MC's sampling runs on threads (see ``sample``); every other
+step runs on the calling thread. The per-input stage of ``run_analysis``
+takes each input in turn: its (designs x grid) conditional pf rows, its
+curve at the reported row and, at the design stage, its design EVPPI.
+At analytic and FORM the rows are the closed forms, evaluated when the
+input's turn comes and dropped after it (the curve copies its row), so
+one input's rows are kept at a time. At example 1's design stage that is
+one Phi pass over 151 x 512 values per input. Two threads take that
+stage from 5.1-5.5 ms to 3.9-4.7 ms (medians on a 2-CPU VM) once an
+earlier crude-MC run in the process has warmed the helper's heap, and by
+an uneven amount in a fresh process; the package keeps its one thread
+loop in crude MC for simplicity. The KDE fits of mc and subset run one
+after another in ``estimate``: their pair sums make many small numpy
+calls, and on 2 threads the four curves of a run were slower (18.5 ->
+20.0 ms on dependent-subset's sample, 12-15 -> 16-18 ms on column-mc's).
 
 ``run_analysis`` times two stages: ``reliability`` (the FORM search, the
 sampling, the KDE fits and the reported row's diagnostics, such as
 subset's ESS), then ``safety_evppi`` or ``design_evppi``, which holds the
-per-input stage and the report. ``diagnostics.workers`` is the number of
-threads crude MC drew on at mc, and the per-input stage's otherwise.
+per-input stage and the report. At mc, ``diagnostics.workers`` is the
+number of threads crude MC drew on.
 """
 
 from __future__ import annotations
@@ -208,16 +211,13 @@ def run_analysis(cfg):
     row_diagnostics = est.row_diagnostics(j)
     t1 = time.perf_counter()
 
-    def input_stage(i, _):
+    curves, details = {}, {}
+    for i, name in enumerate(cfg.names):
         values = est.values(i)
-        curve = est.curve(i, j, values[j])
-        return curve, (None if prior is None else
-                       dec.evppi_design(curve, values, est.pf, cfg.design))
-
-    stage_results, workers = sample.run_on_workers(
-        len(cfg.names), est.pf.size * cfg.grid_points * len(cfg.names),
-        lambda: (None, input_stage))
-    curves = {name: c for name, (c, _) in zip(cfg.names, stage_results)}
+        curves[name] = est.curve(i, j, values[j])
+        if prior is not None:
+            details[name] = dec.evppi_design(curves[name], values, est.pf,
+                                             cfg.design)
     pf = float(est.pf[j])
 
     # validate_config admits exactly one of the safety and design blocks
@@ -231,7 +231,6 @@ def run_analysis(cfg):
             method=method_label, pf=pf)
     else:
         stage = "design_evppi"
-        details = {name: d for name, (_, d) in zip(cfg.names, stage_results)}
         report = dec.evppi_report(cfg.names,
                                   [d["evppi"] for d in details.values()],
                                   f"{cfg.method}-design")
@@ -242,7 +241,6 @@ def run_analysis(cfg):
 
     diagnostics = {"method": cfg.method, "seed": cfg.seed,
                    **row_diagnostics, **est.diagnostics}
-    diagnostics.setdefault("workers", workers)     # crude MC reports its own
     kde_inputs = {name: {"clip_fraction": c.clip_fraction,
                          "kernel_terms": c.kernel_terms}
                   for name, c in curves.items() if c.source == "kde"}

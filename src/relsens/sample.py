@@ -8,32 +8,25 @@ same seed share its streams (the pipeline's design rows are such runs),
 and runs on other seeds share none.
 
 Crude MC draws its sample in chunks of MC_BATCH (25 000) rows, in
-order, from one stream, on the package's one thread loop,
-``run_on_workers``: the calling thread and one helper per further
-available CPU, at most one thread per chunk (numpy's and scipy's array
-kernels release the GIL). The pipeline runs its per-input stage on the
-same loop (see ``pipeline``). Under one lock a thread takes the next
-item; for crude MC it draws the chunk there, and outside the lock it
-maps, evaluates and reduces the chunk to its failure counts, failure
-rows and packed failure bits, which become the chunk's result. So the
-chunks in flight number ``workers``, and the working set is those chunks
-plus the failure rows, whatever n is. Each thread owns two buffers, its
-draws and its physical rows, and reuses them for every chunk it takes.
+order, from one stream. It runs the package's only thread loop: the
+calling thread and one helper per further available CPU, at most one
+thread per chunk (numpy's and scipy's array kernels release the GIL).
+Under one lock a thread takes the next chunk and draws it, and outside
+the lock it maps, evaluates and reduces the chunk to its failure counts,
+failure rows and packed failure bits, which become the chunk's result.
+So the chunks in flight number ``workers``, and the working set is those
+chunks plus the failure rows, whatever n is. Each thread owns two
+buffers, its draws and its physical rows, and reuses them for every
+chunk it takes.
 Fresh arrays per chunk would be freed on the worker as it returns, and
 glibc then hands the worker's heap back to the kernel and faults it in
 again for the next chunk: on a 2-CPU VM that was about 22 000 page
 faults per 10^6-row example2 run, against about 1 200 with the buffers,
-and it made the run's time depend on how busy the host was. An item
-that raises stops its thread, no thread takes an item after that, and
-the error of the earliest failing item is raised once every thread has
-joined.
-
-The loop sizes itself from the amount of work, at most one thread per
-MC_BATCH values, so a safety-stage curve pass (a few thousand values)
-starts no thread: on a 2-CPU VM one start and join costs about 120 us,
-and a whole safety-stage analytic or FORM analysis 1.5-1.8 ms. The KDE
-fits of the sampling methods do not run on the loop, as on 2 threads
-they were slower (see ``pipeline``).
+and it made the run's time depend on how busy the host was. A chunk
+that raises stops its thread, no thread takes a chunk after that, and
+the error of the earliest failing chunk is raised once every thread has
+joined. Everything after the sampling runs on the calling thread (see
+``pipeline``).
 
 The results do not depend on the number of workers, by construction:
 the chunks are drawn in order with fixed sizes, each chunk is mapped
@@ -126,41 +119,69 @@ def _available_cpus():
         return os.cpu_count() or 1
 
 
-def run_on_workers(count, values, thread_steps):
-    """Run items 0 .. count - 1 on threads; return their results, in item
-    order, and the number of threads.
+def crude_mc(joint, limit_state, n, seed, a=None):
+    """Direct Monte Carlo estimate of P(g <= 0).
 
-    The threads number one per available CPU, at most one per item and one
-    per MC_BATCH values of work: the calling thread and ``workers - 1``
-    helpers, so a small job starts no thread. Each thread calls
-    ``thread_steps()`` once for its pair ``(take, finish)``. Under one lock
-    a thread takes the next item k and calls ``take(k)``, if ``take`` is
-    not None, so the takes run one at a time in item order; outside the
-    lock it stores ``finish(k, taken)`` as item k's result. An item that
-    raises stops its thread, and no thread takes an item after that; once
-    every thread has joined, the error of the earliest failing item is
-    raised here.
+    ``a`` is None for a design-free limit state, or a 1-D array of design
+    values; g is then evaluated at every design on the same sample (common
+    random numbers), so each design's result equals that of a run at that
+    design alone. The result has one row per design either way: a single
+    design is passed as ``[a]``. Deterministic for a given seed;
+    failure_samples holds exactly the physical rows with g <= 0 (at some
+    design), in draw order.
+
+    The sample is drawn in chunks of MC_BATCH rows on the calling thread
+    and ``workers - 1`` helpers (see the module docstring). The error of
+    the earliest failing chunk is raised here, with a non-finite g
+    reported at its row's index in the whole sample.
     """
-    workers = min(_available_cpus(), count, -(-values // MC_BATCH))
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    designs = [None] if a is None else np.asarray(a, dtype=float)
+    rng = make_rng(seed)
+    sizes = [min(MC_BATCH, n - start) for start in range(0, n, MC_BATCH)]
+    if len(sizes) > 1 and sizes[-1] == 1:
+        # numpy multiplies a one-row matrix by another kernel, whose last
+        # bits differ: a lone last row joins the chunk before it
+        sizes[-2:] = [MC_BATCH + 1]
+    workers = min(_available_cpus(), len(sizes))
     lock = threading.Lock()
-    todo = iter(range(count))          # taken in order
-    results = [None] * count
-    errors = []                        # (item, exception)
+    todo = iter(range(len(sizes)))     # taken in order
+    chunks = [None] * len(sizes)
+    errors = []                        # (chunk, exception)
+
+    def evaluate(k, x):
+        # design-major, so that each design's flags and the reductions
+        # across designs run along contiguous rows
+        fails = np.empty((len(designs), len(x)), dtype=bool)
+        for j, a_j in enumerate(designs):
+            try:
+                fails[j] = lsf_mod.evaluate(limit_state, x, a_j) <= 0.0
+            except NonFiniteGError as exc:
+                raise NonFiniteGError(k * MC_BATCH + exc.row,
+                                      exc.inputs) from None
+        hit = np.logical_or.reduce(fails)
+        return (np.count_nonzero(fails, axis=1), x[hit],
+                np.packbits(fails[:, hit].T, axis=1))
 
     def work():
         nonlocal todo
-        take, finish = thread_steps()
+        # x is (d, rows), so that each input's column of a chunk's (m, d)
+        # view x_buf[:, :m].T is contiguous
+        u_buf = np.empty((max(sizes), joint.dim))
+        x_buf = np.empty((joint.dim, max(sizes)))
         while True:
             try:
                 with lock:
                     k = next(todo, None)
                     if k is None:
                         return
-                    taken = None if take is None else take(k)
-                results[k] = finish(k, taken)
+                    u = rng.standard_normal(out=u_buf[:sizes[k]])
+                chunks[k] = evaluate(
+                    k, joint.to_physical(u, out=x_buf[:, :len(u)].T))
             except Exception as exc:   # raised on the calling thread
                 errors.append((k, exc))
-                todo = iter(())        # no thread takes another item
+                todo = iter(())        # no thread takes another chunk
                 return
 
     helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
@@ -174,62 +195,6 @@ def run_on_workers(count, values, thread_steps):
             thread.join()
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    return results, workers
-
-
-def crude_mc(joint, limit_state, n, seed, a=None):
-    """Direct Monte Carlo estimate of P(g <= 0).
-
-    ``a`` is None for a design-free limit state, or a 1-D array of design
-    values; g is then evaluated at every design on the same sample (common
-    random numbers), so each design's result equals that of a run at that
-    design alone. The result has one row per design either way: a single
-    design is passed as ``[a]``. Deterministic for a given seed;
-    failure_samples holds exactly the physical rows with g <= 0 (at some
-    design), in draw order.
-
-    The sample is drawn in chunks of MC_BATCH rows on ``run_on_workers``
-    (see the module docstring). The error of the earliest failing chunk is
-    raised here, with a non-finite g reported at its row's index in the
-    whole sample.
-    """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    designs = [None] if a is None else np.asarray(a, dtype=float)
-    rng = make_rng(seed)
-    sizes = [min(MC_BATCH, n - start) for start in range(0, n, MC_BATCH)]
-    if len(sizes) > 1 and sizes[-1] == 1:
-        # numpy multiplies a one-row matrix by another kernel, whose last
-        # bits differ: a lone last row joins the chunk before it
-        sizes[-2:] = [MC_BATCH + 1]
-
-    def thread_steps():
-        # x is (d, rows), so that each input's column of a chunk's (m, d)
-        # view x_buf[:, :m].T is contiguous
-        u_buf = np.empty((max(sizes), joint.dim))
-        x_buf = np.empty((joint.dim, max(sizes)))
-
-        def draw(k):
-            return rng.standard_normal(out=u_buf[:sizes[k]])
-
-        def evaluate(k, u):
-            x = joint.to_physical(u, out=x_buf[:, :len(u)].T)
-            # design-major, so that each design's flags and the reductions
-            # across designs run along contiguous rows
-            fails = np.empty((len(designs), len(x)), dtype=bool)
-            for j, a_j in enumerate(designs):
-                try:
-                    fails[j] = lsf_mod.evaluate(limit_state, x, a_j) <= 0.0
-                except NonFiniteGError as exc:
-                    raise NonFiniteGError(k * MC_BATCH + exc.row,
-                                          exc.inputs) from None
-            hit = np.logical_or.reduce(fails)
-            return (np.count_nonzero(fails, axis=1), x[hit],
-                    np.packbits(fails[:, hit].T, axis=1))
-
-        return draw, evaluate
-
-    chunks, workers = run_on_workers(len(sizes), n, thread_steps)
     counts, rows, bits = zip(*chunks)
     n_fail = np.sum(counts, axis=0)
     pf = n_fail / n
