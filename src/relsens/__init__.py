@@ -23,7 +23,6 @@ from .form import (FormResult, conditional_pf_u, conditional_pf_x,
                    threshold_u)
 from .lsf import LimitState, evaluate, parse
 from .sample import McResult, SubsetResult, crude_mc, subset_simulation
-from .special import (bivariate_normal_cdf, std_normal_cdf, std_normal_inv,
-                      std_normal_pdf)
+from .special import std_normal_cdf, std_normal_inv, std_normal_pdf
 
 __all__ = [name for name in dir() if not name.startswith("_")]

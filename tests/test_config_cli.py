@@ -1048,7 +1048,8 @@ def test_cli_process_exception_still_exits_with_traceback(tmp_path):
 
 # -- scipy.special is imported only where Phi is evaluated -----------------------
 
-_LAZY_MODULES = ("scipy.special", "numpy.ma", "numpy.polynomial")
+_LAZY_MODULES = ("scipy.special", "scipy.integrate", "numpy.ma",
+                 "numpy.polynomial")
 
 _RUN_AND_PROBE_MODULES = f"""
 import sys
@@ -1058,19 +1059,24 @@ print(code, *(m for m in {_LAZY_MODULES!r} if m in sys.modules))
 """
 
 
+def _probe_modules(tmp_path, *argv):
+    """Exit code of ``relsens <argv>`` in a fresh interpreter, and which of
+    _LAZY_MODULES got imported."""
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_PROBE_MODULES, *argv],
+        env=_child_env(), cwd=tmp_path, capture_output=True, text=True,
+        timeout=120, check=True)
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
 def _modules_loaded(tmp_path, command, name, **overrides):
-    """Exit code of ``relsens <command>`` on a shipped config (with
-    overrides) in a fresh interpreter, and which of _LAZY_MODULES got
-    imported."""
+    """_probe_modules of ``relsens <command>`` on a shipped config (with
+    overrides)."""
     raw = json.loads((CONFIG_DIR / name).read_text())
     path = _write_config(tmp_path / name, dict(raw, **overrides))
     out = ["--out", str(tmp_path / "out")] if command == "run" else []
-    done = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_PROBE_MODULES, command, str(path),
-         *out], env=_child_env(), cwd=tmp_path, capture_output=True,
-        text=True, timeout=120, check=True)
-    code, *loaded = done.stdout.splitlines()[-1].split()
-    return int(code), set(loaded)
+    return _probe_modules(tmp_path, command, str(path), *out)
 
 
 def _special_loaded(tmp_path, command, name, **overrides):
@@ -1132,6 +1138,26 @@ def test_nataf_bisection_imports_numpy_polynomial(tmp_path):
     code, loaded = _modules_loaded(tmp_path, "validate",
                                    "example2_safety.json")
     assert (code, "numpy.polynomial" in loaded) == (0, True)
+
+
+# -- scipy.integrate is imported only by form-curves' safety EVPPI ----------
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name, overrides", [
+    *((name, {}) for name in SHIPPED_CONFIGS[:3]),
+    ("example2_safety.json", {"n": 200_000}),
+    ("example1_design.json", {"method": "form"})])
+def test_validate_and_run_do_not_import_scipy_integrate(tmp_path, command,
+                                                        name, overrides):
+    code, loaded = _modules_loaded(tmp_path, command, name, **overrides)
+    assert (code, "scipy.integrate" in loaded) == (0, False)
+
+
+def test_form_curves_safety_imports_scipy_integrate(tmp_path):
+    # positive control: the safety EVPPI is one scipy quadrature per alpha
+    code, loaded = _probe_modules(tmp_path, "form-curves", "--betas", "2",
+                                  "--mode", "safety", "--out", str(tmp_path))
+    assert (code, "scipy.integrate" in loaded) == (0, True)
 
 
 _CRUDE_MC_DIGEST = """

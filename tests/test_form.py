@@ -1,11 +1,12 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import erf as sp_erf
 
 from relsens import (conditional_pf_u, conditional_pf_x, evpi_safety,
@@ -14,8 +15,10 @@ from relsens import (conditional_pf_u, conditional_pf_x, evpi_safety,
                      std_normal_cdf, std_normal_inv, threshold_u)
 from relsens.condest import default_grid
 from relsens.decision import SafetyDecision
-from relsens.errors import DomainError, NonFiniteGError
+from relsens.errors import DomainError, NonFiniteGError, SingularPointError
 from relsens.form import find_design_points, standard_space_lsf
+from relsens.lsf import LimitState
+from relsens.pipeline import ALPHA_GRID
 from conftest import BETA0_IND, EX1_SIGNS
 
 
@@ -23,26 +26,38 @@ def _phi_oracle(x):
     return 0.5 * (1.0 + sp_erf(x / math.sqrt(2.0)))
 
 
-def _evppi_safety_quadrature(beta0, alpha_i, c_f, c_r):
-    """Integral of |c_f pf(u) - c_r| phi(u) over the decision-change domain."""
-    ratio = c_r / c_f
-    u_t = threshold_u(beta0, alpha_i, ratio)
-    prior_do_nothing = _phi_oracle(-beta0) <= ratio
-    if prior_do_nothing == (alpha_i > 0.0):
-        lo, hi = u_t, 8.5
-    else:
-        lo, hi = -8.5, u_t
-    if lo >= hi:
-        return 0.0
-    root = math.sqrt(1.0 - alpha_i * alpha_i)
+def _evppi_safety_mpmath(beta0, alpha_i, ratio):
+    """Safety EVPPI at c_f = 1: the integral of |pf(u) - r| phi(u) over the
+    decision-change half-line, by 50-digit mpmath quadrature."""
+    with mpmath.workdps(50):
+        b, a, r = mpmath.mpf(beta0), abs(mpmath.mpf(alpha_i)), mpmath.mpf(ratio)
+        s = mpmath.sqrt(1 - a * a)
+        u_t = (s * mpmath.sqrt(2) * mpmath.erfinv(2 * r - 1) + b) / a
+        side = 1 if mpmath.ncdf(-b) <= r else -1
+        # breaks at u_t, at the step of pf(u) at beta0/a, and spaced 8-fold
+        # from u_t over the widths of that step and of phi(u)'s decay
+        # there, on to the normal's bulk
+        decay = 1 / max(1, abs(u_t))
+        reach = max(32 * decay, 8 - side * u_t)
+        step = min(s / a, decay) / 4
+        points = [u_t]
+        while side * (points[-1] - u_t) < reach:
+            points.append(u_t + side * step)
+            step *= 8
+        if side * (b / a - u_t) > 0:
+            points.append(b / a)
+        points = sorted(points)
+        points = points + [mpmath.inf] if side > 0 else [-mpmath.inf] + points
+        k = 1 / (s * mpmath.sqrt(2))
 
-    def integrand(u):
-        pfu = _phi_oracle((alpha_i * u - beta0) / root)
-        return abs(c_f * pfu - c_r) * math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
+        def integrand(u):
+            # relative to phi(u_t): mpmath.quad stops at an absolute error
+            # near 1e-50, far above the deep-tail values themselves
+            return ((mpmath.erfc((b - a * u) * k) / 2 - r)
+                    * mpmath.exp((u_t - u) * (u_t + u) / 2))
 
-    value, _ = quad(integrand, lo, hi, epsabs=1e-13 * c_f, epsrel=1e-12,
-                    limit=200)
-    return abs(value)
+        value = mpmath.quad(integrand, points, method="gauss-legendre")
+        return abs(value) * mpmath.npdf(u_t)
 
 
 def _ex1_alpha(marginals):
@@ -178,6 +193,18 @@ def test_a_non_finite_trial_halves_the_step_of_its_row_alone():
         assert both.beta0[row] == one.beta0[0]
         assert np.array_equal(both.u_star[row], one.u_star[0])
         assert both.row_iterations[row] == one.iterations
+
+
+@pytest.mark.parametrize("expression, message", [
+    ("R - R + 1", "zero gradient at the starting point"),
+    ("abs(R - 100) - 300", "zero gradient during iteration")],
+    ids=["constant", "flat-beyond-a-kink"])
+def test_a_zero_gradient_raises(ex1_joint, expression, message):
+    # a constant g is flat at the origin and at the nudged start; |R - 100|
+    # has slope there, but the search runs R down towards 0, where g is flat
+    limit_state = LimitState.from_expression(expression, ("R", "S", "XR", "XS"))
+    with pytest.raises(SingularPointError, match=message):
+        solve_form(ex1_joint, limit_state)
 
 
 def test_form_result_invariants(ex1_joint, ex1_lsf):
@@ -352,15 +379,58 @@ def test_evppi_safety_reference_values(ex1_marginals):
         assert got / 1e3 == pytest.approx(e, rel=1e-2)
 
 
+# alpha from form-curves' grid, close to 1, and negative
+SAFETY_ALPHAS = (*ALPHA_GRID[[0, 49, 98]], 0.999, 0.99999, -0.5)
+
+
+def _rel_error(got, ref):
+    return float(abs(mpmath.mpf(got) / ref - 1))
+
+
 def test_evppi_safety_closed_equals_quadrature():
-    for beta in np.linspace(1.0, 5.0, 10):
-        for alpha in np.linspace(0.0, 0.99, 10):
-            for ratio in (1e-4, 1e-3, 1e-2):
-                closed = evppi_form_safety(beta, alpha, 1.0, ratio)
-                if closed <= 1e-12:
-                    continue
-                quadr = _evppi_safety_quadrature(beta, alpha, 1.0, ratio)
-                assert quadr == pytest.approx(closed, rel=1e-8), (beta, alpha, ratio)
+    for beta in (0.5, 2.0, 5.0, 12.0):
+        for ratio in (1e-5, 1e-3, 1e-2, 0.3):
+            for alpha in SAFETY_ALPHAS:
+                ref = _evppi_safety_mpmath(beta, alpha, ratio)
+                if ref > 1e-30:
+                    got = evppi_form_safety(beta, alpha, 1.0, ratio)
+                    assert _rel_error(got, ref) <= 1e-12, (beta, alpha, ratio)
+
+
+@pytest.mark.parametrize("beta", [15.0, 20.0, 30.0])
+def test_evppi_safety_high_beta_matches_mpmath(beta):
+    # values 1e-55 to 1e-198, which an absolute cut-off (a bivariate
+    # normal CDF that drops terms below e^-100) reads orders too high
+    for alpha in (0.90, 0.93, 0.95, 0.97, 0.99):
+        ref = _evppi_safety_mpmath(beta, alpha, 1e-3)
+        got = evppi_form_safety(beta, alpha, 1.0, 1e-3)
+        assert _rel_error(got, ref) <= 1e-12, alpha
+
+
+def test_evppi_safety_alpha_near_one_matches_mpmath():
+    # pf(u) steps from r to 1 over a width s/a next to u_t; a quadrature
+    # over u itself steps over it and reads up to 1e-3 off here
+    for beta in (0.5, 3.0, 8.0):
+        for alpha in (1 - 1e-7, 1 - 1e-9, 1 - 1e-12):
+            ref = _evppi_safety_mpmath(beta, alpha, 1e-3)
+            got = evppi_form_safety(beta, alpha, 1.0, 1e-3)
+            assert _rel_error(got, ref) <= 1e-12, (beta, alpha)
+
+
+def test_evppi_safety_emits_no_warning():
+    # cost ratios near 0 and 1, near-ties, and |alpha| near 0 and 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (-30.0, -3.0, 0.0, 3.0, 8.0, 37.5):
+            for alpha in (1e-300, 1e-8, 0.3, 0.7, 1 - 1e-9, 1 - 2**-53):
+                for ratio in (1e-300, 1e-3, 0.5, 1 - 1e-9, 1 - 2**-53):
+                    v = evppi_form_safety(beta, alpha, 1.0, ratio)
+                    assert 0.0 <= v <= 1.0
+        ratio = 1e-3
+        tie = -std_normal_inv(ratio)
+        for alpha in (1e-8, 1e-6, 1e-4):
+            for beta in (tie - 1e-6, tie, tie + 1e-6):
+                assert evppi_form_safety(beta, alpha, 1.0, ratio) >= 0.0
 
 
 def test_evppi_safety_sign_flip_invariant():

@@ -2,8 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from relsens import (bivariate_normal_cdf, std_normal_cdf, std_normal_inv,
-                     std_normal_pdf)
+from relsens import std_normal_cdf, std_normal_inv, std_normal_pdf
 from relsens.errors import DomainError
 from relsens.special import std_normal_inv_log_cdf, std_normal_log_cdf
 
@@ -152,71 +151,3 @@ def test_log_cdf_deep_tail():
     ref = np.array([_mp_log_cdf(v) for v in x])
     assert np.max(np.abs(std_normal_log_cdf(x) - ref) / np.abs(ref)) < 1e-9
     assert std_normal_log_cdf(3.0) == pytest.approx(_mp_log_cdf(3.0), rel=1e-12)
-
-
-# -- bivariate ---------------------------------------------------------------
-
-def _bvn_oracle(x1, x2, r):
-    from scipy.stats import multivariate_normal
-    return multivariate_normal.cdf([x1, x2], mean=[0.0, 0.0],
-                                   cov=[[1.0, r], [r, 1.0]],
-                                   abseps=1e-12, releps=0.0)
-
-
-def test_bvn_trivial_values():
-    assert bivariate_normal_cdf(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-15)
-    # arcsin identity at the origin
-    for r in np.linspace(-0.95, 0.95, 20):
-        expect = 0.25 + np.arcsin(r) / (2.0 * np.pi)
-        assert bivariate_normal_cdf(0.0, 0.0, r) == pytest.approx(expect, abs=1e-13)
-
-
-def test_bvn_degenerates_to_univariate():
-    assert bivariate_normal_cdf(-1.3, np.inf, 0.4) == pytest.approx(
-        std_normal_cdf(-1.3), abs=1e-15)
-    assert bivariate_normal_cdf(-1.3, 50.0, 0.4) == pytest.approx(
-        0.09680048458561036, rel=1e-12)
-
-
-def test_bvn_against_scipy_grid():
-    rng = np.random.default_rng(42)
-    for _ in range(120):
-        x1, x2 = rng.uniform(-5, 5, 2)
-        r = rng.uniform(-0.999, 0.999)
-        assert bivariate_normal_cdf(x1, x2, r) == pytest.approx(
-            _bvn_oracle(x1, x2, r), abs=5e-7)  # scipy's own quadrature limit
-
-
-def test_bvn_high_correlation_branch():
-    # exercised separately because it uses a different expansion
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        x1, x2 = rng.uniform(-4, 4, 2)
-        r = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.925, 0.9999)
-        assert bivariate_normal_cdf(x1, x2, r) == pytest.approx(
-            _bvn_oracle(x1, x2, r), abs=5e-7)
-
-
-def test_bvn_exact_correlation_limits():
-    assert bivariate_normal_cdf(0.3, 1.0, 1.0) == pytest.approx(
-        std_normal_cdf(0.3), abs=1e-15)
-    assert bivariate_normal_cdf(0.3, -0.3, -1.0) == pytest.approx(0.0, abs=1e-15)
-    assert bivariate_normal_cdf(1.0, 0.5, -1.0) == pytest.approx(
-        std_normal_cdf(1.0) + std_normal_cdf(0.5) - 1.0, abs=1e-14)
-
-
-def test_bvn_symmetry_and_monotonicity():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        x1, x2 = rng.uniform(-3, 3, 2)
-        r = rng.uniform(-0.99, 0.99)
-        assert bivariate_normal_cdf(x1, x2, r) == pytest.approx(
-            bivariate_normal_cdf(x2, x1, r), abs=1e-14)
-    xs = np.linspace(-3, 3, 41)
-    vals = [bivariate_normal_cdf(x, 0.7, 0.6) for x in xs]
-    assert np.all(np.diff(vals) > 0)
-
-
-def test_bvn_rejects_invalid_correlation():
-    with pytest.raises(DomainError):
-        bivariate_normal_cdf(0.0, 0.0, 1.2)
