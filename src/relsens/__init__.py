@@ -17,7 +17,7 @@ from .decision import (DesignDecision, EvppiEntry, EvppiReport,
                        prior_choice, prior_design, threshold_sweep)
 from .dists import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
                     fit_params_from_moments, lognormal_linear_conditional_pf,
-                    lognormal_linear_pf, nataf_fit, validate_correlation)
+                    lognormal_linear_index, nataf_fit, validate_correlation)
 from .form import (FormResult, conditional_pf_u, conditional_pf_x,
                    evppi_form_design, evppi_form_safety, solve_form,
                    threshold_u)

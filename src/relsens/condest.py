@@ -277,7 +277,10 @@ class ConditionalPfCurve:
 
     ``pf_values`` holds pf(x_i) at the ``grid`` values, ``source`` names
     the estimator and ``pf_uncond`` is pf. The decision layer integrates
-    against ``density_prior``, so every curve carries it. From a sampling
+    against ``density_prior``, so every curve carries it. From analytic
+    and FORM, ``beta`` and ``rho`` give the curve in closed form,
+    pf(x_i) = Phi((rho z - beta)/sqrt(1 - rho^2)) at z = Phi^-1(F(x_i)),
+    and the safety EVPPI is taken from them instead. From a sampling
     method, ``density_conditional`` is f(x_i | F) (the prior at pf = 1),
     ``clip_fraction`` the share of grid values clipped to pf = 1, and
     ``kernel_terms`` the work its KDE did: kernel terms summed directly
@@ -293,6 +296,8 @@ class ConditionalPfCurve:
     density_conditional: np.ndarray = field(repr=False, default=None)
     clip_fraction: float = 0.0
     kernel_terms: int = 0
+    beta: float = None
+    rho: float = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -367,12 +372,11 @@ def conditional_pf_from_failure_samples(marginal, failure_values, pf_hat,
 
 
 def curve_from_function(marginal, pf_values, pf_uncond, grid,
-                        source="analytic"):
+                        source="analytic", beta=None, rho=None):
     """Wrap a copy of pf(x_i) values, one per point of ``grid``, as a
-    curve: a row of a larger array does not keep that array alive."""
-    grid = np.asarray(grid, dtype=float)
+    curve: a row of a larger array does not keep that array alive.
+    ``beta`` and ``rho`` are the closed form of those values, if any."""
     return ConditionalPfCurve(
         grid=grid, pf_values=np.array(pf_values, dtype=float),
-        source=source, pf_uncond=float(pf_uncond),
+        source=source, pf_uncond=float(pf_uncond), beta=beta, rho=rho,
         density_prior=np.asarray(marginal.pdf(grid), dtype=float))
-

@@ -8,13 +8,16 @@ the two-action case: doing nothing costs 0 and fails with pf, replacing
 costs c_r and never fails, so c_r/c_f acts as the probability threshold.
 The prior choice is the first action of least expected loss.
 
-Every EVPPI is a quadrature of conditional pf values against the prior
-density a curve carries, so no model is evaluated here. A safety EVPPI
-takes one curve per input; a design EVPPI takes an input's
+No model is evaluated here. A safety EVPPI takes one curve per input:
+the closed form ``form.evppi_form_safety`` in the curve's (beta, rho)
+where it has them (analytic and FORM), and otherwise (the KDE curves of
+mc and subset) the trapezoid of the pointwise value against the prior
+density the curve carries. A design EVPPI takes an input's
 (n_designs, n_grid) array of pf rows and a curve for the grid and prior
-density. Quadratures are trapezoidal; the decision-change region is
-detected pointwise, so non-monotone curves need no special treatment.
-``evppi_report`` builds either context's report in one pass.
+density, and is the trapezoid of the posterior loss at every method.
+The decision-change region is detected pointwise, so non-monotone curves
+need no special treatment. ``evppi_report`` builds either context's
+report in one pass.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lsf as lsf_mod
+from . import form, lsf as lsf_mod
 from .errors import ConfigError, DomainError, NonFiniteGError
 
 
@@ -111,7 +114,11 @@ def cvppi_curve(curve, decision):
 
 
 def evppi_safety(curve, decision):
-    """Expected value of learning X_i, integrated over its prior."""
+    """Expected value of learning X_i, integrated over its prior: in closed
+    form where the curve has one, else by the trapezoid on its grid."""
+    if curve.rho is not None:
+        return form.evppi_form_safety(curve.beta, curve.rho, decision.c_f,
+                                      decision.c_r)
     values = cvppi_curve(curve, decision)
     return float(np.trapezoid(values * curve.density_prior, curve.grid))
 

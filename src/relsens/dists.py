@@ -144,7 +144,9 @@ class Marginal:
         if self.kind == NORMAL:
             out = p1 + p2 * z
         elif self.kind == LOGNORMAL:
-            out = np.exp(p1 + p2 * z)
+            # inf past 709.78: lsf.evaluate rejects the g it gives
+            with np.errstate(over="ignore"):
+                out = np.exp(p1 + p2 * z)
         elif self.kind == GUMBEL:
             t = -np.asarray(special.std_normal_log_cdf(z))
             with np.errstate(divide="ignore"):
@@ -453,14 +455,18 @@ class LognormalLinearProblem:
         return cls(const_term, coeffs, mu, cov)
 
 
-def lognormal_linear_pf(problem):
-    """Exact failure probability of a LognormalLinearProblem."""
-    c = problem.coeffs
-    var = float(c @ problem.c_ln @ c)
-    if var <= 0.0:
+def lognormal_linear_index(problem):
+    """(beta, rho) of a LognormalLinearProblem: g's mean over its sd, so
+    pf = Phi(-beta), and rho_i = -corr(g, ln X_i), so that pf given X_i is
+    Phi((rho_i z_i - beta)/sqrt(1 - rho_i^2)) at z_i = Phi^-1(F_i(x_i)),
+    FORM's conditional pf, exact here. beta has one value per constant
+    term and rho one per input."""
+    c, cov = problem.coeffs, problem.c_ln
+    sd = math.sqrt(max(0.0, float(c @ cov @ c)))
+    if sd == 0.0:
         raise DomainError("degenerate problem: zero variance of g")
-    num = problem.const_term + float(c @ problem.mu_ln)
-    return special.std_normal_cdf(-num / math.sqrt(var))
+    beta = (problem.const_term + float(c @ problem.mu_ln)) / sd
+    return beta, -(cov @ c) / (sd * np.sqrt(np.diag(cov)))
 
 
 def lognormal_linear_conditional_pf(problem, i, x_i):

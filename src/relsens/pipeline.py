@@ -17,6 +17,17 @@ ESS, as its rows are independent draws: a row's ESS is its
 ``n_failure_samples``. Subset reports the chain ESS (Au & Beck 2001) of
 each input at the reported row as ``diagnostics.ess``.
 
+At analytic and FORM every conditional pf has one form, pf(z) =
+Phi((rho_ji z - beta_j)/sqrt(1 - rho_ji^2)) in the copula coordinate z
+of input i at design row j. FORM takes beta0 and rho = L alpha
+(``form.copula_rho``), and the analytic method the log-margin's index
+and correlations (``dists.lognormal_linear_index``); either is computed
+once per run. Each curve carries its (beta_j, rho_ji), from which the
+safety stage and ``sweep`` take the EVPPI in closed form
+(``form.evppi_form_safety``), with no quadrature over the grid. At
+|rho_ji| = 1 the curve is a step. The design stage integrates the rows
+on the grid, which cannot place a step, so a design row with one raises.
+
 Only crude MC's sampling runs on threads (see ``sample``); every other
 step runs on the calling thread. The per-input stage of ``run_analysis``
 takes each input in turn: its (designs x grid) conditional pf rows, its
@@ -96,28 +107,41 @@ def estimate(cfg, designs=None):
     raise ConfigError(f"unknown method {cfg.method!r}")
 
 
-def _function_estimate(cfg, grids, pf, values, source, row_diagnostics,
-                       diagnostics):
-    """Estimate of a closed-form method: row curves wrap the value rows."""
+def _function_estimate(cfg, grids, designs, beta, rho, values, source,
+                       row_diagnostics, diagnostics):
+    """Estimate of a closed-form method: row j has pf Phi(-beta[j]), and
+    input i's conditional pf at its copula coordinate z is
+    Phi((r z - beta[j])/sqrt(1 - r^2)), r = rho[j, i]. Row curves wrap the
+    value rows and carry (beta[j], r). A design row with |r| = 1, a step,
+    raises: the design EVPPI's trapezoid cannot place a step."""
+    if designs is not None and np.any(np.abs(rho) == 1.0):
+        j, i = np.argwhere(np.abs(rho) == 1.0)[0]
+        raise DomainError(f"at a = {float(designs[j])!r}, {cfg.names[i]}'s "
+                          "conditional pf is a step (|rho| = 1), for which "
+                          "the design EVPPI needs exact decision regions")
+    pf = special.std_normal_cdf(-beta)
+
     def curve(i, j, row):
         return condest.curve_from_function(cfg.marginals[i], row, pf[j],
-                                           grids[i], source=source)
+                                           grids[i], source=source,
+                                           beta=beta[j], rho=rho[j, i])
 
     return Estimate(pf, values, curve, row_diagnostics, diagnostics)
 
 
 def _analytic(cfg, grids, designs):
     problem = config_mod.analytic_problem(cfg, designs)
-    pf = dists.lognormal_linear_pf(problem)
+    beta, rho = dists.lognormal_linear_index(problem)
+    rho = np.broadcast_to(rho, (len(beta), len(rho)))
     return _function_estimate(
-        cfg, grids, pf,
+        cfg, grids, designs, beta, rho,
         lambda i: dists.lognormal_linear_conditional_pf(problem, i, grids[i]),
         "analytic", lambda j: {}, {})
 
 
 def _form(cfg, grids, designs):
     res = form.solve_form(cfg.joint, cfg.limit_state, designs)
-    pf = special.std_normal_cdf(-res.beta0)
+    rho = form.copula_rho(cfg.joint, res)
     labels = ["reliability"] if designs is None else designs.tolist()
     diagnostics = {"form": {
         "solves": len(res.beta0), "iterations": res.iterations,
@@ -131,8 +155,8 @@ def _form(cfg, grids, designs):
                 "form_iterations": int(res.row_iterations[j])}
 
     return _function_estimate(
-        cfg, grids, pf,
-        lambda i: form.conditional_pf_x(cfg.joint, i, grids[i], res),
+        cfg, grids, designs, res.beta0, rho,
+        lambda i: form.conditional_pf_x(cfg.joint, i, grids[i], res.beta0, rho),
         "form", row_diagnostics, diagnostics)
 
 

@@ -303,7 +303,8 @@ def subset_simulation(joint, limit_state, n_per_level, p0, seed, a=None):
                 abs(t - pt) <= 1e-12 * max(1.0, abs(t))
                 for pt in prev_thresholds[-3:]):
             raise StagnationError(
-                f"threshold stagnated at {t:.6g} over three levels")
+                f"threshold stagnated at g = {t:.6g}, where g is flat, over "
+                f"three levels at p0 = {p0!r}, n_per_level = {n_per_level}")
         prev_thresholds.append(t)
         levels.append((t, p0))
         rng = make_rng(streams[level])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from relsens import (GaussianCopulaJoint, LognormalLinearProblem,
-                     fit_params_from_moments)
+                     fit_params_from_moments, lognormal_linear_index,
+                     std_normal_cdf)
 from relsens import crude_mc, solve_form
 from relsens.config import load_config
 
@@ -31,6 +32,11 @@ EX2_RXX = np.array([[1.0, 0.5, 0.3, 0.0],
 PF_IND = 0.0073582059410070245
 PF_DEP = 0.017257273017773737
 BETA0_IND = 2.4392836482690896
+
+
+def lognormal_linear_pf(problem):
+    """The oracle's pf, Phi(-beta), as the analytic method forms it."""
+    return std_normal_cdf(-lognormal_linear_index(problem)[0])
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from relsens import (ConditionalPfCurve, Marginal,
                      conditional_pf_from_failure_samples, crude_mc,
                      default_grid, kde_fit, lognormal_linear_conditional_pf,
-                     lognormal_linear_pf, std_normal_inv)
+                     std_normal_inv)
 from relsens import cli, condest, config as config_mod, pipeline, sample
 from relsens.condest import (BOX_WIDTH, NEAR_CUT, PAIR_CHUNK, SERIES_TERMS,
                              TRUNCATION_RTOL, KdeModel, effective_sample_size,

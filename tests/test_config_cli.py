@@ -619,10 +619,10 @@ def test_cli_closed_form_raises_the_earliest_inputs_error(tmp_path, monkeypatch,
     # inputs 1 and 3 fail; the run stops at input 1 whatever the CPU count
     conditional_pf_x = form.conditional_pf_x
 
-    def failing(joint, i, x_i, res):
+    def failing(joint, i, x_i, beta0, rho):
         if i in (1, 3):
             raise DomainError(f"input {i} failed")
-        return conditional_pf_x(joint, i, x_i, res)
+        return conditional_pf_x(joint, i, x_i, beta0, rho)
 
     monkeypatch.setattr(form, "conditional_pf_x", failing)
     monkeypatch.setattr(sample, "_available_cpus", lambda: cpus)
@@ -704,7 +704,9 @@ def test_cli_sweep_has_no_threads_option(tmp_path, capsys):
     ("subset", {"n_per_level": 2000})], ids=["analytic", "form", "mc", "subset"])
 def test_cli_runs_where_almost_every_sample_fails(tmp_path, method, size):
     # XR's mean at 0.071 puts pf at 0.999995: crude MC and subset simulation
-    # see every sample fail, and their curves are pf(x_i) = 1 exactly
+    # see every sample fail, and their curves are pf(x_i) = 1 exactly, so
+    # the EVPPIs are exactly 0; the closed forms give 4.6e-31, 2.1e-17 and
+    # 2.3e-142 beside an EVPI of 5.10
     raw = json.loads((CONFIG_DIR / "example1_safety.json").read_text())
     raw["inputs"][2]["mean"] = 0.071
     cfg_path = tmp_path / "pf1.json"
@@ -714,10 +716,15 @@ def test_cli_runs_where_almost_every_sample_fails(tmp_path, method, size):
     table = np.genfromtxt(out / "evppi_table.csv", delimiter=",", names=True,
                           dtype=None, encoding="utf-8")
     assert list(table["input"]) == ["R", "S", "XR", "XS"]
-    assert np.array_equal(table["absolute"], np.zeros(4))
     report = json.loads((out / "report.json").read_text())
     assert report["pf"] > 0.99999
-    if method in ("mc", "subset"):
+    if method in ("analytic", "form"):
+        evpi = report["safety"]["evpi"]
+        assert evpi > 5.0
+        assert np.all((table["absolute"] >= 0.0)
+                      & (table["absolute"] <= 1e-15 * evpi))
+    else:
+        assert np.array_equal(table["absolute"], np.zeros(4))
         assert report["pf"] == 1.0
         for name in ("R", "S", "XR", "XS"):
             curve = np.genfromtxt(out / f"pf_curve_{name}.csv",
@@ -725,6 +732,21 @@ def test_cli_runs_where_almost_every_sample_fails(tmp_path, method, size):
             assert np.array_equal(curve["pf"], np.ones(len(curve)))
             assert np.array_equal(curve["density_conditional"],
                                   curve["density_prior"])
+
+
+def test_cli_form_trial_points_past_the_lognormal_range_warn_nothing(
+        tmp_path, capsys):
+    # R - 1e9 fails everywhere; FORM's far trial points map R to inf, whose
+    # g the line search rejects, and numpy's overflow warning stays silent
+    raw = json.loads((CONFIG_DIR / "example1_safety.json").read_text())
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(json.dumps(dict(raw, method="form",
+                                        lsf={"expression": "R - 1e9"})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(cfg_path), "--out",
+                         str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_form_curves(tmp_path):
@@ -1075,7 +1097,8 @@ def _modules_loaded(tmp_path, command, name, **overrides):
     overrides)."""
     raw = json.loads((CONFIG_DIR / name).read_text())
     path = _write_config(tmp_path / name, dict(raw, **overrides))
-    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    out = (["--out", str(tmp_path / "out")] if command in ("run", "sweep")
+           else [])
     return _probe_modules(tmp_path, command, str(path), *out)
 
 
@@ -1140,24 +1163,27 @@ def test_nataf_bisection_imports_numpy_polynomial(tmp_path):
     assert (code, "numpy.polynomial" in loaded) == (0, True)
 
 
-# -- scipy.integrate is imported only by form-curves' safety EVPPI ----------
+# -- no command imports scipy.integrate ---------------------------------------
 
-@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
 @pytest.mark.parametrize("name, overrides", [
     *((name, {}) for name in SHIPPED_CONFIGS[:3]),
+    ("example1_safety.json", {"method": "form"}),
     ("example2_safety.json", {"n": 200_000}),
     ("example1_design.json", {"method": "form"})])
 def test_validate_and_run_do_not_import_scipy_integrate(tmp_path, command,
                                                         name, overrides):
     code, loaded = _modules_loaded(tmp_path, command, name, **overrides)
-    assert (code, "scipy.integrate" in loaded) == (0, False)
+    # sweep takes a safety block only
+    refused = command == "sweep" and "design" in name
+    assert (code, "scipy.integrate" in loaded) == (2 if refused else 0, False)
 
 
-def test_form_curves_safety_imports_scipy_integrate(tmp_path):
-    # positive control: the safety EVPPI is one scipy quadrature per alpha
+def test_form_curves_safety_does_not_import_scipy_integrate(tmp_path):
+    # the safety EVPPI is a fixed Gauss-Legendre rule from numpy
     code, loaded = _probe_modules(tmp_path, "form-curves", "--betas", "2",
                                   "--mode", "safety", "--out", str(tmp_path))
-    assert (code, "scipy.integrate" in loaded) == (0, True)
+    assert (code, "scipy.integrate" in loaded) == (0, False)
 
 
 _CRUDE_MC_DIGEST = """

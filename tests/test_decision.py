@@ -8,7 +8,7 @@ import pytest
 from relsens import (DesignDecision, SafetyDecision, crude_mc, cvppi_curve,
                      evpi_safety, evppi_design, evppi_form_safety,
                      evppi_report, evppi_safety, lsf,
-                     lognormal_linear_conditional_pf, lognormal_linear_pf,
+                     lognormal_linear_conditional_pf,
                      pipeline, prior_choice, prior_design, solve_form,
                      std_normal_inv, threshold_sweep)
 from relsens.condest import (ConditionalPfCurve,
@@ -17,8 +17,9 @@ from relsens.condest import (ConditionalPfCurve,
 from relsens.config import load_config
 from relsens.decision import posterior_loss_curve
 from relsens.errors import ConfigError, DomainError, UnknownIdentifierError
-from relsens.form import conditional_pf_x
-from conftest import BETA0_IND, CONFIG_DIR, PF_DEP, PF_IND
+from relsens.form import conditional_pf_x, copula_rho
+from conftest import (BETA0_IND, CONFIG_DIR, PF_DEP, PF_IND,
+                      lognormal_linear_pf)
 
 EXACT_EVPPI = np.array([349077.6, 454015.3, 130691.2, 349077.6])
 CF = 1e8
@@ -167,7 +168,8 @@ def test_safety_evppi_closed_form_agreement(ex1_joint, ex1_joint_dep, ex1_lsf,
                 m.from_standard_normal(std_normal_inv(1e-12)),
                 m.from_standard_normal(std_normal_inv(1.0 - 1e-12)), 65536)
             curve = curve_from_function(
-                m, conditional_pf_x(joint, i, grid, res)[0],
+                m, conditional_pf_x(joint, i, grid, res.beta0,
+                                    copula_rho(joint, res))[0],
                 pf, grid, source="form")
             quadr = evppi_safety(curve, d)
             rho_i = float(res.alpha[0] @ joint.chol_z[i])
@@ -411,7 +413,8 @@ def _form_sweep_rows(cfg, res, i):
     """Input i's FORM conditional pf values of example1_design, a row per
     design."""
     grid = default_grid(cfg.marginals[i], cfg.grid_points)
-    return conditional_pf_x(cfg.joint, i, grid, res)
+    return conditional_pf_x(cfg.joint, i, grid, res.beta0,
+                            copula_rho(cfg.joint, res))
 
 
 def test_posterior_loss_curve_equals_the_plain_expression_bit_for_bit(
@@ -462,20 +465,21 @@ def test_a_cost_model_may_reference_only_the_design_value():
         DesignDecision(c_f=CF, cost_model="R*a", grid=np.array([1.0]))
 
 
-@pytest.mark.parametrize("method", ["analytic", "form"])
+@pytest.mark.parametrize("method", ["analytic", "form", "mc"])
 @pytest.mark.parametrize("name", ["example1_safety.json",
                                   "example1_safety_dependent.json"])
 def test_cvppi_and_safety_evppi_equal_the_change_region_expression_bit_for_bit(
         name, method):
     # the accept/replace choice as it was written before it became the
     # two-action loss table: |c_f pf(x) - c_r| where the action at x differs
-    # from the prior one, else 0, and its trapezoid
+    # from the prior one, else 0; and the safety EVPPI: at mc its
+    # trapezoid, at analytic and FORM the closed form in (beta, rho)
     cfg = load_config(CONFIG_DIR / name)
-    result = pipeline.run_analysis(replace(cfg, method=method))
+    result = pipeline.run_analysis(replace(cfg, method=method, n=20_000))
     c_f = cfg.safety.c_f
     decisions = [SafetyDecision(c_f=c_f, c_r=r * c_f)
                  for r in np.geomspace(1e-5, 0.3, 40)] + [cfg.safety]
-    zeros = 0
+    missed = 0
     for d in decisions:
         for curve in result.curves.values():
             pf = curve.pf_values
@@ -484,8 +488,15 @@ def test_cvppi_and_safety_evppi_equal_the_change_region_expression_bit_for_bit(
                             np.abs(d.c_f * pf - d.c_r), 0.0)
             got = cvppi_curve(curve, d)
             assert got.tobytes() == want.tobytes()
-            evppi = float(np.trapezoid(want * curve.density_prior, curve.grid))
+            if method == "mc":
+                evppi = float(np.trapezoid(want * curve.density_prior,
+                                           curve.grid))
+            else:
+                evppi = evppi_form_safety(curve.beta, curve.rho, d.c_f, d.c_r)
             assert evppi_safety(curve, d) == evppi
-            zeros += evppi == 0.0
-    # some (input, ratio) pairs never change the decision: exactly 0
-    assert zeros >= 12
+            if not want.any():
+                # the decision changes nowhere on the grid: the trapezoid
+                # reads 0, and the closed form the value beyond it
+                missed += 1
+                assert evppi > 0.0 if method != "mc" else evppi == 0.0
+    assert missed >= (0 if method == "mc" else 12)

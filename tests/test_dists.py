@@ -13,13 +13,14 @@ from scipy.stats import gumbel_r, lognorm, norm, weibull_min
 import relsens.dists as dists
 from relsens import (GaussianCopulaJoint, LognormalLinearProblem, Marginal,
                      default_grid, fit_params_from_moments,
-                     lognormal_linear_conditional_pf, lognormal_linear_pf,
+                     lognormal_linear_conditional_pf,
                      nataf_fit, std_normal_inv, validate_correlation)
 from relsens.condest import GRID_Z_HI, GRID_Z_LO
 from relsens.errors import (ConfigError, DomainError, FitError,
                             InvalidCorrelationError, NatafError)
 from relsens.config import load_config, validate_config
-from conftest import CONFIG_DIR, EX1_RXX, EX1_SIGNS, PF_DEP, PF_IND
+from conftest import (CONFIG_DIR, EX1_RXX, EX1_SIGNS, PF_DEP, PF_IND,
+                      lognormal_linear_pf)
 
 
 # -- moment fits ---------------------------------------------------------------

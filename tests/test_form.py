@@ -16,7 +16,7 @@ from relsens import (conditional_pf_u, conditional_pf_x, evpi_safety,
 from relsens.condest import default_grid
 from relsens.decision import SafetyDecision
 from relsens.errors import DomainError, NonFiniteGError, SingularPointError
-from relsens.form import find_design_points, standard_space_lsf
+from relsens.form import copula_rho, find_design_points, standard_space_lsf
 from relsens.lsf import LimitState
 from relsens.pipeline import ALPHA_GRID
 from conftest import BETA0_IND, EX1_SIGNS
@@ -260,9 +260,22 @@ def test_conditional_pf_u_load_example():
     assert got == pytest.approx(7.7e-4, rel=2e-2)
 
 
-def test_conditional_pf_u_degenerate():
-    with pytest.raises(DomainError):
-        conditional_pf_u(2.0, 1.0, 0.3)
+def test_conditional_pf_u_is_a_step_at_unit_alpha():
+    # the limit of Phi((alpha_i u - beta0)/sqrt(1 - alpha_i^2)) at
+    # |alpha_i| = 1: failure where alpha_i u > beta0, with no warning
+    u = np.array([-1e300, 1.9, 2.0, 2.0 + 1e-15, 1e300])
+    step = [0.0, 0.0, 0.5, 1.0, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert conditional_pf_u(2.0, 1.0, u).tolist() == step
+        assert conditional_pf_u(2.0, -1.0, -u).tolist() == step
+        assert conditional_pf_u(2.0, 1.0, 1.9) == 0.0
+        # a step row leaves the bits of the other rows alone
+        rows = conditional_pf_u(np.array([2.0, 2.0]), np.array([1.0, 0.5]), u)
+    assert rows[0].tolist() == step
+    assert rows[1].tobytes() == conditional_pf_u(2.0, 0.5, u).tobytes()
+    with pytest.raises(DomainError, match="must not exceed 1"):
+        conditional_pf_u(2.0, 1.0 + 2**-52, 0.3)
 
 
 def _sweep_inputs(cfg, res, i):
@@ -295,10 +308,11 @@ def test_conditional_pf_u_equals_the_plain_expression_bit_for_bit(
 def test_conditional_pf_x_of_a_sweep_peaks_near_its_result(ex1_design_sweep):
     cfg, res = ex1_design_sweep
     grid = default_grid(cfg.marginals[0], cfg.grid_points)
-    conditional_pf_x(cfg.joint, 0, grid, res)             # warm imports
+    rho = copula_rho(cfg.joint, res)
+    conditional_pf_x(cfg.joint, 0, grid, res.beta0, rho)    # warm imports
     tracemalloc.start()
     try:
-        out = conditional_pf_x(cfg.joint, 0, grid, res)
+        out = conditional_pf_x(cfg.joint, 0, grid, res.beta0, rho)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -310,7 +324,8 @@ def test_conditional_pf_x_median_matches_u_zero(ex1_joint, ex1_lsf):
     res = solve_form(ex1_joint, ex1_lsf)
     m = ex1_joint.marginals[0]
     got = conditional_pf_x(ex1_joint, 0,
-                           m.from_standard_normal(std_normal_inv(0.5)), res)
+                           m.from_standard_normal(std_normal_inv(0.5)),
+                           res.beta0, copula_rho(ex1_joint, res))
     assert got.shape == (1, 1)
     assert got[0, 0] == pytest.approx(
         conditional_pf_u(res.beta0[0], res.alpha[0, 0], 0.0), rel=1e-12)
@@ -319,7 +334,8 @@ def test_conditional_pf_x_median_matches_u_zero(ex1_joint, ex1_lsf):
 def test_conditional_pf_x_monotone_in_resistance(ex1_joint, ex1_lsf):
     res = solve_form(ex1_joint, ex1_lsf)
     r = np.linspace(50.0, 200.0, 200)
-    vals = conditional_pf_x(ex1_joint, 0, r, res)[0]
+    vals = conditional_pf_x(ex1_joint, 0, r, res.beta0,
+                            copula_rho(ex1_joint, res))[0]
     assert np.all(np.diff(vals) < 0)
 
 
@@ -334,7 +350,8 @@ def test_conditional_pf_x_exact_for_linear(ex1_joint, ex1_problem,
         for i, m in enumerate(joint.marginals):
             x = m.from_standard_normal(
                 std_normal_inv(np.linspace(0.01, 0.99, 50)))
-            got = conditional_pf_x(joint, i, x, res)[0]
+            got = conditional_pf_x(joint, i, x, res.beta0,
+                                   copula_rho(joint, res))[0]
             expect = lognormal_linear_conditional_pf(problem, i, x)
             assert np.max(np.abs(got / expect - 1.0)) < 1e-6
 

@@ -1,12 +1,17 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from relsens import cli, condest, config as config_mod, dists, lsf, pipeline, sample
+from relsens.decision import threshold_sweep
 from relsens.errors import DomainError, EvalError
+from conftest import EX1_SIGNS, lognormal_linear_pf
+from test_form import _evppi_safety_mpmath
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,7 +34,7 @@ def test_analytic_broadcast_equals_per_design_loop():
         problem = dists.LognormalLinearProblem.from_marginals(
             cfg.marginals, np.eye(len(cfg.marginals)), coeffs,
             design_sign * math.log(a))
-        pf = dists.lognormal_linear_pf(problem)
+        pf = lognormal_linear_pf(problem)
         assert est.pf[j] == pytest.approx(pf, rel=1e-14, abs=0.0)
         for i, (name, m) in enumerate(zip(cfg.names, cfg.marginals)):
             grid = condest.default_grid(m, cfg.grid_points)
@@ -249,9 +254,11 @@ def test_cli_design_report_has_details_and_counts(tmp_path):
 # example1_safety and example1_design by FORM, run through
 # pipeline.run_analysis at the commit whose FormResult still had a scalar
 # one-problem shape beside the lockstep rows, and written with json.dumps
-# (shortest round-trip floats): the safety run's pf, normalized EVPPI and
-# pf curves at grid_points 128, and the design run's a_opt, pf there,
-# normalized EVPPI and raw EVPPI differences
+# (shortest round-trip floats): the safety run's pf and pf curves at
+# grid_points 128, and the design run's a_opt, pf there, normalized EVPPI
+# and raw EVPPI differences. The safety run's normalized EVPPIs are the
+# shares of test_form's 50-digit mpmath quadrature of the closed form at
+# that run's beta0 and alpha, normalized in mpmath.
 FORM_PINNED = json.loads(
     (ROOT / "tests" / "data" / "form_runs_pinned.json").read_text())
 
@@ -284,3 +291,95 @@ def test_form_design_run_reproduces_pinned_values():
     assert evppi == pytest.approx(run["evppi_normalized"], rel=1e-12, abs=0.0)
     raw = {name: out["raw"] for name, out in res.design["details"].items()}
     assert raw == pytest.approx(run["raw"], rel=1e-12, abs=0.0)
+
+
+# -- the safety EVPPI at analytic and FORM: one closed form ---------------------
+
+def _mpmath_log_margin(cfg):
+    """beta and rho of example 1's log-margin g = sum_i c_i ln X_i, in
+    50-digit mpmath from the configured lognormal parameters and physical
+    correlations."""
+    with mpmath.workdps(50):
+        mu = [mpmath.mpf(m.params[0]) for m in cfg.marginals]
+        sig = [mpmath.mpf(m.params[1]) for m in cfg.marginals]
+        delta = [mpmath.sqrt(mpmath.expm1(s * s)) for s in sig]
+        n = len(mu)
+        cov = [[sig[i] ** 2 if i == j else mpmath.log1p(
+                    mpmath.mpf(cfg.joint.r_xx[i, j]) * delta[i] * delta[j])
+                for j in range(n)] for i in range(n)]
+        cc = [mpmath.fsum(cov[i][j] * EX1_SIGNS[j] for j in range(n))
+              for i in range(n)]
+        sd = mpmath.sqrt(mpmath.fsum(EX1_SIGNS[i] * cc[i] for i in range(n)))
+        beta = mpmath.fsum(EX1_SIGNS[i] * mu[i] for i in range(n)) / sd
+        return beta, [-cc[i] / (sd * sig[i]) for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["example1_safety.json",
+                                  "example1_safety_dependent.json"])
+def test_analytic_safety_evppi_matches_mpmath(name):
+    # at the configured costs and across the sweep, whose ends the grid's
+    # trapezoid read up to 9% low, or 0 where the decision changes only
+    # beyond the grid
+    cfg = config_mod.load_config(ROOT / "configs" / name)
+    res = pipeline.run_analysis(cfg)
+    beta, rho = _mpmath_log_margin(cfg)
+    c_f = cfg.safety.c_f
+    rows = threshold_sweep(list(res.curves.values()), cfg.names, c_f,
+                           [1e-5, 0.1, 0.3], res.pf)
+    for ratio, report in [(cfg.safety.c_r / c_f, res.safety_report),
+                          *((row["ratio"], row["report"]) for row in rows)]:
+        for entry, rho_i in zip(report.entries, rho):
+            want = c_f * _evppi_safety_mpmath(beta, rho_i, ratio)
+            assert abs(entry.absolute / want - 1) <= 1e-12, (ratio, entry)
+
+
+def test_analytic_inputs_of_equal_rho_get_the_same_evppi_bits():
+    # R and XS have the same sigma_ln and opposite signs in g
+    res = pipeline.run_analysis(
+        config_mod.load_config(ROOT / "configs" / "example1_safety.json"))
+    evppi = {e.name: e.absolute for e in res.safety_report.entries}
+    assert evppi["R"].hex() == evppi["XS"].hex()
+
+
+@pytest.mark.parametrize("name, method", [
+    ("example1_safety.json", "analytic"), ("example1_safety.json", "form"),
+    ("example1_safety_dependent.json", "analytic"),
+    ("example1_safety_dependent.json", "form"),
+    ("example2_safety.json", "form")])
+def test_safety_evppi_lies_between_zero_and_the_evpi(name, method):
+    cfg = config_mod.load_config(ROOT / "configs" / name)
+    res = pipeline.run_analysis(replace(cfg, method=method))
+    rows = threshold_sweep(list(res.curves.values()), cfg.names,
+                           cfg.safety.c_f, np.geomspace(1e-5, 0.3, 40),
+                           res.pf)
+    for report in [res.safety_report, *(row["report"] for row in rows)]:
+        assert report.evpi > 0.0
+        for entry in report.entries:
+            assert 0.0 <= entry.absolute <= report.evpi, entry.name
+
+
+def _one_input_config(name, expression):
+    raw = json.loads((ROOT / "configs" / name).read_text())
+    return config_mod.validate_config(
+        dict(raw, method="form", lsf={"expression": expression}))
+
+
+def test_one_input_form_safety_run_gives_that_input_the_evpi():
+    # |rho_R| = 1: R's curve is a step, and learning R resolves the decision
+    res = pipeline.run_analysis(_one_input_config("example1_safety.json",
+                                                  "R - 50"))
+    report = res.safety_report
+    evppi = {e.name: e.absolute for e in report.entries}
+    assert evppi["R"] == pytest.approx(report.evpi, rel=1e-12, abs=0.0)
+    assert [evppi[name] for name in ("S", "XR", "XS")] == [0.0, 0.0, 0.0]
+    step = res.curves["R"].pf_values
+    assert set(step.tolist()) == {0.0, 1.0}
+    assert np.all(np.diff(step) <= 0.0)      # fails below R = 50
+
+
+def test_one_input_form_design_row_needs_exact_regions():
+    with pytest.raises(DomainError, match=(
+            r"^at a = 0\.5, R's conditional pf is a step \(\|rho\| = 1\), "
+            r"for which the design EVPPI needs exact decision regions$")):
+        pipeline.run_analysis(_one_input_config("example1_design.json",
+                                                "a*R - 60"))

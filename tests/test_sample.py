@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relsens import (GaussianCopulaJoint, LimitState, Marginal, crude_mc,
-                     evaluate, lognormal_linear_pf, sample, subset_simulation)
+                     evaluate, sample, subset_simulation)
 from relsens.errors import DomainError, EvalError, StagnationError
 from relsens.config import load_config
-from conftest import CONFIG_DIR, PF_IND
+from conftest import CONFIG_DIR, PF_IND, lognormal_linear_pf
 from test_quantile import samples
 
 
@@ -154,9 +154,14 @@ def test_subset_parameter_validation(ex1_joint, ex1_lsf):
 
 
 def test_subset_stagnation_detected(ex1_joint):
+    # the message names the cause and the settings, as the no-failure-level
+    # message does
     stuck = LimitState.from_expression("0*R + 1", ("R", "S", "XR", "XS"))
-    with pytest.raises(StagnationError):
+    with pytest.raises(StagnationError) as info:
         subset_simulation(ex1_joint, stuck, n_per_level=500, p0=0.1, seed=0)
+    assert str(info.value) == (
+        "threshold stagnated at g = 1, where g is flat, over three levels "
+        "at p0 = 0.1, n_per_level = 500")
 
 
 def test_subset_without_a_failure_level_names_its_settings_and_reach():

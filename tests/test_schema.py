@@ -214,7 +214,13 @@ def test_mutated_configs_are_rejected_or_run(name, data):
     except ConfigError:
         return
     try:
-        pipeline.run_analysis(cfg)
+        result = pipeline.run_analysis(cfg)
     except (DomainError, StagnationError) as exc:
         assert any(isinstance(exc, kind) and text in str(exc)
                    for kind, text in RUN_TIME_FAILURES), repr(exc)
+        return
+    report = result.safety_report
+    if report is not None and cfg.method in ("analytic", "form"):
+        # the closed form is exact to rounding: 0 <= EVPPI_i <= EVPI
+        for entry in report.entries:
+            assert 0.0 <= entry.absolute <= report.evpi, entry
