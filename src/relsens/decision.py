@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import form, lsf as lsf_mod
+from . import form, lsf as lsf_mod, special
 from .errors import ConfigError, DomainError, NonFiniteGError
 
 
@@ -123,12 +123,17 @@ def evppi_safety(curve, decision):
     return float(np.trapezoid(values * curve.density_prior, curve.grid))
 
 
-def evpi_safety(pf, decision):
-    """Value of resolving all uncertainty in the safety decision."""
+def evpi_safety(pf, decision, beta=None):
+    """Value of resolving all uncertainty in the safety decision.
+
+    Where pf is Phi(-beta) (analytic and FORM), the survival probability
+    of the replace-prior value c_r (1 - pf) is taken as Phi(beta), which
+    keeps its digits where pf rounds near 1."""
     prior, _ = prior_choice(decision.failure_rows(pf), decision)
     if prior == 0:
         return pf * (decision.c_f - decision.c_r)
-    return decision.c_r * (1.0 - pf)
+    survival = 1.0 - pf if beta is None else special.std_normal_cdf(beta)
+    return decision.c_r * survival
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +221,10 @@ def evppi_report(names, absolute, method, evpi=None):
 
 
 def safety_report(curves, names, decision, method, pf):
-    """EVPPI report for the safety case from per-input curves."""
+    """EVPPI report for the safety case from per-input curves; the EVPI
+    takes the curves' shared beta where they carry one."""
     return evppi_report(names, [evppi_safety(c, decision) for c in curves],
-                        method, evpi_safety(pf, decision))
+                        method, evpi_safety(pf, decision, curves[0].beta))
 
 
 def threshold_sweep(curves, names, c_f, ratios, pf):

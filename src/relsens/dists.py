@@ -378,18 +378,36 @@ class GaussianCopulaJoint:
         physical space; returns one row per point, written into ``out``
         (an array of u's shape) if it is given.
 
-        The copula product is formed input-major, z = chol_z u^T of shape
-        (d, m), and each input's row of z is mapped into its column of
-        ``out``. A fresh ``out`` is the transpose of a C-ordered (d, m)
-        array, so those columns are contiguous; a given ``out`` should be
-        laid out alike (crude MC passes such a view of its buffers).
+        The copula product (``correlate``) is written into the rows it
+        returns, and each input's column is then mapped in place
+        (``map_marginals``), so no other (m, d) array is made. A fresh
+        ``out`` is the transpose of a C-ordered (d, m) array, so those
+        columns are contiguous; a given ``out`` should be laid out alike
+        (crude MC passes such a view of its buffers).
         """
-        z = self.chol_z @ np.asarray(u, dtype=float).T
+        return self.map_marginals(self.correlate(u, out))
+
+    def correlate(self, u, out=None):
+        """The copula coordinates of a batch of independent standard-normal
+        points (rows of a 2-D u), one row per point, written into ``out``
+        if it is given.
+
+        The product is formed input-major, chol_z u^T of shape (d, m),
+        straight into the (d, m) storage ``out.T``: the matmul that a fresh
+        product would make, written into another array.
+        """
+        u = np.asarray(u, dtype=float)
         if out is None:
-            out = np.empty(z.shape).T
-        for i, m in enumerate(self.marginals):
-            out[:, i] = m.from_standard_normal(z[i])
+            out = np.empty((self.dim, len(u))).T
+        np.matmul(self.chol_z, u.T, out=out.T)
         return out
+
+    def map_marginals(self, z):
+        """Map copula coordinates (rows of z) to physical rows in place,
+        each input's column through its marginal; returns z."""
+        for i, m in enumerate(self.marginals):
+            z[:, i] = m.from_standard_normal(z[:, i])
+        return z
 
     def to_standard(self, x):
         """Inverse map of a batch of physical points (rows of a 2-D x);

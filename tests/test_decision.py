@@ -99,6 +99,12 @@ def test_evpi_values():
     assert evpi_safety(0.0, d) == 0.0
     d2 = SafetyDecision(c_f=1e8, c_r=1e5)
     assert evpi_safety(1.7e-2, d2) == pytest.approx(1e5 * (1 - 1.7e-2), rel=1e-12)
+    # at pf = Phi(8) the rounded 1 - pf is 7% above Phi(-8): beta keeps it
+    d3 = SafetyDecision(c_f=1.0, c_r=0.5)
+    pf = math.erfc(-8.0 / math.sqrt(2.0)) / 2.0
+    survival = math.erfc(8.0 / math.sqrt(2.0)) / 2.0
+    assert evpi_safety(pf, d3, beta=-8.0) == pytest.approx(0.5 * survival,
+                                                           rel=1e-14)
 
 
 def test_evpi_dominates_evppi(ex1_problem, ex1_marginals):

@@ -436,11 +436,13 @@ def test_to_physical_keeps_the_bits_of_the_row_major_product(config):
     # to_physical forms chol_z u^T; that it has the bits of u chol_z^T, the
     # product crude-MC and subset samples were pinned with, is a property
     # of the BLAS, checked here at every row count up to 64 and at chunk
-    # sizes the samplers use
+    # sizes the samplers use, also written into crude MC's layout: the
+    # first m columns of a wider (d, width) buffer, transposed
     joint = load_config(CONFIG_DIR / config).joint
     d = joint.dim
     u_all = np.random.Generator(np.random.Philox(5)).standard_normal(
         (25_001, d))
+    wide = np.empty((d, 25_001))
     for m in [*range(1, 65), 151, 2000, 3594, 25_000, 25_001]:
         u = u_all[:m]
         z = u @ joint.chol_z.T
@@ -448,8 +450,9 @@ def test_to_physical_keeps_the_bits_of_the_row_major_product(config):
         for i, marginal in enumerate(joint.marginals):
             ref[:, i] = marginal.from_standard_normal(z[:, i])
         assert joint.to_physical(u).tobytes() == ref.tobytes(), m
-        for out in (np.empty((d, m)).T, np.empty((m, d))):
-            joint.to_physical(u, out=out)
+        for out in (np.empty((d, m)).T, np.empty((m, d)), wide[:, :m].T):
+            x = joint.to_physical(u, out=out)
+            assert np.shares_memory(x, out), m
             assert out.tobytes() == ref.tobytes(), m
 
 

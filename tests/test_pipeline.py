@@ -377,6 +377,16 @@ def test_one_input_form_safety_run_gives_that_input_the_evpi():
     assert np.all(np.diff(step) <= 0.0)      # fails below R = 50
 
 
+def test_one_input_form_safety_evpi_keeps_its_digits_where_pf_nears_1():
+    # pf = 0.9999999999999996: c_r (1 - pf) read 4.44e-10 against R's exact
+    # 4.96e-10, a relative share of 1.118; Phi(beta) keeps the digits
+    res = pipeline.run_analysis(_one_input_config("example1_safety.json",
+                                                  "20 - R"))
+    relative = {e.name: e.relative for e in res.safety_report.entries}
+    assert relative.pop("R") == pytest.approx(1.0, rel=0.0, abs=1e-12)
+    assert relative == {"S": 0.0, "XR": 0.0, "XS": 0.0}
+
+
 def test_one_input_form_design_row_needs_exact_regions():
     with pytest.raises(DomainError, match=(
             r"^at a = 0\.5, R's conditional pf is a step \(\|rho\| = 1\), "

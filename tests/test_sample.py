@@ -368,24 +368,31 @@ def test_crude_mc_keeps_few_chunks_in_memory(monkeypatch, cpus, budget_mib,
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_crude_mc_reuses_the_buffers_of_collected_chunks(monkeypatch, cpus,
                                                          ex2_joint, ex2_lsf):
-    # ten chunks and a ragged tail map into exactly one buffer per working
-    # thread, which that thread reuses for every chunk it takes
+    # ten chunks and a ragged tail are drawn into one buffer for the run and
+    # map into exactly one buffer per working thread, which that thread
+    # reuses for every chunk it takes
     class RecordingJoint:
         dim = ex2_joint.dim
 
         def __init__(self):
+            self.draws = set()
             self.owners = {}
 
-        def to_physical(self, u, out=None):
+        def correlate(self, u, out=None):
+            self.draws.add(id(u.base))
             self.owners.setdefault(id(out.base), set()).add(
                 threading.get_ident())
+            return ex2_joint.correlate(u, out=out)
+
+        def map_marginals(self, z):
             time.sleep(0.002)     # the other threads take the next chunks
-            return ex2_joint.to_physical(u, out=out)
+            return ex2_joint.map_marginals(z)
 
     monkeypatch.setattr(sample, "MC_BATCH", 1000)
     joint = RecordingJoint()
     res = _mc_at(monkeypatch, cpus, joint, ex2_lsf, 10_123, 37)
     assert res.workers == cpus
+    assert len(joint.draws) == 1
     assert len(joint.owners) == res.workers
     threads = set.union(*joint.owners.values())
     assert len(threads) == res.workers
