@@ -10,12 +10,25 @@ console script and ``python -m relsens.cli`` go through ``entry()``,
 which flushes stdout and stderr and ends the process with ``os._exit``:
 every output file is closed by then, and the interpreter's teardown (its
 final garbage collection over all loaded modules) would add only time.
+
+Each command imports only the modules it runs. ``validate`` loads
+``config``, ``decision``, ``dists``, ``lsf``, ``special`` and ``errors``
+besides this module, and no estimator. ``run`` and ``sweep`` import
+``pipeline`` (and through it ``condest``, ``quantile`` and ``sample``)
+as their first step, and ``form`` only for a FORM search or a
+closed-form safety EVPPI (FORM, and analytic safety), so mc and subset
+runs never load it; ``form-curves`` imports ``pipeline`` and ``form``.
+Only ``run``'s manifest imports ``hashlib`` itself. The run imports
+``pipeline`` before the config load because peak RSS depends on import
+order: compiling ``pipeline`` and ``sample`` after the Nataf fit and
+scipy.special's import raised column-mc's peak RSS from 58.96 to
+59.55 MB, and deferring ``sample`` alone to 59.38 MB, where this order
+read 58.88 MB (16-20 alternating cold runs a side, 2-CPU VM).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -26,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, config as config_mod, decision as dec, pipeline
+from . import __version__, config as config_mod, decision as dec
 from .errors import ConfigError, RelsensError
 
 EXIT_OK = 0
@@ -46,6 +59,8 @@ def _floats(values):
 
 
 def _sha256(path):
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -97,13 +112,12 @@ def _load(args):
     return config_mod.validate_config(_apply_overrides(raw, args))
 
 
-def _analyse(cfg):
-    """Run the analysis of ``cfg``, then make its output directory: a run
-    that fails leaves no directory behind."""
-    result = pipeline.run_analysis(cfg)
+def _outdir(cfg):
+    """Make the output directory of ``cfg``. Called once the analysis has
+    returned, so a run that fails leaves no directory behind."""
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
-    return result, outdir
+    return outdir
 
 
 def _warn_form_non_convergence(result):
@@ -128,12 +142,15 @@ def cmd_validate(args):
 
 
 def cmd_run(args):
+    from . import pipeline      # before the config load: see the docstring
+
     t0 = time.perf_counter()
     cfg = _load(args)                  # JSON, schema, marginal and Nataf fits
     load_seconds = time.perf_counter() - t0
     written = []
     try:
-        result, outdir = _analyse(cfg)
+        result = pipeline.run_analysis(cfg)
+        outdir = _outdir(cfg)
         result.diagnostics["stage_seconds"] = {
             "load": load_seconds, **result.diagnostics["stage_seconds"]}
 
@@ -148,18 +165,18 @@ def cmd_run(args):
         for name in cfg.names:
             curve = result.curves[name]
             cpath = outdir / f"pf_curve_{name}.csv"
+            grid = list(_floats(curve.grid))     # written to both files
             cond = (curve.density_conditional
                     if curve.density_conditional is not None
                     else np.full_like(curve.grid, np.nan))
             _write_csv(cpath, ["x", "pf", "density_prior", "density_conditional"],
-                       [_floats(v) for v in (curve.grid, curve.pf_values,
-                                             curve.density_prior, cond)])
+                       [grid, *(_floats(v) for v in (curve.pf_values,
+                                                     curve.density_prior, cond))])
             written.append(cpath)
             if cfg.safety is not None:
                 vpath = outdir / f"cvppi_{name}.csv"
                 values = dec.cvppi_curve(curve, cfg.safety)
-                _write_csv(vpath, ["x", "cvppi"],
-                           [_floats(curve.grid), _floats(values)])
+                _write_csv(vpath, ["x", "cvppi"], [grid, _floats(values)])
                 written.append(vpath)
 
         report = {
@@ -201,6 +218,8 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    from . import pipeline      # before the config load: see the docstring
+
     cfg = _load(args)
     if cfg.safety is None:
         print("sweep requires a safety decision block", file=sys.stderr)
@@ -213,7 +232,8 @@ def cmd_sweep(args):
         return EXIT_CONFIG
     ratios = np.geomspace(args.ratio_min, args.ratio_max, args.ratio_count)
     try:
-        result, outdir = _analyse(cfg)
+        result = pipeline.run_analysis(cfg)
+        outdir = _outdir(cfg)
         rows = dec.threshold_sweep([result.curves[n] for n in cfg.names],
                                    cfg.names, cfg.safety.c_f, ratios,
                                    result.pf)
@@ -234,6 +254,8 @@ def cmd_sweep(args):
 
 
 def cmd_form_curves(args):
+    from . import pipeline
+
     try:
         betas = [float(b) for b in args.betas.split(",")]
         rows = pipeline.form_evppi_curves(betas, args.cost_ratio, args.mode)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import form, lsf as lsf_mod, special
+from . import lsf as lsf_mod, special
 from .errors import ConfigError, DomainError, NonFiniteGError
 
 
@@ -117,6 +117,8 @@ def evppi_safety(curve, decision):
     """Expected value of learning X_i, integrated over its prior: in closed
     form where the curve has one, else by the trapezoid on its grid."""
     if curve.rho is not None:
+        from . import form
+
         return form.evppi_form_safety(curve.beta, curve.rho, decision.c_f,
                                       decision.c_r)
     values = cvppi_curve(curve, decision)

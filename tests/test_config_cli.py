@@ -1068,10 +1068,12 @@ def test_cli_process_exception_still_exits_with_traceback(tmp_path):
     assert done.stderr.rstrip().endswith("RuntimeError: escaped main")
 
 
-# -- scipy.special is imported only where Phi is evaluated -----------------------
+# -- which of the lazily imported modules a command loads ------------------------
 
+_ESTIMATORS = ("relsens.pipeline", "relsens.condest", "relsens.sample",
+               "relsens.form")
 _LAZY_MODULES = ("scipy.special", "scipy.integrate", "numpy.ma",
-                 "numpy.polynomial")
+                 "numpy.polynomial", *_ESTIMATORS, "hashlib")
 
 _RUN_AND_PROBE_MODULES = f"""
 import sys
@@ -1101,6 +1103,8 @@ def _modules_loaded(tmp_path, command, name, **overrides):
            else [])
     return _probe_modules(tmp_path, command, str(path), *out)
 
+
+# -- scipy.special is imported only where Phi is evaluated -----------------------
 
 def _special_loaded(tmp_path, command, name, **overrides):
     """Exit code, and whether scipy.special got imported."""
@@ -1148,6 +1152,9 @@ def test_dependent_sampling_runs_import_no_numpy_ma_or_polynomial(tmp_path,
                                    **overrides)
     assert code == 0
     assert loaded.isdisjoint({"numpy.ma", "numpy.polynomial"})
+    # nor does either run import FORM
+    assert "relsens.form" not in loaded
+    assert {"relsens.pipeline", "relsens.sample", "hashlib"} <= loaded
 
 
 @pytest.mark.parametrize("name", SHIPPED_CONFIGS[:3])
@@ -1161,6 +1168,26 @@ def test_nataf_bisection_imports_numpy_polynomial(tmp_path):
     code, loaded = _modules_loaded(tmp_path, "validate",
                                    "example2_safety.json")
     assert (code, "numpy.polynomial" in loaded) == (0, True)
+
+
+# -- each command imports only the relsens modules it runs ---------------------
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_validate_imports_no_estimator(tmp_path, name):
+    code, loaded = _modules_loaded(tmp_path, "validate", name)
+    assert code == 0
+    assert loaded.isdisjoint(_ESTIMATORS)
+    # only the manifest needs hashlib; example 2's Nataf fit reaches it
+    # through scipy.special, which imports numpy.random
+    assert ("hashlib" in loaded) == name.startswith("example2")
+
+
+def test_form_run_imports_form_and_pipeline(tmp_path):
+    # positive control: the probe sees relsens modules once imported
+    code, loaded = _modules_loaded(tmp_path, "run", "example1_safety.json",
+                                   method="form")
+    assert code == 0
+    assert {"relsens.form", "relsens.pipeline"} <= loaded
 
 
 # -- no command imports scipy.integrate ---------------------------------------
