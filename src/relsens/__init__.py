@@ -9,7 +9,9 @@ sampling-based estimators.
 imported from its module on first access (PEP 562), so a process loads
 only the modules it uses: ``relsens validate`` and the config load need
 ``cli``, ``config``, ``decision``, ``dists``, ``lsf``, ``special`` and
-``errors``, and never compile the estimators (see ``cli``).
+``errors``, and never compile the estimators (see ``cli``). A submodule
+is an attribute of the package only once imported: use
+``from relsens import dists`` or ``import relsens.dists``.
 """
 
 import importlib
@@ -50,4 +52,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return __all__
+    return sorted({*globals(), *__all__})

@@ -18,12 +18,16 @@ besides this module, and no estimator. ``run`` and ``sweep`` import
 as their first step, and ``form`` only for a FORM search or a
 closed-form safety EVPPI (FORM, and analytic safety), so mc and subset
 runs never load it; ``form-curves`` imports ``pipeline`` and ``form``.
-Only ``run``'s manifest imports ``hashlib`` itself. The run imports
-``pipeline`` before the config load because peak RSS depends on import
-order: compiling ``pipeline`` and ``sample`` after the Nataf fit and
-scipy.special's import raised column-mc's peak RSS from 58.96 to
-59.55 MB, and deferring ``sample`` alone to 59.38 MB, where this order
-read 58.88 MB (16-20 alternating cold runs a side, 2-CPU VM).
+Only ``run``'s manifest imports ``hashlib`` itself. What this saves is
+the compile and dataclass set-up of the estimators in ``validate`` and
+in a bare ``import relsens``; a run compiles the same modules, only
+later. The run imports ``pipeline`` before the config load, and
+``pipeline`` imports ``sample`` at module level, because peak RSS
+depends on import order: compiling ``pipeline`` and ``sample`` after
+the Nataf fit and scipy.special's import raised column-mc's peak RSS
+from 58.96 to 59.55 MB, and deferring ``sample`` alone to 59.38 MB,
+where this order read 58.88 MB (16-20 alternating cold runs a side,
+2-CPU VM).
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ def cmd_validate(args):
 
 
 def cmd_run(args):
-    from . import pipeline      # before the config load: see the docstring
+    from . import pipeline      # before _load (module docstring)
 
     t0 = time.perf_counter()
     cfg = _load(args)                  # JSON, schema, marginal and Nataf fits
@@ -218,7 +222,7 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    from . import pipeline      # before the config load: see the docstring
+    from . import pipeline      # before _load (module docstring)
 
     cfg = _load(args)
     if cfg.safety is None:

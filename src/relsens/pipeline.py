@@ -51,12 +51,9 @@ per-input stage and the report. At mc, ``diagnostics.workers`` is the
 number of threads crude MC drew on.
 
 Importing this module loads ``condest``, ``quantile`` and ``sample``
-with it, and ``form`` is imported only by ``_form`` and
-``form_evppi_curves``, so mc and subset runs never compile it. ``sample``
-stays a module-level import: ``run`` and ``sweep`` import this module
-before the config load (see ``cli``), and deferring ``sample`` alone past
-the Nataf fit raised column-mc's peak RSS from 58.94 to 59.38 MB (16-20
-alternating cold runs a side, 2-CPU VM).
+with it; ``sample`` stays a module-level import (the import order is
+explained in ``cli``). ``form`` is imported only by ``_form`` and
+``form_evppi_curves``, so mc and subset runs never compile it.
 """
 
 from __future__ import annotations

@@ -41,7 +41,11 @@ def test_exported_name_is_its_modules_object(name):
 
 def test_all_and_dir_list_the_exported_names():
     assert sorted(relsens.__all__) == sorted(EXPORTED)
-    assert sorted(dir(relsens)) == sorted(EXPORTED)
+    listed = dir(relsens)
+    assert set(EXPORTED) <= set(listed)
+    # and what the module itself defines
+    assert {"__version__", "__name__", "__all__"} <= set(listed)
+    assert listed == sorted(listed)
 
 
 def test_unknown_name_raises_attribute_error():
