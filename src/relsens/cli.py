@@ -24,10 +24,11 @@ in a bare ``import relsens``; a run compiles the same modules, only
 later. The run imports ``pipeline`` before the config load, and
 ``pipeline`` imports ``sample`` at module level, because peak RSS
 depends on import order: compiling ``pipeline`` and ``sample`` after
-the Nataf fit and scipy.special's import raised column-mc's peak RSS
-from 58.96 to 59.55 MB, and deferring ``sample`` alone to 59.38 MB,
-where this order read 58.88 MB (16-20 alternating cold runs a side,
-2-CPU VM).
+the Nataf fit and the load of scipy.special's ufuncs raised column-mc's
+peak RSS from 45.81 to 45.93 MB (medians of 20 alternating cold runs a
+side, higher in 18 of 20 pairs, 2-CPU VM). Deferring ``sample`` alone
+raised it by 0.5 MB when the Nataf fit still imported the whole of
+scipy.special.
 """
 
 from __future__ import annotations

@@ -284,7 +284,8 @@ def validate_correlation(matrix):
 def _gauss_hermite():
     """Nodes and weights of the 32-point Gauss-Hermite rule, built on the
     first call: only a correlated pair that is neither two normals nor two
-    lognormals needs them, and numpy.polynomial costs about 0.75 MB."""
+    lognormals needs them, and numpy.polynomial, which nothing else on
+    that path imports, costs about 0.75 MB."""
     from numpy.polynomial.hermite import hermgauss
     nodes, weights = hermgauss(32)
     nodes.flags.writeable = weights.flags.writeable = False   # shared

@@ -1072,8 +1072,11 @@ def test_cli_process_exception_still_exits_with_traceback(tmp_path):
 
 _ESTIMATORS = ("relsens.pipeline", "relsens.condest", "relsens.sample",
                "relsens.form")
-_LAZY_MODULES = ("scipy.special", "scipy.integrate", "numpy.ma",
-                 "numpy.polynomial", *_ESTIMATORS, "hashlib")
+# what scipy.special's full import would add to its compiled ufuncs
+_ARRAY_API_LAYER = ("scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+_LAZY_MODULES = ("scipy.special._ufuncs", "scipy.special", "scipy.integrate",
+                 "numpy.ma", "numpy.polynomial", *_ESTIMATORS, "hashlib",
+                 *_ARRAY_API_LAYER)
 
 _RUN_AND_PROBE_MODULES = f"""
 import sys
@@ -1104,12 +1107,12 @@ def _modules_loaded(tmp_path, command, name, **overrides):
     return _probe_modules(tmp_path, command, str(path), *out)
 
 
-# -- scipy.special is imported only where Phi is evaluated -----------------------
+# -- scipy.special's ufuncs are loaded only where Phi is evaluated ----------------
 
 def _special_loaded(tmp_path, command, name, **overrides):
-    """Exit code, and whether scipy.special got imported."""
+    """Exit code, and whether scipy.special._ufuncs got imported."""
     code, loaded = _modules_loaded(tmp_path, command, name, **overrides)
-    return code, "scipy.special" in loaded
+    return code, "scipy.special._ufuncs" in loaded
 
 
 @pytest.mark.parametrize("name", SHIPPED_CONFIGS[:3])
@@ -1133,8 +1136,30 @@ def test_example1_sampling_runs_do_not_import_scipy_special(tmp_path, name,
     ("example2_safety.json", {"n": 200_000})])
 def test_runs_that_evaluate_phi_import_scipy_special(tmp_path, name,
                                                      overrides):
-    # positive control: the probe above sees scipy.special once imported
+    # positive control: the probe above sees the ufuncs once imported
     assert _special_loaded(tmp_path, "run", name, **overrides) == (0, True)
+
+
+@pytest.mark.parametrize("command, name, overrides", [
+    ("run", "example1_safety.json", {"method": "analytic"}),
+    ("run", "example1_safety.json", {"method": "form"}),
+    ("run", "example1_design.json", {"method": "form"}),
+    ("validate", "example2_safety.json", {}),
+    ("run", "example2_safety.json", {"n": 200_000}),
+    ("sweep", "example1_safety.json", {"method": "form"}),
+    ("form-curves", "safety", None),
+    ("form-curves", "design", None)])
+def test_phi_loads_the_ufuncs_without_the_scipy_special_package(
+        tmp_path, command, name, overrides):
+    # the package's __init__ would clone numpy in scipy's array-API layer
+    if command == "form-curves":
+        code, loaded = _probe_modules(tmp_path, command, "--betas", "1,2,3",
+                                      "--mode", name, "--out", str(tmp_path))
+    else:
+        code, loaded = _modules_loaded(tmp_path, command, name, **overrides)
+    assert code == 0
+    assert "scipy.special._ufuncs" in loaded
+    assert loaded.isdisjoint({"scipy.special", *_ARRAY_API_LAYER})
 
 
 # -- numpy.ma and numpy.polynomial are imported only where they are used -----
@@ -1177,9 +1202,8 @@ def test_validate_imports_no_estimator(tmp_path, name):
     code, loaded = _modules_loaded(tmp_path, "validate", name)
     assert code == 0
     assert loaded.isdisjoint(_ESTIMATORS)
-    # only the manifest needs hashlib; example 2's Nataf fit reaches it
-    # through scipy.special, which imports numpy.random
-    assert ("hashlib" in loaded) == name.startswith("example2")
+    # only the manifest needs hashlib, and validate writes none
+    assert "hashlib" not in loaded
 
 
 def test_form_run_imports_form_and_pipeline(tmp_path):
@@ -1218,7 +1242,7 @@ import hashlib, sys
 from relsens import config, sample
 sys.setswitchinterval(1e-6)
 cfg = config.load_config(sys.argv[1])
-before = "scipy.special" in sys.modules
+before = "scipy.special._ufuncs" in sys.modules
 mc = sample.crude_mc(cfg.joint, cfg.limit_state, cfg.n, cfg.seed)
 print(before, mc.workers, mc.n_fail.tolist(),
       hashlib.sha256(mc.failure_samples.tobytes()).hexdigest())
@@ -1227,8 +1251,9 @@ print(before, mc.workers, mc.n_fail.tolist(),
 
 def test_scipy_special_first_imported_on_crude_mc_workers(tmp_path):
     # without the correlation nothing evaluates Phi before sampling, so the
-    # Gumbel and Weibull maps import scipy.special on the worker threads;
-    # the sample must equal that of a process which imported it first
+    # Gumbel and Weibull maps load scipy.special's ufuncs on the worker
+    # threads; the sample must equal that of a process which imported
+    # scipy.special first
     raw = json.loads((CONFIG_DIR / "example2_safety.json").read_text())
     del raw["correlation"]
     path = _write_config(tmp_path / "column.json", dict(raw, n=200_000))

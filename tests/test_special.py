@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -151,3 +156,67 @@ def test_log_cdf_deep_tail():
     ref = np.array([_mp_log_cdf(v) for v in x])
     assert np.max(np.abs(std_normal_log_cdf(x) - ref) / np.abs(ref)) < 1e-9
     assert std_normal_log_cdf(3.0) == pytest.approx(_mp_log_cdf(3.0), rel=1e-12)
+
+
+# -- the ufunc loader, each case in a fresh interpreter -------------------------
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_UFUNC_NAMES = ("ndtr", "log_ndtr", "ndtri", "ndtri_exp")
+
+
+def _fresh(code):
+    """The last line that ``code`` prints in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return done.stdout.splitlines()[-1]
+
+
+def test_scipy_special_imports_whole_after_the_loader():
+    assert _fresh(f"""
+import importlib, sys
+from relsens import special
+special.std_normal_cdf(0.5)
+assert "scipy.special" not in sys.modules
+ufuncs = special._ufuncs()
+package = importlib.import_module("scipy.special")
+print(hasattr(package, "erf"), package.__file__.endswith("__init__.py"),
+      all(getattr(package, n) is getattr(ufuncs, n) for n in {_UFUNC_NAMES}))
+""") == "True True True"
+
+
+def test_first_calls_on_eight_threads_agree_and_leave_no_placeholder():
+    assert _fresh("""
+import sys, threading
+from relsens import special
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(8)
+results = [None] * 8
+
+def first_call(k):
+    start.wait()
+    results[k] = special.std_normal_log_cdf(-3.0)
+
+threads = [threading.Thread(target=first_call, args=(k,)) for k in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(not any(t.is_alive() for t in threads), None not in results,
+      len(set(results)), "scipy.special" in sys.modules,
+      "scipy.special._ufuncs" in sys.modules)
+""") == "True True 1 False True"
+
+
+def test_loader_takes_the_ufuncs_of_an_imported_scipy_special():
+    assert _fresh("""
+import sys
+import scipy.special
+from relsens import special
+special.std_normal_inv(0.25)
+print(special._ufuncs() is scipy.special._ufuncs,
+      sys.modules["scipy.special"] is scipy.special)
+""") == "True True"
